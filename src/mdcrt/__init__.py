@@ -12,7 +12,6 @@ from .lattice import (
     LatticeBasis,
     closest_vector,
     enumerate_fpd,
-    in_fpd_union,
     reduce_mod,
     shortest_vector,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "final_region",
     "gcld",
     "hnf",
-    "in_fpd_union",
     "is_coprime",
     "lcrm",
     "lcrm_many",

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Commands: hnf, snf, gcld, lcrm, crt, robust, multistage, svp-search, drange,
-simulate. Exit codes: 0 success, 2 parse or configuration error,
-3 mathematical inconsistency, 4 capability exceeded (dimension or
-enumeration cap).
+simulate. Exit codes: 0 success, 2 parse or configuration error (including
+``--trials`` or ``--jobs`` below 1), 3 mathematical inconsistency,
+4 capability exceeded (dimension or search bound).
 
 Decision-bearing numbers are printed exactly (integers, fractions); float
 columns are display-only and suffixed ``_f``.
@@ -26,7 +26,7 @@ from .errors import (
     Inconsistent,
     MdcrtError,
 )
-from .exact_linalg import IntMatrix, format_vector, hnf, parse_matrix, parse_vector, snf
+from .exact_linalg import format_vector, hnf, parse_matrix, parse_vector, snf
 from .lattice import reduce_mod
 from .multistage import build_plan, final_region, multistage_reconstruct
 from .robust import build_instance, robust_reconstruct, robustly_determinable_region
@@ -152,11 +152,7 @@ def _single_shot_robust(cfg: ExperimentConfig, remainders: list[str]) -> int:
     print(f"tau_bound_f = {_sqrt_str(inst.tau_bound_sq)}")
     print(f"estimate = ({','.join(str(x) for x in out.estimate)})")
     print(f"estimate_f = ({','.join(f'{float(x):.6g}' for x in out.estimate)})")
-    try:
-        region = robustly_determinable_region(inst, inst.lcrm)
-        print(f"region_size = {region.size}")
-    except CapExceeded:
-        print(f"region_size = {abs(inst.lcrm.det)} (not enumerated)")
+    print(f"region_size = {robustly_determinable_region(inst, inst.lcrm).size}")
     return 0
 
 
@@ -175,11 +171,7 @@ def _single_shot_multistage(cfg: ExperimentConfig, remainders: list[str]) -> int
     print(f"delta_final_sq = {delta if delta is not None else 'inf'}")
     print(f"estimate = ({','.join(str(x) for x in out.estimate)})")
     print(f"estimate_f = ({','.join(f'{float(x):.6g}' for x in out.estimate)})")
-    try:
-        region = final_region(plan)
-        print(f"region_size = {region.size}")
-    except CapExceeded:
-        print(f"region_size = {abs(plan.final_lcrm.det)} (not enumerated)")
+    print(f"region_size = {final_region(plan).size}")
     return 0
 
 
@@ -228,6 +220,16 @@ def _cmd_drange(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mdcrt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -263,16 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} reconstruction or sweep")
         p.add_argument("config")
         p.add_argument("--remainders", nargs="+", help="single-shot mode: one vector per modulus")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--trials", type=_positive_int, default=None)
+        p.add_argument("--jobs", type=_positive_int, default=1)
         p.add_argument("--raw", action="store_true")
         p.add_argument("--out", default=None)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("simulate", help="run every reconstructor in a config")
     p.add_argument("config")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--raw", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)

@@ -106,6 +106,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigInvalid("'tau_grid' entries must be nonnegative")
 
     trials = int(raw.get("trials", "2000"))
+    if trials <= 0:
+        raise ConfigInvalid("'trials' must be a positive integer")
     seed = int(raw.get("seed", "0"))
 
     f_text = raw.get("f", "centroid")

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: configuration/parse problems exit 2,
-mathematical inconsistency exits 3, capability limits (dimension, enumeration
-caps) exit 4.
+mathematical inconsistency exits 3, capability limits (dimension, search
+bounds) exit 4.
 """
 
 
@@ -27,7 +27,13 @@ class RankDeficient(MdcrtError):
 
 
 class CapExceeded(MdcrtError):
-    """Enumeration would produce more points than the configured cap."""
+    """An explicit point listing or search would pass its fixed bound.
+
+    Raised by ``enumerate_fpd`` above 10^6 points and by
+    ``nearest_region_point`` when no region point lies within its search
+    radius. Regions themselves are never enumerated, so building, sampling
+    and testing membership in them never raises it.
+    """
 
 
 class Inconsistent(MdcrtError):

@@ -2,15 +2,17 @@
 shortest/closest vector computation, and unions of shifted parallelepipeds.
 
 All lengths are handled as exact squared norms (integers or Fractions);
-square roots appear only in display code elsewhere.
+square roots appear only in display code elsewhere. A union of shifted
+parallelepipeds is stored as its anchor and quotient matrix and is never
+enumerated: its size, centroid, membership test and i-th shift are closed
+form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -27,15 +29,8 @@ from .exact_linalg import (
     vec_sub,
 )
 
-DEFAULT_FPD_CAP = 10**6
-FPD_CAP_ENV = "MDCRT_FPD_CAP"
-
-
-def _fpd_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(FPD_CAP_ENV)
-    return int(env) if env else DEFAULT_FPD_CAP
+MAX_DIM = 4  # exact SVP/CVP enumeration, and so robust reconstruction, stop here
+ENUM_CAP = 10**6  # most points enumerate_fpd will list
 
 
 # ---------------------------------------------------------------------------
@@ -71,24 +66,23 @@ def fpd_size(m: IntMatrix) -> int:
     return abs(d)
 
 
-def enumerate_fpd(m: IntMatrix, cap: int | None = None) -> list[IntVec]:
-    """All ``|det m|`` integer points of N(m), ordered by their SNF digit
-    preimage (lexicographic)."""
+def enumerate_fpd(m: IntMatrix) -> list[IntVec]:
+    """All ``|det m|`` integer points of N(m), in ``FpdSampler.point`` order."""
     count = fpd_size(m)
-    limit = _fpd_cap(cap)
-    if count > limit:
-        raise CapExceeded(f"|det| = {count} exceeds enumeration cap {limit}")
-    dec = snf(m)
-    uinv = dec.u.adj if dec.u.det == 1 else -dec.u.adj
-    out = []
-    for digits in itertools.product(*(range(x) for x in dec.diagonal())):
-        g = uinv.apply(digits)
-        out.append(reduce_mod(g, m)[1])
-    return out
+    if count > ENUM_CAP:
+        raise CapExceeded(f"|det| = {count} exceeds enumeration cap {ENUM_CAP}")
+    fpd = FpdSampler(m)
+    return [fpd.point(i) for i in range(count)]
 
 
 class FpdSampler:
-    """Uniform sampling over N(m) without enumeration, via SNF digits."""
+    """Integer points of N(m) addressed by their SNF digits, without
+    enumeration.
+
+    With ``m = u^{-1} diag(d_1..d_D) v^{-1}``, the points of N(m) are the
+    reductions mod m of ``u^{-1} @ digits`` for digit vectors in
+    ``[0, d_1) x ... x [0, d_D)``.
+    """
 
     def __init__(self, m: IntMatrix):
         if m.det == 0:
@@ -98,9 +92,20 @@ class FpdSampler:
         self._uinv = dec.u.adj if dec.u.det == 1 else -dec.u.adj
         self._diag = dec.diagonal()
 
-    def sample(self, rng) -> IntVec:
-        digits = tuple(rng.randrange(x) for x in self._diag)
+    def _from_digits(self, digits: Sequence[int]) -> IntVec:
         return reduce_mod(self._uinv.apply(digits), self.m)[1]
+
+    def point(self, index: int) -> IntVec:
+        """Point number ``index`` in ``[0, |det m|)``: a mixed-radix decode
+        over the SNF diagonal, last digit fastest (lexicographic digits)."""
+        digits = [0] * len(self._diag)
+        for i in reversed(range(len(self._diag))):
+            index, digits[i] = divmod(index, self._diag[i])
+        return self._from_digits(digits)
+
+    def sample(self, rng) -> IntVec:
+        """Uniform point; one ``rng.randrange`` draw per SNF digit."""
+        return self._from_digits([rng.randrange(x) for x in self._diag])
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +185,6 @@ def _ldl_decompose(gram_rows) -> tuple[list[Fraction], list[list[Fraction]]]:
 
 # ---------------------------------------------------------------------------
 # exact SVP / CVP by depth-first enumeration of the LDL quadratic form
-
-_MAX_ENUM_DIM = 4
-
 
 def _enum_best(
     basis: IntMatrix,
@@ -265,8 +267,8 @@ def _enum_best(
 def shortest_vector(l: LatticeBasis) -> tuple[int, IntVec]:
     """Exact squared minimum distance of the lattice and a witness vector."""
     n = l.dim
-    if n > _MAX_ENUM_DIM:
-        raise DimensionUnsupported(f"shortest_vector supports dim <= {_MAX_ENUM_DIM}, got {n}")
+    if n > MAX_DIM:
+        raise DimensionUnsupported(f"shortest_vector supports dim <= {MAX_DIM}, got {n}")
     if n == 1:
         g = l.basis.rows[0][0]
         return g * g, (abs(g),)
@@ -287,8 +289,8 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar]) -> IntVec:
     Ties are broken by the lexicographically smallest lattice vector.
     """
     n = l.dim
-    if n > _MAX_ENUM_DIM:
-        raise DimensionUnsupported(f"closest_vector supports dim <= {_MAX_ENUM_DIM}, got {n}")
+    if n > MAX_DIM:
+        raise DimensionUnsupported(f"closest_vector supports dim <= {MAX_DIM}, got {n}")
     if len(target) != n:
         raise DimensionUnsupported("target dimension mismatch")
     b = l._enum_basis
@@ -308,47 +310,63 @@ def distance_sq(v: Sequence[Scalar], w: Sequence[Scalar]) -> Scalar:
 
 @dataclass(frozen=True)
 class FpdUnionRegion:
-    """Disjoint union of |shifts| copies of N(anchor), shifted by anchor @ k."""
+    """Disjoint union of the copies ``anchor @ k + N(anchor)`` for every
+    shift k in N(quotient).
+
+    This is how a robustly determinable range is described: for an lcrm R
+    with ``R = anchor @ quotient``, f is recoverable exactly when the
+    quotient ``floor(anchor^{-1} f)`` lies in N(quotient). The shifts are
+    never listed; every query below is closed form in the two matrices.
+    """
 
     anchor: IntMatrix
-    shifts: tuple[IntVec, ...]
-    shift_set: frozenset = field(init=False, repr=False)
+    quotient: IntMatrix
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shift_set", frozenset(self.shifts))
-        if len(self.shift_set) != len(self.shifts):
-            raise ValueError("region shifts must be pairwise distinct")
+        if self.anchor.det == 0 or self.quotient.det == 0:
+            raise SingularMatrix("region matrices must be nonsingular")
 
     @property
     def size(self) -> int:
-        return len(self.shifts) * abs(self.anchor.det)
+        return abs(self.quotient.det) * abs(self.anchor.det)
 
-    def sample(self, rng, sampler: FpdSampler | None = None) -> IntVec:
-        sampler = sampler or FpdSampler(self.anchor)
-        k = self.shifts[rng.randrange(len(self.shifts))]
-        r = sampler.sample(rng)
+    @cached_property
+    def _shifts(self) -> FpdSampler:
+        return FpdSampler(self.quotient)
+
+    @cached_property
+    def _anchor_fpd(self) -> FpdSampler:
+        return FpdSampler(self.anchor)
+
+    def shift(self, index: int) -> IntVec:
+        """Shift number ``index``; the order is that of ``enumerate_fpd(quotient)``."""
+        return self._shifts.point(index)
+
+    def contains(self, f: Sequence[int]) -> bool:
+        """Exact membership: ``quotient^{-1} floor(anchor^{-1} f)`` in [0, 1)^D."""
+        k, _ = reduce_mod(f, self.anchor)
+        d = self.quotient.det
+        sign = 1 if d > 0 else -1
+        return all(0 <= sign * x < abs(d) for x in self.quotient.adj.apply(k))
+
+    def sample(self, rng) -> IntVec:
+        """Uniform point: one draw for the shift, then one per anchor SNF digit."""
+        k = self.shift(rng.randrange(abs(self.quotient.det)))
+        r = self._anchor_fpd.sample(rng)
         return tuple(a + b for a, b in zip(self.anchor.apply(k), r))
 
     def centroid(self) -> tuple[Fraction, ...]:
-        """Continuous centroid: anchor @ (mean shift + (1/2, ..., 1/2))."""
-        n = self.anchor.dim
-        count = len(self.shifts)
-        mean = [Fraction(sum(k[i] for k in self.shifts), count) + Fraction(1, 2) for i in range(n)]
-        return self.anchor.apply(mean)
+        """Continuous centroid: anchor @ (mean shift + (1/2, ..., 1/2)).
 
-
-def in_fpd_union(f: Sequence[int], region: FpdUnionRegion) -> bool:
-    quotient, _ = reduce_mod(f, region.anchor)
-    return quotient in region.shift_set
-
-
-def region_contains(anchor: IntMatrix, designated_lcrm: IntMatrix, f: Sequence[int]) -> bool:
-    """Membership in the shifted-FPD union of ``anchor`` determined by an lcrm,
-    checked by exact rational arithmetic (no shift enumeration)."""
-    p = _integer_quotient_matrix(anchor, designated_lcrm)
-    quotient, _ = reduce_mod(f, anchor)
-    frac = p.inverse_apply(quotient)
-    return all(0 <= t < 1 for t in frac)
+        The shifts are ``quotient @ x`` for x in the group
+        ``quotient^{-1} Z^D mod 1``, whose coordinate i is uniform over the
+        multiples of 1/n_i, with ``n_i = |det| / gcd(|det|, row i of adj)``.
+        Coordinate i of x therefore averages ``(n_i - 1) / (2 n_i)``.
+        """
+        d = abs(self.quotient.det)
+        orders = [d // math.gcd(d, *row) for row in self.quotient.adj.rows]
+        mean_shift = self.quotient.apply([Fraction(n - 1, 2 * n) for n in orders])
+        return self.anchor.apply([x + Fraction(1, 2) for x in mean_shift])
 
 
 def _integer_quotient_matrix(anchor: IntMatrix, multiple: IntMatrix) -> IntMatrix:
@@ -370,7 +388,7 @@ def nearest_region_point(region: FpdUnionRegion, target: Sequence[Scalar]) -> In
 
     def consider(pt: IntVec) -> None:
         nonlocal best
-        if not in_fpd_union(pt, region):
+        if not region.contains(pt):
             return
         dsq = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(pt, target))
         if best is None or dsq < best[0] or (dsq == best[0] and pt < best[1]):

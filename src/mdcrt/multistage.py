@@ -28,7 +28,7 @@ from .errors import (
     GroupConditionFailed,
 )
 from .exact_linalg import IntMatrix, Scalar, hnf
-from .lattice import FpdUnionRegion, enumerate_fpd, _integer_quotient_matrix
+from .lattice import FpdUnionRegion, _integer_quotient_matrix
 from .robust import RobustInstance, RobustOutput, build_instance, robust_reconstruct
 
 Grouping = Sequence[Sequence[Sequence[int]]]
@@ -229,5 +229,4 @@ def multistage_reconstruct(
 def final_region(plan: GroupingPlan) -> FpdUnionRegion:
     """Shifted-FPD union of the final anchor that the last stage can recover."""
     anchor = plan.final_inputs[plan.final_anchor]
-    quotient = _integer_quotient_matrix(anchor, plan.final_lcrm)
-    return FpdUnionRegion(anchor=anchor, shifts=tuple(enumerate_fpd(quotient)))
+    return FpdUnionRegion(anchor, _integer_quotient_matrix(anchor, plan.final_lcrm))

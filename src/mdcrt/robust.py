@@ -19,16 +19,14 @@ from .crt_core import Congruence, crt_solve, gcld, lcrm_many
 from .errors import DimensionUnsupported, DuplicateModuli, NotAnLcrm
 from .exact_linalg import IntMatrix, IntVec, Scalar, vec_sub
 from .lattice import (
+    MAX_DIM,
     FpdUnionRegion,
     LatticeBasis,
     closest_vector,
-    enumerate_fpd,
     reduce_mod,
     shortest_vector,
     _integer_quotient_matrix,
 )
-
-_MAX_DIM = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +70,8 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
     if len(moduli) < 2:
         raise ValueError("a robust instance needs at least two moduli")
     d = moduli[0].dim
-    if d > _MAX_DIM:
-        raise DimensionUnsupported(f"robust reconstruction supports dim <= {_MAX_DIM}")
+    if d > MAX_DIM:
+        raise DimensionUnsupported(f"robust reconstruction supports dim <= {MAX_DIM}")
     if any(m.dim != d for m in moduli):
         raise DimensionUnsupported("moduli of mixed dimension")
     if len(set(moduli)) != len(moduli):
@@ -185,6 +183,5 @@ def robustly_determinable_region(
     """Union of shifted anchor FPDs covering every robustly reconstructible f
     for the chosen lcrm representative."""
     verify_lcrm(instance, designated_lcrm)
-    anchor_matrix = instance.moduli[instance.anchor]
-    quotient = _integer_quotient_matrix(anchor_matrix, designated_lcrm)
-    return FpdUnionRegion(anchor=anchor_matrix, shifts=tuple(enumerate_fpd(quotient)))
+    anchor = instance.moduli[instance.anchor]
+    return FpdUnionRegion(anchor, _integer_quotient_matrix(anchor, designated_lcrm))

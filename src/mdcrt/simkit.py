@@ -16,24 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import ConfigInvalid, Inconsistent
 from .exact_linalg import IntMatrix, IntVec, vec_norm_sq, vec_sub
-from .lattice import (
-    FpdSampler,
-    FpdUnionRegion,
-    nearest_region_point,
-    reduce_mod,
-    region_contains,
-)
-from .multistage import GroupingPlan, build_plan, final_region, multistage_reconstruct
-from .robust import (
-    RobustInstance,
-    build_instance,
-    robust_reconstruct,
-    robustly_determinable_region,
-)
+from .lattice import nearest_region_point, reduce_mod
+from .multistage import build_plan, final_region, multistage_reconstruct
+from .robust import build_instance, robust_reconstruct, robustly_determinable_region
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -163,46 +152,24 @@ class SweepSummary:
 
 
 class _Machinery:
-    """Reconstructor plus the geometry needed to pick and validate f."""
+    """Reconstructor plus the region that f is picked from and checked against."""
 
     def __init__(self, cfg: SweepConfig):
         self.moduli = cfg.moduli
         if cfg.reconstructor == "single":
             inst = build_instance(cfg.moduli)
-            self.bound_sq: Fraction | None = inst.tau_bound_sq
-            self.anchor_matrix = cfg.moduli[inst.anchor]
-            self.designated = inst.lcrm
             self.reconstruct: Callable = lambda noisy: robust_reconstruct(
                 inst, noisy, designated_lcrm=inst.lcrm
             )
-            self._region_builder = lambda: robustly_determinable_region(inst, inst.lcrm)
+            self.region = robustly_determinable_region(inst, inst.lcrm)
         elif cfg.reconstructor == "multistage":
             if cfg.grouping is None:
                 raise ConfigInvalid("multistage reconstructor requires a grouping")
             plan = build_plan(cfg.moduli, cfg.grouping)
-            finite = [b.tau_max_sq for b in plan.per_group_bounds if b.tau_max_sq is not None]
-            self.bound_sq = min(finite) if finite else None
-            self.anchor_matrix = plan.final_inputs[plan.final_anchor]
-            self.designated = plan.final_lcrm
             self.reconstruct = lambda noisy: multistage_reconstruct(plan, noisy)
-            self._region_builder = lambda: final_region(plan)
+            self.region = final_region(plan)
         else:
             raise ConfigInvalid(f"unknown reconstructor {cfg.reconstructor!r}")
-        self._region: FpdUnionRegion | None = None
-        self._sampler: FpdSampler | None = None
-
-    @property
-    def region(self) -> FpdUnionRegion:
-        if self._region is None:
-            self._region = self._region_builder()
-            self._sampler = FpdSampler(self._region.anchor)
-        return self._region
-
-    def sample_f(self, rng: XorShift64Star) -> IntVec:
-        return self.region.sample(rng, self._sampler)
-
-    def contains(self, f: Sequence[int]) -> bool:
-        return region_contains(self.anchor_matrix, self.designated, f)
 
 
 @lru_cache(maxsize=8)
@@ -221,7 +188,7 @@ def resolve_f(cfg: SweepConfig) -> IntVec | None:
     if cfg.f_mode == "explicit":
         if cfg.f_value is None:
             raise ConfigInvalid("explicit f mode without a vector")
-        if not mach.contains(cfg.f_value):
+        if not mach.region.contains(cfg.f_value):
             raise ConfigInvalid(
                 f"f = {list(cfg.f_value)} is outside the robustly determinable range "
                 f"of reconstructor {cfg.name!r}"
@@ -231,7 +198,6 @@ def resolve_f(cfg: SweepConfig) -> IntVec | None:
         region = mach.region
         return nearest_region_point(region, region.centroid())
     if cfg.f_mode == "per-trial":
-        mach.region  # fail early if the region cannot be enumerated
         return None
     raise ConfigInvalid(f"unknown f mode {cfg.f_mode!r}")
 
@@ -249,7 +215,7 @@ def _run_tau(cfg: SweepConfig, tau_index: int) -> tuple[TrialRecord, ...]:
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, tau_index, t)
         if fixed_f is None:
-            f = mach.sample_f(rng)
+            f = mach.region.sample(rng)
             rems = tuple(reduce_mod(f, m)[1] for m in mach.moduli)
         else:
             f, rems = fixed_f, fixed_rems

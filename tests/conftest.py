@@ -230,3 +230,22 @@ def _left_divides(g: IntMatrix, m: IntMatrix) -> bool:
     det = g.det
     prod = g.adj @ m
     return all(x % det == 0 for r in prod.rows for x in r)
+
+
+# ---------------------------------------------------------------------------
+# oracle: fundamental parallelepiped by scanning its bounding box (no SNF)
+
+
+def brute_fpd(m: IntMatrix) -> set[tuple[int, ...]]:
+    """Integer points k with m^{-1} k in [0, 1)^D, by exact rational test of
+    every point in the bounding box of the parallelepiped's vertices."""
+    import itertools
+
+    d = m.det
+    corners = [m.apply(c) for c in itertools.product((0, 1), repeat=m.dim)]
+    box = [range(min(v[i] for v in corners), max(v[i] for v in corners) + 1) for i in range(m.dim)]
+    return {
+        k
+        for k in itertools.product(*box)
+        if all(0 <= Fraction(x, d) < 1 for x in m.adj.apply(k))
+    }

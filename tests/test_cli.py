@@ -161,3 +161,33 @@ class TestReconstructionCommands:
         rc, _, err = run(capsys, "robust", str(cfg))
         assert rc == 4
         assert "capability" in err
+
+    def test_fig3_single_centroid_exits_0(self, tmp_path, capsys):
+        # the single-stage region has 4.1e9 points; it is never enumerated
+        text = open("configs/fig3.cfg").read()
+        keep = [l for l in text.splitlines() if l.startswith(("moduli", "seed"))]
+        cfg = tmp_path / "fig3_single.cfg"
+        cfg.write_text("\n".join(keep) + "\nreconstructors = single\ntau_grid = [1]\ntrials = 2\nf = centroid\n")
+        rc, out, err = run(capsys, "robust", str(cfg))
+        assert rc == 0
+        assert "# single: f = [" in err
+        assert out.startswith("tau,mean_error")
+
+
+class TestCountValidation:
+    def write_cfg(self, tmp_path, trials=2):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(f"moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\ntau_grid = [1]\ntrials = {trials}\n")
+        return str(cfg)
+
+    def test_config_trials_zero_exits_2(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "simulate", self.write_cfg(tmp_path, trials=0))
+        assert rc == 2
+        assert "'trials' must be a positive integer" in err
+
+    @pytest.mark.parametrize("flag", ["--trials", "--jobs"])
+    def test_flag_below_one_exits_2(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", self.write_cfg(tmp_path), flag, "0"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err

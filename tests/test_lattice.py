@@ -3,22 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdcrt.errors import CapExceeded, DimensionUnsupported, SingularMatrix
-from mdcrt.exact_linalg import IntMatrix, vec_dot, vec_norm_sq, vec_sub
+from mdcrt.exact_linalg import IntMatrix, snf, vec_add, vec_dot, vec_norm_sq, vec_sub
 from mdcrt.lattice import (
     FpdSampler,
     FpdUnionRegion,
     LatticeBasis,
     closest_vector,
     enumerate_fpd,
-    in_fpd_union,
     nearest_region_point,
     reduce_mod,
-    region_contains,
     shortest_vector,
 )
-from conftest import brute_closest_vectors, brute_shortest_sq_sound, random_matrix
+from conftest import brute_closest_vectors, brute_fpd, brute_shortest_sq_sound, random_matrix
 
 M = IntMatrix.from_rows
 M1 = M([[3, 1], [2, 2]])
@@ -99,7 +98,7 @@ class TestEnumerateFpd:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            enumerate_fpd(IntMatrix.diag(2000, 2000), cap=10**6)
+            enumerate_fpd(IntMatrix.diag(2000, 2000))
 
     def test_sampler_covers(self, rng):
         m = M([[3, 1], [2, 2]])
@@ -194,30 +193,29 @@ class TestClosestVector:
 
 class TestRegions:
     def region(self):
-        shifts = tuple(enumerate_fpd(M([[2, -1], [-2, 3]])))
-        return FpdUnionRegion(anchor=M1, shifts=shifts)
+        return FpdUnionRegion(anchor=M1, quotient=M([[2, -1], [-2, 3]]))
 
     def test_zero_in(self):
-        assert in_fpd_union((0, 0), self.region())
+        assert self.region().contains((0, 0))
 
     def test_paper_membership(self):
         reg = self.region()
-        assert in_fpd_union((2, 0), reg)
-        assert not in_fpd_union((1, 0), reg)
+        assert reg.contains((2, 0))
+        assert not reg.contains((1, 0))
 
     def test_decomposition_members(self, rng):
         reg = self.region()
         fpd = enumerate_fpd(M1)
-        for k in reg.shifts:
+        for k in enumerate_fpd(reg.quotient):
             for r in fpd:
                 f = tuple(a + b for a, b in zip(M1.apply(k), r))
-                assert in_fpd_union(f, reg)
+                assert reg.contains(f)
 
     def test_disjoint_copies(self):
         reg = self.region()
         fpd = enumerate_fpd(M1)
         pieces = []
-        for k in reg.shifts:
+        for k in enumerate_fpd(reg.quotient):
             pieces.append({tuple(a + b for a, b in zip(M1.apply(k), r)) for r in fpd})
         for i in range(len(pieces)):
             for j in range(i + 1, len(pieces)):
@@ -225,26 +223,77 @@ class TestRegions:
 
     def test_region_contains_matches_membership(self, rng):
         reg = self.region()
-        designated = IntMatrix.diag(4, 4)
+        shifts = set(enumerate_fpd(reg.quotient))
         for f in itertools.product(range(-8, 9), repeat=2):
-            assert region_contains(M1, designated, f) == in_fpd_union(f, reg)
+            assert reg.contains(f) == (reduce_mod(f, M1)[0] in shifts)
 
     def test_size_and_sampling(self):
         reg = self.region()
         assert reg.size == 16
         gen = random.Random(3)
         pts = {reg.sample(gen) for _ in range(400)}
-        assert all(in_fpd_union(p, reg) for p in pts)
+        assert all(reg.contains(p) for p in pts)
         assert len(pts) == 16  # every point reachable
 
     def test_nearest_region_point(self):
         reg = self.region()
         target = reg.centroid()
         p = nearest_region_point(reg, target)
-        assert in_fpd_union(p, reg)
+        assert reg.contains(p)
         # no region point is strictly closer
         dist = sum((Fraction(a) - b) ** 2 for a, b in zip(p, target))
         for f in itertools.product(range(-10, 11), repeat=2):
-            if in_fpd_union(f, reg):
+            if reg.contains(f):
                 other = sum((Fraction(a) - b) ** 2 for a, b in zip(f, target))
                 assert other >= dist
+
+
+def square(dim, bound):
+    row = st.lists(st.integers(-bound, bound), min_size=dim, max_size=dim)
+    return st.lists(row, min_size=dim, max_size=dim).map(M)
+
+
+@st.composite
+def region_matrices(draw):
+    """(anchor, quotient): 2D or 3D, |det quotient| <= 300, small anchor."""
+    dim = draw(st.sampled_from((2, 3)))
+    quotient = draw(square(dim, 12 if dim == 2 else 4))
+    anchor = draw(square(dim, 2 if dim == 2 else 1))
+    assume(0 < abs(quotient.det) <= 300 and anchor.det != 0)
+    return anchor, quotient
+
+
+class TestRegionGeometry:
+    """Closed-form region geometry against enumeration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(region_matrices())
+    # non-cyclic quotients: more than one SNF digit above 1
+    @example((M1, IntMatrix.diag(4, 6)))
+    @example((M([[1, 1, 0], [0, 2, 0], [1, 0, 1]]), M([[2, 2, 0], [0, 4, 2], [2, 0, 6]])))
+    def test_closed_form_matches_enumeration(self, matrices):
+        anchor, quotient = matrices
+        reg = FpdUnionRegion(anchor=anchor, quotient=quotient)
+        shifts = brute_fpd(quotient)
+        count = len(shifts)
+        assert reg.size == count * len(brute_fpd(anchor))
+
+        mean = [Fraction(sum(k[i] for k in shifts), count) + Fraction(1, 2) for i in range(anchor.dim)]
+        assert reg.centroid() == anchor.apply(mean)
+
+        # shift i is the i-th point of N(quotient) in lexicographic SNF-digit
+        # order, the order the digits of a uniform draw come in
+        listed = enumerate_fpd(quotient)
+        dec = snf(quotient)
+        uinv = dec.u.adj if dec.u.det == 1 else -dec.u.adj
+        digits = itertools.product(*(range(x) for x in dec.diagonal()))
+        for i, digit in enumerate(digits):
+            assert reg.shift(i) == listed[i] == reduce_mod(uinv.apply(digit), quotient)[1]
+        assert set(listed) == shifts
+
+        # membership on every region point and its axis neighbours
+        members = {vec_add(anchor.apply(k), r) for k in shifts for r in brute_fpd(anchor)}
+        steps = [tuple(s if j == i else 0 for j in range(anchor.dim)) for i in range(anchor.dim) for s in (1, -1)]
+        candidates = members | {vec_add(f, e) for f in members for e in steps}
+        for f in candidates:
+            assert reg.contains(f) == (f in members)

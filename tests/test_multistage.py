@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from mdcrt.crt_core import congruence_of, crt_solve, lcrm_many
-from mdcrt.errors import CapExceeded, CoverageIncomplete, DuplicateOutput, GroupConditionFailed
+from mdcrt.errors import CoverageIncomplete, DuplicateOutput, GroupConditionFailed
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_add, vec_norm_sq, vec_sub
-from mdcrt.lattice import FpdSampler, LatticeBasis, reduce_mod, shortest_vector
+from mdcrt.lattice import LatticeBasis, enumerate_fpd, reduce_mod, shortest_vector
 from mdcrt.multistage import (
     build_plan,
     check_group_condition,
@@ -160,9 +160,8 @@ class TestReconstruct:
         plan = build_plan(SIX, TWO_GROUPS)
         region = final_region(plan)
         gen = random.Random(2)
-        sampler = FpdSampler(region.anchor)
         for _ in range(10):
-            f = region.sample(gen, sampler)
+            f = region.sample(gen)
             rems = [reduce_mod(f, m)[1] for m in SIX]
             out = multistage_reconstruct(plan, rems)
             assert tuple(out.estimate) == tuple(Fraction(x) for x in f)
@@ -171,9 +170,8 @@ class TestReconstruct:
         plan = build_plan(SIX, TWO_GROUPS)
         region = final_region(plan)
         gen = random.Random(3)
-        sampler = FpdSampler(region.anchor)
         for _ in range(5):
-            f = region.sample(gen, sampler)
+            f = region.sample(gen)
             rems = [reduce_mod(f, m)[1] for m in SIX]
             out = multistage_reconstruct(plan, rems)
             sol = crt_solve([congruence_of(f, m) for m in SIX])
@@ -184,10 +182,9 @@ class TestReconstruct:
         plan = build_plan(SIX, TWO_GROUPS)
         region = final_region(plan)
         gen = random.Random(4)
-        sampler = FpdSampler(region.anchor)
         ball = disk(6)
         for _ in range(60):
-            f = region.sample(gen, sampler)
+            f = region.sample(gen)
             errs = [ball[gen.randrange(len(ball))] for _ in SIX]
             noisy = [vec_add(reduce_mod(f, m)[1], e) for m, e in zip(SIX, errs)]
             out = multistage_reconstruct(plan, noisy)
@@ -207,10 +204,9 @@ class TestReconstruct:
         plan = build_plan(two_stage_family(base), [[[0, 1, 2], [3]]])
         region = final_region(plan)
         gen = random.Random(5)
-        sampler = FpdSampler(region.anchor)
         ball = disk(47)
         for _ in range(15):
-            f = region.sample(gen, sampler)
+            f = region.sample(gen)
             errs = [ball[gen.randrange(len(ball))] for _ in plan.moduli]
             noisy = [vec_add(reduce_mod(f, m)[1], e) for m, e in zip(plan.moduli, errs)]
             out = multistage_reconstruct(plan, noisy)
@@ -224,25 +220,27 @@ class TestFinalRegion:
         plan = build_plan([bigger, m], [[[0], [1]]])
         region = final_region(plan)
         assert region.anchor == bigger
-        assert region.shifts == ((0, 0),)
+        assert enumerate_fpd(region.quotient) == [(0, 0)]
 
     def test_motivating_shift_count(self):
         plan = build_plan(SIX, TWO_GROUPS)
         region = final_region(plan)
         r1_det = abs((G1 @ IntMatrix.diag(256, 256)).det)
         assert 1780992**2 % r1_det == 0
-        assert len(region.shifts) == 1780992**2 // r1_det == 62613
+        assert abs(region.quotient.det) == 1780992**2 // r1_det == 62613
 
     def test_three_stage_final_anchor(self):
         mods, grouping, gammas = three_stage_instance()
         plan = build_plan(mods, grouping)
         # tie on the single gcld pair, broken toward the smaller index
         assert plan.final_anchor == 0
-        # 7173^2 shifts: far over the enumeration cap, checked arithmetically
+        # 7173^2 shifts: far over what enumerate_fpd lists, but the region
+        # never enumerates them
         q = abs(plan.final_lcrm.det) // abs(plan.final_inputs[0].det)
         assert q == 7173**2
-        with pytest.raises(CapExceeded):
-            final_region(plan)
+        region = final_region(plan)
+        assert abs(region.quotient.det) == q
+        assert region.size == abs(plan.final_lcrm.det)
 
 
 class TestNoGainCorollary:

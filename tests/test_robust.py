@@ -9,7 +9,6 @@ from mdcrt.lattice import (
     FpdSampler,
     LatticeBasis,
     enumerate_fpd,
-    in_fpd_union,
     reduce_mod,
     shortest_vector,
 )
@@ -91,10 +90,9 @@ class TestReconstruct:
     def test_noiseless(self, rng):
         inst = build_instance([G1, G1 @ A1, G1 @ A2])
         region = robustly_determinable_region(inst, inst.lcrm)
-        sampler = FpdSampler(region.anchor)
         gen = random.Random(5)
         for _ in range(20):
-            f = region.sample(gen, sampler)
+            f = region.sample(gen)
             rems = [reduce_mod(f, m)[1] for m in inst.moduli]
             out = robust_reconstruct(inst, rems, designated_lcrm=inst.lcrm)
             assert tuple(out.estimate) == tuple(Fraction(x) for x in f)
@@ -108,12 +106,11 @@ class TestReconstruct:
         for _ in range(6):
             inst, common = shared_factor_instance(rng)
             region = robustly_determinable_region(inst, inst.lcrm)
-            sampler = FpdSampler(region.anchor)
             ball = disk(1)
             assert Fraction(1) < inst.tau_bound_sq  # tau = 1 is inside the bound
             for _ in range(40):
                 trials += 1
-                f = region.sample(gen, sampler)
+                f = region.sample(gen)
                 errs = [ball[gen.randrange(len(ball))] for _ in inst.moduli]
                 noisy = [
                     vec_add(reduce_mod(f, m)[1], e) for m, e in zip(inst.moduli, errs)
@@ -146,9 +143,8 @@ class TestReconstruct:
         inst = build_instance([m1, m2])
         region = robustly_determinable_region(inst, inst.lcrm)
         gen = random.Random(17)
-        sampler = FpdSampler(region.anchor)
         for _ in range(40):
-            f = region.sample(gen, sampler)
+            f = region.sample(gen)
             # identical errors on both remainders keep the difference at zero
             shared = disk(1)[gen.randrange(5)]
             noisy = [vec_add(reduce_mod(f, m)[1], shared) for m in inst.moduli]
@@ -169,9 +165,9 @@ class TestRegion:
         inst = build_instance([M([[3, 1], [2, 2]]), M([[2, 2], [1, 3]])])
         assert inst.anchor == 0
         region = robustly_determinable_region(inst, IntMatrix.diag(4, 4))
-        assert set(region.shifts) == {(0, 0), (1, 0), (0, 1), (1, -1)}
-        assert in_fpd_union((2, 0), region)
-        assert not in_fpd_union((1, 0), region)
+        assert set(enumerate_fpd(region.quotient)) == {(0, 0), (1, 0), (0, 1), (1, -1)}
+        assert region.contains((2, 0))
+        assert not region.contains((1, 0))
 
     def test_group_region_is_single_fpd(self):
         inst = build_instance([G1, G1 @ A1, G1 @ A2])
@@ -183,9 +179,9 @@ class TestRegion:
         # designated lcrm on sampled points and their neighbors
         for _ in range(40):
             inside = sampler.sample(gen)
-            assert in_fpd_union(inside, region)
+            assert region.contains(inside)
             shifted = vec_add(inside, designated.apply((1, 0)))
-            assert not in_fpd_union(shifted, region)
+            assert not region.contains(shifted)
 
     def test_not_an_lcrm(self):
         inst = build_instance([M([[3, 1], [2, 2]]), M([[2, 2], [1, 3]])])
