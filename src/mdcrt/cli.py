@@ -49,9 +49,10 @@ def _sqrt_str(sq: Fraction) -> str:
 
 
 def _cmd_hnf(args) -> int:
-    dec = hnf(parse_matrix(args.matrix))
-    print(f"h = {dec.h}")
-    print(f"u = {dec.u}")
+    m = parse_matrix(args.matrix)
+    h = hnf(m)
+    print(f"h = {h}")
+    print(f"u = {h.left_quotient(m)}")
     return 0
 
 
@@ -123,7 +124,7 @@ def _emit_sweeps(cfg: ExperimentConfig, sweeps: list[SweepConfig], args) -> int:
             )
         fixed = resolve_f(sweep)
         if fixed is not None:
-            print(f"# {sweep.name}: f = {format_vector(fixed)}", file=sys.stderr)
+            print(f"# {sweep.reconstructor}: f = {format_vector(fixed)}", file=sys.stderr)
         summary = run_sweep(sweep, jobs=args.jobs, keep_raw=args.raw)
         block = summary_csv_lines(summary)
         lines.extend(block if not lines else block[1:])

@@ -15,7 +15,6 @@ from .exact_linalg import (
     IntMatrix,
     IntVec,
     hnf,
-    hnf_block,
     snf,
     solve_diophantine,
     vec_add,
@@ -39,7 +38,7 @@ def gcld(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     _check_pair(a, b)
     if a.det == 0 or b.det == 0:
         raise SingularMatrix("gcld requires nonsingular operands")
-    return hnf_block(a.hstack(b))
+    return hnf(a.hstack(b))
 
 
 def is_coprime(a: IntMatrix, b: IntMatrix) -> bool:
@@ -69,7 +68,7 @@ def lcrm(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         raise SingularMatrix("stacked block lost rank")  # cannot happen for nonsingular a
     kernel_cols = [dec.v.column(j) for j in range(d, 2 * d)]
     p = IntMatrix.from_columns([col[:d] for col in kernel_cols])
-    return hnf(a @ p).h
+    return hnf(a @ p)
 
 
 def lcrm_many(ms: Sequence[IntMatrix]) -> IntMatrix:
@@ -80,7 +79,7 @@ def lcrm_many(ms: Sequence[IntMatrix]) -> IntMatrix:
     """
     if not ms:
         raise ValueError("lcrm_many needs at least one matrix")
-    acc = hnf(ms[0]).h
+    acc = hnf(ms[0])
     for m in ms[1:]:
         acc = lcrm(acc, m)
     return acc
@@ -124,7 +123,7 @@ def crt_solve(congruences: Sequence[Congruence]) -> CrtSolution:
     if not congruences:
         raise ValueError("need at least one congruence")
     first = congruences[0]
-    r_acc = hnf(first.modulus).h
+    r_acc = hnf(first.modulus)
     x = reduce_mod(first.remainder, r_acc)[1]
     for cong in congruences[1:]:
         if cong.modulus.dim != r_acc.dim:

@@ -11,7 +11,8 @@ class MdcrtError(Exception):
 
 
 class SingularMatrix(MdcrtError):
-    """A nonsingular matrix was required but det = 0."""
+    """A nonsingular matrix was required but det = 0 (including ``hnf`` of a
+    square matrix and the left divisor of ``IntMatrix.left_quotient``)."""
 
 
 class DimensionMismatch(MdcrtError):
@@ -23,7 +24,7 @@ class DimensionUnsupported(MdcrtError):
 
 
 class RankDeficient(MdcrtError):
-    """Coefficient block has rank below the ambient dimension."""
+    """A D x K block has rank below D (``hnf`` of a block, ``solve_diophantine``)."""
 
 
 class CapExceeded(MdcrtError):

@@ -8,8 +8,9 @@ Conventions, fixed once and used everywhere:
 
 * Hermite normal form (HNF): column operations only, lower-triangular result
   with positive diagonal and ``0 <= H[i][j] < H[i][i]`` for ``j < i``.
-  ``m = h @ u`` with ``u`` unimodular, and ``h`` depends only on the column
-  lattice of ``m``.
+  ``hnf`` returns the basis ``H`` alone; it depends only on the column
+  lattice of its input, and ``H.left_quotient(m)`` is the unimodular ``u``
+  with ``m = H @ u`` when ``m`` is square.
 * Smith normal form (SNF): ``u @ m @ v = lam`` with unimodular ``u``, ``v``
   and nonnegative diagonal ``lam`` whose entries divide their successors.
   Rectangular input is supported (needed for coprimality blocks).
@@ -27,15 +28,10 @@ from .errors import DimensionMismatch, RankDeficient, SingularMatrix
 
 Scalar = Union[int, Fraction]
 IntVec = tuple[int, ...]
-RatVec = tuple[Fraction, ...]
 
 
 # ---------------------------------------------------------------------------
 # vectors (plain tuples)
-
-def vec(entries: Iterable[Scalar]) -> tuple:
-    return tuple(entries)
-
 
 def vec_add(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple:
     return tuple(x + y for x, y in zip(a, b, strict=True))
@@ -55,10 +51,6 @@ def vec_dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
 
 def vec_norm_sq(a: Sequence[Scalar]) -> Scalar:
     return sum(x * x for x in a)
-
-
-def zero_vec(d: int) -> IntVec:
-    return (0,) * d
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +120,6 @@ class IntMatrix:
     def column(self, j: int) -> IntVec:
         return tuple(r[j] for r in self.rows)
 
-    def columns(self) -> list[IntVec]:
-        return [self.column(j) for j in range(self.ncols)]
-
     # arithmetic -----------------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -169,7 +158,7 @@ class IntMatrix:
     def adj(self) -> "IntMatrix":
         return adjugate(self)
 
-    def inverse_apply(self, v: Sequence[Scalar]) -> RatVec:
+    def inverse_apply(self, v: Sequence[Scalar]) -> tuple[Fraction, ...]:
         """Exact ``m^{-1} v`` as a tuple of Fractions."""
         d = self.det
         if d == 0:
@@ -179,16 +168,23 @@ class IntMatrix:
     def is_diagonal(self) -> bool:
         return all(x == 0 for i, r in enumerate(self.rows) for j, x in enumerate(r) if i != j)
 
-    def is_unimodular(self) -> bool:
-        return self.is_square and abs(self.det) == 1
-
-    def divides_left(self, other: "IntMatrix") -> bool:
-        """True when ``self^{-1} @ other`` is an integer matrix."""
+    def left_quotient(self, other: "IntMatrix") -> "IntMatrix":
+        """Exact ``self^{-1} @ other``; ValueError unless it is an integer matrix."""
         d = self.det
         if d == 0:
             raise SingularMatrix("left divisor must be nonsingular")
         prod = self.adj @ other
-        return all(x % d == 0 for r in prod.rows for x in r)
+        if any(x % d for r in prod.rows for x in r):
+            raise ValueError(f"{other} is not a right multiple of {self}")
+        return IntMatrix(tuple(tuple(x // d for x in r) for r in prod.rows))
+
+    def divides_left(self, other: "IntMatrix") -> bool:
+        """True when ``self^{-1} @ other`` is an integer matrix."""
+        try:
+            self.left_quotient(other)
+        except ValueError:
+            return False
+        return True
 
     # text form --------------------------------------------------------------
 
@@ -293,53 +289,18 @@ def adjugate(m: IntMatrix) -> IntMatrix:
 # Hermite normal form
 
 
-@dataclass(frozen=True)
-class HnfDecomposition:
-    h: IntMatrix
-    u: IntMatrix
+def hnf(block: IntMatrix) -> IntMatrix:
+    """Column HNF basis of a nonsingular square matrix or a full-row-rank
+    D x K block: column-reduces ``block`` to ``(H 0)`` and returns the D x D ``H``.
 
-
-def hnf(m: IntMatrix) -> HnfDecomposition:
-    """Column-operation HNF of a nonsingular square matrix: ``m == h @ u``."""
-    if not m.is_square:
-        raise DimensionMismatch("hnf expects a square matrix; use hnf_block for stacks")
-    if m.det == 0:
-        raise SingularMatrix("hnf requires a nonsingular matrix")
-    h_full, w = _hnf_columns(m)
-    u = _unimodular_inverse(w)
-    return HnfDecomposition(h=h_full, u=u)
-
-
-def hnf_block(block: IntMatrix) -> IntMatrix:
-    """Left D x D factor of the column HNF of a full-row-rank D x K block.
-
-    Column-reduces ``block`` to ``(G 0)`` and returns ``G``.
+    Raises SingularMatrix for a singular square matrix and RankDeficient for
+    a block whose rank is below its row count.
     """
-    h_full, _ = _hnf_columns(block)
-    d = block.nrows
-    for i in range(d):
-        for j in range(d, block.ncols):
-            if h_full.rows[i][j] != 0:
-                raise RankDeficient("block does not reduce to (G 0); rank below row count")
-    g = IntMatrix(tuple(r[:d] for r in h_full.rows))
-    if g.det == 0:
-        raise RankDeficient("block has rank below its row count")
-    return g
-
-
-def _hnf_columns(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Shared column-reduction. Returns (H, W) with ``m @ W == H`` and W unimodular."""
-    nr, nc = m.nrows, m.ncols
-    a = [list(col) for col in zip(*m.rows)]  # work column-major
-    w = [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
+    nr, nc = block.nrows, block.ncols
+    a = [list(col) for col in zip(*block.rows)]  # work column-major
 
     def combine(j_dst: int, q: int, j_src: int) -> None:
         a[j_dst] = [x - q * y for x, y in zip(a[j_dst], a[j_src])]
-        w[j_dst] = [x - q * y for x, y in zip(w[j_dst], w[j_src])]
-
-    def swap(j1: int, j2: int) -> None:
-        a[j1], a[j2] = a[j2], a[j1]
-        w[j1], w[j2] = w[j2], w[j1]
 
     p = 0
     for i in range(nr):
@@ -351,7 +312,7 @@ def _hnf_columns(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 break
             j0 = min(live, key=lambda j: abs(a[j][i]))
             if j0 != p:
-                swap(p, j0)
+                a[p], a[j0] = a[j0], a[p]
             done = True
             for j in range(p + 1, nc):
                 if a[j][i] != 0:
@@ -365,23 +326,19 @@ def _hnf_columns(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             continue  # zero row beyond the rank; no pivot consumed
         if a[p][i] < 0:
             a[p] = [-x for x in a[p]]
-            w[p] = [-x for x in w[p]]
         for j in range(p):
             q = a[j][i] // a[p][i]
             if q:
                 combine(j, q, p)
         p += 1
 
-    h = IntMatrix(tuple(tuple(col[i] for col in a) for i in range(nr)))
-    wmat = IntMatrix(tuple(tuple(col[i] for col in w) for i in range(nc)))
-    return h, wmat
-
-
-def _unimodular_inverse(w: IntMatrix) -> IntMatrix:
-    d = w.det
-    if abs(d) != 1:
-        raise ValueError("internal: transform is not unimodular")
-    return w.adj if d == 1 else -w.adj
+    # every row took a pivot exactly when the rank is full; then the pivots
+    # sit on the diagonal of the first D columns and every later column is 0
+    if p < nr:
+        if block.is_square:
+            raise SingularMatrix("hnf requires a nonsingular matrix")
+        raise RankDeficient("block has rank below its row count")
+    return IntMatrix(tuple(tuple(a[j][i] for j in range(nr)) for i in range(nr)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Lattice geometry: vector remainders, fundamental parallelepipeds, exact
+"""Lattice geometry: modular reduction, fundamental parallelepipeds, exact
 shortest/closest vector computation, and unions of shifted parallelepipeds.
 
 All lengths are handled as exact squared norms (integers or Fractions);
@@ -49,10 +49,6 @@ def reduce_mod(f: Sequence[int], m: IntMatrix) -> tuple[IntVec, IntVec]:
     quotient = tuple(n // d for n in num)  # Python floordiv floors for either sign of d
     remainder = vec_sub(f, m.apply(quotient))
     return quotient, remainder
-
-
-def vector_remainder(f: Sequence[int], m: IntMatrix) -> IntVec:
-    return reduce_mod(f, m)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +122,8 @@ def _lagrange_gauss(b1: IntVec, b2: IntVec) -> tuple[IntVec, IntVec]:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Nonsingular integer basis with cached Gram matrix and, for D = 2, a
-    cached Lagrange-Gauss-reduced basis."""
+    """Nonsingular integer basis with, for D = 2, a cached
+    Lagrange-Gauss-reduced basis, and the LDL factors that SVP/CVP search."""
 
     basis: IntMatrix
 
@@ -138,10 +134,6 @@ class LatticeBasis:
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    @cached_property
-    def gram(self) -> IntMatrix:
-        return self.basis.transpose() @ self.basis
 
     @cached_property
     def reduced(self) -> IntMatrix | None:
@@ -158,10 +150,6 @@ class LatticeBasis:
     def _ldl(self) -> tuple[list[Fraction], list[list[Fraction]]]:
         b = self._enum_basis
         return _ldl_decompose((b.transpose() @ b).rows)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        d = self.basis.det
-        return all(x % d == 0 for x in self.basis.adj.apply(v))
 
 
 def _ldl_decompose(gram_rows) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -195,8 +183,13 @@ def _enum_best(
 ) -> tuple[Fraction, IntVec]:
     """Minimize ||B c - B x||^2 over integer c (c != 0 when skip_zero).
 
-    Returns (min squared value, B @ c) with ties broken by the
-    lexicographically smallest resulting vector.
+    Schnorr-Euchner depth-first search: each level tries coefficients
+    outward from the rounded center, so the first descent is the Babai
+    point and sets the bound (when that leaf is the skipped zero, the
+    level-0 loop moves on to the next coefficient). Pruning is strict, so
+    every vector tying the minimum is visited. Returns (min squared value,
+    B @ c) with ties broken by the lexicographically smallest resulting
+    vector.
     """
     n = len(d)
     best_q: Fraction | None = None
@@ -218,27 +211,6 @@ def _enum_best(
         if best_q is None or partial < best_q or (partial == best_q and v < best_v):
             best_q, best_v = partial, v
 
-    def babai(i: int, partial: Fraction) -> None:
-        # greedy dive to seed the bound
-        if i < 0:
-            visit_leaf(partial)
-            return
-        center = centers(i)
-        ci = math.floor(center + Fraction(1, 2))
-        c[i] = ci
-        z[i] = ci - x[i]
-        w = ci - center
-        babai(i - 1, partial + d[i] * w * w)
-        if skip_zero and best_q is None:
-            # all-zero Babai leaf was skipped; nudge this level to get a bound
-            for alt in (ci + 1, ci - 1):
-                c[i] = alt
-                z[i] = alt - x[i]
-                w = alt - center
-                babai(i - 1, partial + d[i] * w * w)
-                if best_q is not None:
-                    break
-
     def search(i: int, partial: Fraction) -> None:
         if i < 0:
             visit_leaf(partial)
@@ -258,7 +230,6 @@ def _enum_best(
                 search(i - 1, total)
                 ci += direction
 
-    babai(n - 1, Fraction(0))
     search(n - 1, Fraction(0))
     assert best_q is not None and best_v is not None
     return best_q, best_v
@@ -298,10 +269,6 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar]) -> IntVec:
     d, mu = l._ldl
     _, v = _enum_best(b, d, mu, x, skip_zero=False)
     return v
-
-
-def distance_sq(v: Sequence[Scalar], w: Sequence[Scalar]) -> Scalar:
-    return vec_norm_sq(vec_sub(v, w))
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +334,6 @@ class FpdUnionRegion:
         orders = [d // math.gcd(d, *row) for row in self.quotient.adj.rows]
         mean_shift = self.quotient.apply([Fraction(n - 1, 2 * n) for n in orders])
         return self.anchor.apply([x + Fraction(1, 2) for x in mean_shift])
-
-
-def _integer_quotient_matrix(anchor: IntMatrix, multiple: IntMatrix) -> IntMatrix:
-    d = anchor.det
-    if d == 0:
-        raise SingularMatrix("anchor must be nonsingular")
-    num = anchor.adj @ multiple
-    if any(x % d for r in num.rows for x in r):
-        raise ValueError("matrix is not a right multiple of the anchor")
-    return IntMatrix.from_rows([[x // d for x in r] for r in num.rows])
 
 
 def nearest_region_point(region: FpdUnionRegion, target: Sequence[Scalar]) -> IntVec:

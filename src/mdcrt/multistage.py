@@ -28,7 +28,7 @@ from .errors import (
     GroupConditionFailed,
 )
 from .exact_linalg import IntMatrix, Scalar, hnf
-from .lattice import FpdUnionRegion, _integer_quotient_matrix
+from .lattice import FpdUnionRegion
 from .robust import RobustInstance, RobustOutput, build_instance, robust_reconstruct
 
 Grouping = Sequence[Sequence[Sequence[int]]]
@@ -44,13 +44,13 @@ def check_group_condition(moduli: Sequence[IntMatrix], anchor_index: int) -> Int
         raise ValueError("anchor index out of range")
     if len(moduli) == 1:
         return moduli[0]
-    anchor = moduli[anchor_index]
-    total = lcrm_many(moduli)
-    quotient = _integer_quotient_matrix(anchor, total)
-    h = hnf(quotient).h
-    if not h.is_diagonal():
-        return None
-    return anchor @ h
+    return _rebased_lcrm(moduli[anchor_index], lcrm_many(moduli))
+
+
+def _rebased_lcrm(anchor: IntMatrix, total: IntMatrix) -> IntMatrix | None:
+    """``anchor @ D`` when HNF(anchor^{-1} total) is a diagonal D, else None."""
+    h = hnf(anchor.left_quotient(total))
+    return anchor @ h if h.is_diagonal() else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +89,6 @@ class GroupingPlan:
     phi: tuple[dict[int, frozenset[int]], ...]  # phi[s-2] maps initial group -> stage-s groups
     per_group_bounds: tuple[PerGroupBound, ...]
 
-    @property
-    def stage_count(self) -> int:
-        return len(self.stages) + 1
-
 
 def _min_bound(values: list[Fraction | None]) -> Fraction | None:
     finite = [v for v in values if v is not None]
@@ -128,22 +124,22 @@ def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
                 raise CoverageIncomplete(f"stage {s} group {g} repeats a member")
             seen.update(member_idx)
             members = [inputs[i] for i in member_idx]
-            designated = check_group_condition(members, 0)
+            if len(members) == 1:
+                groups.append(StageGroup(member_idx, members[0], None, None))
+                continue
+            inst = build_instance(members, anchor=0)
+            designated = _rebased_lcrm(members[0], inst.lcrm)
             if designated is None:
                 raise GroupConditionFailed(
                     f"stage {s} group {g} (members {list(member_idx)}): "
                     "HNF of anchor^-1 lcrm is not diagonal"
                 )
-            if len(members) == 1:
-                groups.append(StageGroup(member_idx, designated, None, None))
-            else:
-                inst = build_instance(members, anchor=0)
-                groups.append(StageGroup(member_idx, designated, inst.tau_bound_sq, inst))
+            groups.append(StageGroup(member_idx, designated, inst.tau_bound_sq, inst))
         if seen != set(range(len(inputs))):
             missing = sorted(set(range(len(inputs))) - seen)
             raise CoverageIncomplete(f"stage {s} leaves moduli {missing} uncovered")
         outputs = tuple(grp.designated_lcrm for grp in groups)
-        canon = [hnf(r).h for r in outputs]
+        canon = [hnf(r) for r in outputs]
         for i in range(len(canon)):
             for j in range(i + 1, len(canon)):
                 if canon[i] == canon[j]:
@@ -229,4 +225,4 @@ def multistage_reconstruct(
 def final_region(plan: GroupingPlan) -> FpdUnionRegion:
     """Shifted-FPD union of the final anchor that the last stage can recover."""
     anchor = plan.final_inputs[plan.final_anchor]
-    return FpdUnionRegion(anchor, _integer_quotient_matrix(anchor, plan.final_lcrm))
+    return FpdUnionRegion(anchor, anchor.left_quotient(plan.final_lcrm))

@@ -25,7 +25,6 @@ from .lattice import (
     closest_vector,
     reduce_mod,
     shortest_vector,
-    _integer_quotient_matrix,
 )
 
 
@@ -40,7 +39,6 @@ class RobustInstance:
     moduli: tuple[IntMatrix, ...]
     anchor: int
     pair_gcld: dict[tuple[int, int], IntMatrix]
-    pair_lambda_sq: dict[tuple[int, int], int]
     tau_bound_sq: Fraction
     lcrm: IntMatrix
     anchor_lattices: dict[int, LatticeBasis]
@@ -55,9 +53,6 @@ class RobustInstance:
 
     def gcld_of(self, i: int, j: int) -> IntMatrix:
         return self.pair_gcld[(min(i, j), max(i, j))]
-
-    def lambda_sq_of(self, i: int, j: int) -> int:
-        return self.pair_lambda_sq[(min(i, j), max(i, j))]
 
 
 def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> RobustInstance:
@@ -104,7 +99,6 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
         moduli=moduli,
         anchor=anchor,
         pair_gcld=pair_gcld,
-        pair_lambda_sq=pair_lambda_sq,
         tau_bound_sq=tau_bound_sq,
         lcrm=lcrm_many(moduli),
         anchor_lattices=lattices,
@@ -184,4 +178,4 @@ def robustly_determinable_region(
     for the chosen lcrm representative."""
     verify_lcrm(instance, designated_lcrm)
     anchor = instance.moduli[instance.anchor]
-    return FpdUnionRegion(anchor, _integer_quotient_matrix(anchor, designated_lcrm))
+    return FpdUnionRegion(anchor, anchor.left_quotient(designated_lcrm))

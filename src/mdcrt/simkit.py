@@ -118,11 +118,10 @@ class SweepConfig:
     seed: int
     f_mode: str  # "explicit", "centroid", or "per-trial"
     f_value: IntVec | None = None
-    label: str | None = None
 
-    @property
-    def name(self) -> str:
-        return self.label or self.reconstructor
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ConfigInvalid(f"'trials' must be a positive integer, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ def resolve_f(cfg: SweepConfig) -> IntVec | None:
         if not mach.region.contains(cfg.f_value):
             raise ConfigInvalid(
                 f"f = {list(cfg.f_value)} is outside the robustly determinable range "
-                f"of reconstructor {cfg.name!r}"
+                f"of reconstructor {cfg.reconstructor!r}"
             )
         return cfg.f_value
     if cfg.f_mode == "centroid":
@@ -262,7 +261,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, keep_raw: bool = False) -> SweepS
             )
         )
     return SweepSummary(
-        reconstructor=cfg.name,
+        reconstructor=cfg.reconstructor,
         seed=cfg.seed,
         rows=tuple(rows),
         raw=tuple(per_tau) if keep_raw else None,

@@ -124,26 +124,34 @@ def _in_lattice(m: IntMatrix, v) -> bool:
 # oracle: exhaustive CVP within a provably sufficient coefficient box
 
 
-def brute_closest_vectors(basis: IntMatrix, target) -> tuple[Fraction, list[tuple[int, ...]]]:
+def brute_closest_vectors(
+    basis: IntMatrix, target, skip_above: int | None = None
+) -> tuple[Fraction, list[tuple[int, ...]]] | None:
     """All closest lattice vectors to the target, by exhausting a coefficient
-    box that provably contains every candidate at least as close as 0."""
+    box that provably contains every candidate at least as close as the
+    rounded point ``B c0``, ``c0 = round(B^{-1} t)``.
+
+    Returns None when ``skip_above`` is given and the box holds more points.
+    """
     import itertools
     import math
 
-    d = basis.dim
     t = [Fraction(x) for x in target]
-    norm_t = sum(x * x for x in t)
-    # ||B c - t|| <= ||t||  implies  |(B c)_j| <= 2 ||t||_2, so
-    # |c_i| <= sum_j |adj[i][j]| * 2 ||t||_2 / |det|
-    two_norm_t = 2 * math.isqrt(int(norm_t)) + 2
-    det = abs(basis.det)
+    det = basis.det
+    c0 = [math.floor(Fraction(x, det) + Fraction(1, 2)) for x in basis.adj.apply(t)]
+    r_sq = sum((Fraction(a) - b) ** 2 for a, b in zip(basis.apply(c0), t))
+    # ||B c - t|| <= r  implies  ||B (c - c0)|| <= 2 r, so by Cauchy-Schwarz
+    # |c_i - c0_i| <= ||adj row i|| * 2 r / |det|
     bounds = [
-        (sum(abs(x) for x in basis.adj.rows[i]) * two_norm_t) // det + 1 for i in range(d)
+        (math.isqrt(math.ceil(4 * r_sq * sum(x * x for x in row))) + 1) // abs(det) + 1
+        for row in basis.adj.rows
     ]
+    if skip_above is not None and math.prod(2 * k + 1 for k in bounds) > skip_above:
+        return None
     best = None
     winners: list[tuple[int, ...]] = []
-    for coeff in itertools.product(*(range(-k, k + 1) for k in bounds)):
-        v = basis.apply(coeff)
+    for offset in itertools.product(*(range(-k, k + 1) for k in bounds)):
+        v = basis.apply([a + b for a, b in zip(c0, offset)])
         dist = sum((Fraction(a) - b) ** 2 for a, b in zip(v, t))
         if best is None or dist < best:
             best, winners = dist, [v]

@@ -9,7 +9,6 @@ from mdcrt.exact_linalg import (
     adjugate,
     det,
     hnf,
-    hnf_block,
     parse_matrix,
     parse_vector,
     snf,
@@ -58,6 +57,25 @@ class TestDet:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             det(M([[1, 2, 3], [4, 5, 6]]))
+
+
+class TestLeftQuotient:
+    def test_exact_quotient(self, rng):
+        for _ in range(40):
+            dim = rng.choice([2, 3])
+            a, q = random_matrix(rng, dim, bound=5), random_matrix(rng, dim, bound=5)
+            assert a.left_quotient(a @ q) == q
+            assert a.divides_left(a @ q)
+
+    def test_non_multiple_rejected(self):
+        a = M([[3, 1], [2, 2]])
+        with pytest.raises(ValueError, match="not a right multiple"):
+            a.left_quotient(IntMatrix.identity(2))
+        assert not a.divides_left(IntMatrix.identity(2))
+
+    def test_singular_divisor_rejected(self):
+        with pytest.raises(SingularMatrix):
+            M([[1, 2], [2, 4]]).left_quotient(IntMatrix.identity(2))
 
 
 class TestAdjugate:
@@ -111,25 +129,26 @@ class TestSnf:
 
 class TestHnf:
     def test_identity(self):
-        assert hnf(IntMatrix.identity(2)).h == IntMatrix.identity(2)
+        assert hnf(IntMatrix.identity(2)) == IntMatrix.identity(2)
 
     def test_prime_column_form_is_fixed(self):
         for i in (0, 3, 970):
             n = M([[1, 0], [i, 3257]])
-            assert hnf(n).h == n
+            assert hnf(n) == n
 
     def test_hand_reduction(self):
         m = M([[2, 4], [1, 3]])
-        dec = hnf(m)
-        assert dec.h == M([[2, 0], [0, 1]])
-        assert dec.h @ dec.u == m
-        assert abs(dec.u.det) == 1
+        h = hnf(m)
+        assert h == M([[2, 0], [0, 1]])
+        u = h.left_quotient(m)
+        assert h @ u == m
+        assert abs(u.det) == 1
 
     def test_convention(self, rng):
         for _ in range(120):
             dim = rng.choice([2, 3])
             m = random_matrix(rng, dim)
-            h = hnf(m).h
+            h = hnf(m)
             for i in range(dim):
                 assert h.rows[i][i] > 0
                 for j in range(dim):
@@ -143,15 +162,19 @@ class TestHnf:
             dim = rng.choice([2, 3])
             m = random_matrix(rng, dim)
             w = random_unimodular(rng, dim)
-            assert hnf(m).h == hnf(m @ w).h
+            assert hnf(m) == hnf(m @ w)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrix):
             hnf(M([[1, 2], [2, 4]]))
 
     def test_block_reduction(self):
-        g = hnf_block(M([[2, 0, 2, 0], [0, 2, 0, 2]]))
+        g = hnf(M([[2, 0, 2, 0], [0, 2, 0, 2]]))
         assert g == IntMatrix.diag(2, 2)
+
+    def test_rank_deficient_block_rejected(self):
+        with pytest.raises(RankDeficient):
+            hnf(M([[1, 2, 3], [2, 4, 6]]))
 
 
 class TestSolveDiophantine:

@@ -148,6 +148,31 @@ class TestShortestVector:
                 assert lsq == oracle
         assert checked >= 8
 
+    def test_dim4_oracle(self, rng):
+        checked = 0
+        for _ in range(20):
+            m = random_matrix(rng, 4, bound=3)
+            lsq, w = shortest_vector(LatticeBasis(m))
+            assert vec_norm_sq(w) == lsq
+            assert all(x % m.det == 0 for x in m.adj.apply(w))
+            oracle = brute_shortest_sq_sound(m, skip_above=40_000)
+            if oracle is not None:
+                checked += 1
+                assert lsq == oracle
+        assert checked >= 8
+
+    def test_zero_babai_leaf(self):
+        # the search's first leaf for SVP is always c = 0, which is skipped
+        cases = [
+            (IntMatrix.identity(3), 1, (-1, 0, 0)),
+            (IntMatrix.identity(4), 1, (-1, 0, 0, 0)),
+            (IntMatrix.diag(2, 3, 5), 4, (-2, 0, 0)),
+            (IntMatrix.diag(7, 1, 1, 1), 1, (0, -1, 0, 0)),
+        ]
+        for m, lsq, witness in cases:
+            assert shortest_vector(LatticeBasis(m)) == (lsq, witness)
+            assert brute_shortest_sq_sound(m) == lsq
+
     def test_dim_cap(self):
         with pytest.raises(DimensionUnsupported):
             shortest_vector(LatticeBasis(IntMatrix.identity(5)))
@@ -182,6 +207,33 @@ class TestClosestVector:
             best, winners = brute_closest_vectors(m, t)
             assert got == min(winners)
             assert vec_norm_sq(vec_sub(got, t)) == best
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_oracle_higher_dim(self, rng, dim):
+        checked = 0
+        for _ in range(30):
+            m = random_matrix(rng, dim, bound=3)
+            t = tuple(Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3])) for _ in range(dim))
+            oracle = brute_closest_vectors(m, t, skip_above=5_000)
+            if oracle is None:
+                continue
+            checked += 1
+            best, winners = oracle
+            got = closest_vector(LatticeBasis(m), t)
+            assert got == min(winners)
+            assert vec_norm_sq(vec_sub(got, t)) == best
+        assert checked >= 10
+
+    def test_zero_babai_leaf_ties(self):
+        # targets whose rounding is the zero leaf, with and without ties
+        half = Fraction(1, 2)
+        for m in (IntMatrix.identity(3), IntMatrix.identity(4), IntMatrix.diag(2, 3, 5)):
+            n = m.dim
+            for t in ((0,) * n, (half,) * n, (-half,) + (0,) * (n - 1), (Fraction(2, 5),) * n):
+                best, winners = brute_closest_vectors(m, t)
+                got = closest_vector(LatticeBasis(m), t)
+                assert got == min(winners)
+                assert vec_norm_sq(vec_sub(got, t)) == best
 
     def test_rational_target(self):
         l = LatticeBasis(IntMatrix.diag(3, 3))

@@ -63,7 +63,7 @@ class TestBuildInstance:
 
     def test_motivating_group(self):
         inst = build_instance([G1, G1 @ A1, G1 @ A2])
-        canon = hnf(G1).h
+        canon = hnf(G1)
         for i in range(3):
             for j in range(i + 1, 3):
                 assert inst.gcld_of(i, j) == canon

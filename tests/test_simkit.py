@@ -112,6 +112,11 @@ class TestSweep:
         with pytest.raises(ConfigInvalid):
             resolve_f.__wrapped__(small_config(f_mode="explicit", f_value=(10**9, 10**9)))
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_nonpositive_trials_rejected(self, trials):
+        with pytest.raises(ConfigInvalid, match="trials"):
+            small_config(trials=trials)
+
     def test_explicit_f_used(self):
         inside = (1, 1)  # small vectors sit in the anchor FPD piece
         cfg = small_config(f_mode="explicit", f_value=inside, trials=10)
