@@ -3,20 +3,27 @@
 gcld and lcrm outputs are HNF-normalized so equality is testable; the lcrm of
 two moduli is computed as a basis of the intersection lattice, obtained from
 the integer kernel of the stacked block ``(a  -b)``.
+
+The CRT fold depends on the moduli only through normal forms that never
+change while the moduli do not: a ``CrtPlan`` computes them once per ordered
+tuple of moduli (the matrix analogue of Garner's precomputed CRT), and
+``crt_solve`` keeps the most recently used plans, so solving one more set of
+remainders costs matrix-vector products, divisibility tests and reductions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import DimensionMismatch, Inconsistent, SingularMatrix
 from .exact_linalg import (
+    DiophantineSolver,
     IntMatrix,
     IntVec,
     hnf,
     snf,
-    solve_diophantine,
     vec_add,
     vec_sub,
 )
@@ -112,29 +119,65 @@ class CrtSolution:
     lcrm: IntMatrix
 
 
+class CrtPlan:
+    """The CRT fold of one ordered tuple of moduli, compiled.
+
+    Folding congruence k into the running solution x, which is known modulo
+    ``R_{k-1}``, solves ``R_{k-1} a - M_k b = r_k - x`` in integers, lifts
+    ``x + R_{k-1} a`` and reduces it modulo ``R_k = lcrm(R_{k-1}, M_k)``.
+    The plan holds everything in that step that depends on the moduli
+    alone: ``R_1 = hnf(M_1)``, every running lcrm ``R_k``, and a
+    ``DiophantineSolver`` (the SNF of ``(R_{k-1} | -M_k)``) per step.
+    ``lcrm`` is the final ``R_L``, the HNF-normalized lcrm of all moduli.
+    """
+
+    def __init__(self, moduli: Sequence[IntMatrix]):
+        if not moduli:
+            raise ValueError("need at least one congruence")
+        acc = self.first = hnf(moduli[0])
+        steps = []
+        for m in moduli[1:]:
+            if m.dim != acc.dim:
+                raise DimensionMismatch("congruences of mixed dimension")
+            nxt = lcrm(acc, m)
+            steps.append((acc, DiophantineSolver(acc.hstack(-m)), nxt))
+            acc = nxt
+        self.steps = tuple(steps)
+        self.lcrm = acc
+
+    def solve(self, remainders: Sequence[IntVec]) -> CrtSolution:
+        """Representative in N(lcrm) of the common solution of the
+        congruences ``f = M_k n_k + remainders[k]``; Inconsistent when there
+        is none."""
+        x = reduce_mod(remainders[0], self.first)[1]
+        for (acc, solver, nxt), rem in zip(self.steps, remainders[1:], strict=True):
+            sol = solver.solve(vec_sub(rem, x))
+            if sol is None:
+                raise Inconsistent("incompatible remainders: difference not in the gcld lattice")
+            x = reduce_mod(vec_add(x, acc.apply(sol[: acc.nrows])), nxt)[1]
+        return CrtSolution(value=x, lcrm=self.lcrm)
+
+
+_PLANS_KEPT = 32  # tuples of moduli whose compiled plans crt_solve keeps
+
+
+@lru_cache(maxsize=_PLANS_KEPT)
+def _plan(moduli: tuple[IntMatrix, ...]) -> CrtPlan:
+    return CrtPlan(moduli)
+
+
 def crt_solve(congruences: Sequence[Congruence]) -> CrtSolution:
     """Unique representative in N(R) congruent to every remainder, R the
     HNF-normalized lcrm of all moduli.
 
-    Pairs are folded in input order: each step solves
-    ``R a - M b = r - x`` in integers, lifts, and reduces modulo the combined
-    lcrm. Raises Inconsistent when a step has no integer solution.
+    The congruences are folded in input order by the ``CrtPlan`` of their
+    moduli, built on first use and kept for the ``_PLANS_KEPT`` most recently
+    used tuples of moduli. The result does not depend on the fold order: the
+    common solution is unique modulo the lcrm, which is one lattice whatever
+    the order, and both R and the representative in N(R) are canonical for
+    it. Raises ValueError for no congruences, DimensionMismatch for moduli of
+    mixed dimension, and Inconsistent when a fold step has no integer
+    solution.
     """
-    if not congruences:
-        raise ValueError("need at least one congruence")
-    first = congruences[0]
-    r_acc = hnf(first.modulus)
-    x = reduce_mod(first.remainder, r_acc)[1]
-    for cong in congruences[1:]:
-        if cong.modulus.dim != r_acc.dim:
-            raise DimensionMismatch("congruences of mixed dimension")
-        block = r_acc.hstack(-cong.modulus)
-        rhs = vec_sub(cong.remainder, x)
-        sol = solve_diophantine(block, rhs)
-        if sol is None:
-            raise Inconsistent("incompatible remainders: difference not in the gcld lattice")
-        alpha = sol[: r_acc.dim]
-        x = vec_add(x, r_acc.apply(alpha))
-        r_acc = lcrm(r_acc, cong.modulus)
-        x = reduce_mod(x, r_acc)[1]
-    return CrtSolution(value=x, lcrm=r_acc)
+    plan = _plan(tuple(c.modulus for c in congruences))
+    return plan.solve([c.remainder for c in congruences])

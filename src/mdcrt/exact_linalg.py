@@ -446,22 +446,45 @@ def snf(m: IntMatrix) -> SnfDecomposition:
 # integer linear systems
 
 
+class DiophantineSolver:
+    """Integer solutions of ``a @ x = b`` for one full-row-rank D x K block
+    and any right-hand side, from the SNF of ``a`` computed once.
+
+    With ``u @ a @ v = lam``, the system has an integer solution exactly when
+    ``c = u @ b`` has ``c[i]`` divisible by ``lam[i][i]`` for every i < D; one
+    solution is then ``v @ y`` with ``y[i] = c[i] / lam[i][i]`` for i < D and
+    0 beyond, so only the first D columns of ``v`` are kept.
+
+    Raises RankDeficient when rank(a) < D.
+    """
+
+    def __init__(self, a: IntMatrix):
+        dec = snf(a)
+        if dec.rank < a.nrows:
+            raise RankDeficient(f"rank {dec.rank} < {a.nrows}")
+        self.nrows = a.nrows
+        self._u = dec.u.rows
+        self._diagonal = dec.diagonal()
+        self._v = tuple(row[: a.nrows] for row in dec.v.rows)
+
+    def solve(self, b: Sequence[int]) -> IntVec | None:
+        """One integer solution, or None when there is none."""
+        if len(b) != self.nrows:
+            raise DimensionMismatch("right-hand side length must match the row count")
+        y = []
+        for row, lam in zip(self._u, self._diagonal):
+            q, r = divmod(sum(x * z for x, z in zip(row, b)), lam)
+            if r:
+                return None
+            y.append(q)
+        return tuple(sum(x * z for x, z in zip(row, y)) for row in self._v)
+
+
 def solve_diophantine(a: IntMatrix, b: Sequence[int]) -> IntVec | None:
     """Integer solution of ``a @ x = b`` for a full-row-rank D x K block.
 
     Returns None when the system is solvable over the rationals but not the
-    integers. Raises RankDeficient when rank(a) < D.
+    integers. Raises RankDeficient when rank(a) < D. Callers that solve many
+    right-hand sides for one block keep a ``DiophantineSolver`` instead.
     """
-    if len(b) != a.nrows:
-        raise DimensionMismatch("right-hand side length must match the row count")
-    dec = snf(a)
-    if dec.rank < a.nrows:
-        raise RankDeficient(f"rank {dec.rank} < {a.nrows}")
-    c = dec.u.apply(b)
-    diag = dec.diagonal()
-    y = [0] * a.ncols
-    for i in range(a.nrows):
-        if c[i] % diag[i] != 0:
-            return None
-        y[i] = c[i] // diag[i]
-    return dec.v.apply(y)
+    return DiophantineSolver(a).solve(b)

@@ -11,11 +11,12 @@ one error vector per modulus in modulus order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate
 from typing import Callable
 
 from .errors import ConfigInvalid, Inconsistent
@@ -76,29 +77,86 @@ def trial_rng(seed: int, tau_index: int, trial_index: int) -> XorShift64Star:
 
 
 class ErrorBallSampler:
-    """Uniform over the integer points of the closed disk of radius tau.
+    """Uniform over the integer points of the closed ball of radius tau in Z^dim.
 
-    Membership is decided on exact squared norms, so irrational radii are
-    handled without floats. The zero vector is always included.
+    A point is inside when its squared norm is at most ``floor(tau^2)``: the
+    squared norm is an integer, so this exact test equals the rational one.
+    Points are numbered ``0 .. count - 1`` in lexicographic order, the order
+    of ``sorted`` on the tuples, and ``point(i)`` decodes an index without
+    any table of points: coordinate by coordinate, it bisects the running
+    totals of how many points each value of the leading coordinate leaves
+    for the rest of the ball, and the last coordinate is one ``isqrt``.
+    Counts are memoized per (dimension, remaining squared norm), which is
+    O(D·tau^2) integers; each such prefix that a decode visits adds one list
+    of its O(tau) running totals. The zero vector is always included.
     """
 
     def __init__(self, tau: Fraction | int, dim: int = 2):
         tau = Fraction(tau)
         if tau < 0:
             raise ValueError("tau must be nonnegative")
+        if dim < 1:
+            raise ValueError("dim must be positive")
         self.tau = tau
-        tau_sq = tau * tau
-        r = math.floor(tau)
-        pts = [
-            e
-            for e in product(range(-r, r + 1), repeat=dim)
-            if vec_norm_sq(e) <= tau_sq
-        ]
-        pts.sort()
-        self.points: tuple[IntVec, ...] = tuple(pts)
+        self.dim = dim
+        self._budget = math.floor(tau * tau)
+        self._counts: dict[tuple[int, int], int] = {}
+        self._totals: dict[tuple[int, int], list[int]] = {}
+        self._drawn: dict[int, IntVec] = {}
+        self.count = self._count(dim, self._budget)
+
+    def _count(self, dim: int, budget: int) -> int:
+        """Points of Z^dim with squared norm at most ``budget``."""
+        if dim == 1:
+            return 2 * math.isqrt(budget) + 1
+        key = (dim, budget)
+        n = self._counts.get(key)
+        if n is None:
+            r = math.isqrt(budget)
+            n = self._count(dim - 1, budget) + 2 * sum(
+                self._count(dim - 1, budget - x * x) for x in range(1, r + 1)
+            )
+            self._counts[key] = n
+        return n
+
+    def _running_totals(self, dim: int, budget: int) -> list[int]:
+        """Entry k: points of that ball whose first coordinate is at most
+        -r + k, for r = isqrt(budget)."""
+        key = (dim, budget)
+        totals = self._totals.get(key)
+        if totals is None:
+            r = math.isqrt(budget)
+            totals = list(accumulate(self._count(dim - 1, budget - x * x) for x in range(-r, r + 1)))
+            self._totals[key] = totals
+        return totals
+
+    def point(self, index: int) -> IntVec:
+        """Point number ``index`` in lexicographic order."""
+        if not 0 <= index < self.count:
+            raise IndexError(f"point index {index} outside [0, {self.count})")
+        budget = self._budget
+        coords = []
+        for dim in range(self.dim, 1, -1):
+            totals = self._running_totals(dim, budget)
+            k = bisect_right(totals, index)
+            if k:
+                index -= totals[k - 1]
+            x = k - len(totals) // 2
+            coords.append(x)
+            budget -= x * x
+        coords.append(index - math.isqrt(budget))
+        return tuple(coords)
 
     def sample(self, rng: XorShift64Star) -> IntVec:
-        return self.points[rng.randrange(len(self.points))]
+        """``point(rng.randrange(count))``. A point drawn before is returned
+        as the same tuple: a sweep's records keep every draw, and this way
+        they hold each distinct error vector once, as they did when the
+        points came from a table. The memo has one entry per distinct draw."""
+        index = rng.randrange(self.count)
+        p = self._drawn.get(index)
+        if p is None:
+            p = self._drawn[index] = self.point(index)
+        return p
 
 
 # ---------------------------------------------------------------------------

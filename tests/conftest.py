@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from mdcrt.exact_linalg import IntMatrix
 
@@ -40,6 +41,12 @@ def random_unimodular(rng: random.Random, dim: int, steps: int = 8) -> IntMatrix
         q = rng.randint(-3, 3)
         cols[j] = [a + q * b for a, b in zip(cols[j], cols[i])]
     return IntMatrix.from_rows(list(zip(*cols)))
+
+
+def square_matrices(dim: int, bound: int):
+    """Hypothesis strategy: dim x dim integer matrices with entries in [-bound, bound]."""
+    row = st.lists(st.integers(-bound, bound), min_size=dim, max_size=dim)
+    return st.lists(row, min_size=dim, max_size=dim).map(IntMatrix.from_rows)
 
 
 @pytest.fixture
@@ -257,3 +264,33 @@ def brute_fpd(m: IntMatrix) -> set[tuple[int, ...]]:
         for k in itertools.product(*box)
         if all(0 <= Fraction(x, d) < 1 for x in m.adj.apply(k))
     }
+
+
+def brute_common_points(moduli, remainders, r: IntMatrix) -> list[tuple[int, ...]]:
+    """Points g of N(r) with g - remainders[i] in L(moduli[i]) for every i.
+
+    When r is a common right multiple of the moduli, every common solution
+    reduces mod r to one of these, so an empty list means none exists.
+    """
+    return sorted(
+        g
+        for g in brute_fpd(r)
+        if all(_in_lattice(m, [x - y for x, y in zip(g, rem)]) for m, rem in zip(moduli, remainders))
+    )
+
+
+# ---------------------------------------------------------------------------
+# oracle: integer points of a closed ball, by filtering the bounding cube
+
+
+def brute_ball(tau, dim: int) -> list[tuple[int, ...]]:
+    """Sorted integer points of Z^dim whose squared norm is at most tau^2,
+    compared as exact Fractions, from the cube [-floor(tau), floor(tau)]^dim."""
+    import itertools
+    import math
+
+    tau_sq = Fraction(tau) ** 2
+    r = math.floor(Fraction(tau))
+    return sorted(
+        p for p in itertools.product(range(-r, r + 1), repeat=dim) if Fraction(sum(x * x for x in p)) <= tau_sq
+    )

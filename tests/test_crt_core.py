@@ -1,15 +1,28 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from mdcrt.crt_core import Congruence, congruence_of, crt_solve, gcld, is_coprime, lcrm, lcrm_many
-from mdcrt.errors import Inconsistent
+from mdcrt.crt_core import (
+    Congruence,
+    CrtPlan,
+    congruence_of,
+    crt_solve,
+    gcld,
+    is_coprime,
+    lcrm,
+    lcrm_many,
+)
+from mdcrt.errors import DimensionMismatch, Inconsistent
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_sub
 from mdcrt.lattice import enumerate_fpd, reduce_mod
 from conftest import (
     brute_common_left_divisors,
+    brute_common_points,
+    brute_fpd,
     brute_intersection_det,
     random_matrix,
+    square_matrices,
 )
 
 M = IntMatrix.from_rows
@@ -194,3 +207,81 @@ class TestCrtSolve:
     def test_remainder_validation(self):
         with pytest.raises(ValueError):
             Congruence(IntMatrix.diag(2, 2), (5, 0))
+
+
+# ---------------------------------------------------------------------------
+# the compiled fold, against brute force
+
+
+@st.composite
+def moduli_sets(draw):
+    """2 to 4 moduli, all 2D or all 3D, each with |det| <= 6, whose lcrm has
+    |det| <= 600 so that N(lcrm) can be scanned."""
+    dim = draw(st.sampled_from((2, 3)))
+    modulus = square_matrices(dim, 3 if dim == 2 else 2).filter(lambda m: 0 < abs(m.det) <= 6)
+    ms = draw(st.lists(modulus, min_size=2, max_size=4))
+    assume(abs(lcrm_many(ms).det) <= 600)
+    return ms
+
+
+@st.composite
+def remainder_tuples(draw, ms):
+    """One point of N(m) per modulus, drawn independently."""
+    return [draw(st.sampled_from(sorted(brute_fpd(m)))) for m in ms]
+
+
+class TestCompiledFold:
+    @settings(max_examples=60, deadline=None)
+    @given(moduli_sets(), st.data())
+    def test_solution_is_f_mod_lcrm_in_any_fold_order(self, ms, data):
+        f = tuple(data.draw(st.integers(-60, 60)) for _ in range(ms[0].dim))
+        total = lcrm_many(ms)
+        expected = reduce_mod(f, total)[1]
+        congruences = [congruence_of(f, m) for m in ms]
+        order = data.draw(st.permutations(range(len(ms))))
+        for cs in (congruences, [congruences[i] for i in order]):
+            sol = crt_solve(cs)
+            assert sol.value == expected
+            assert sol.lcrm == total
+
+    @settings(max_examples=60, deadline=None)
+    @given(moduli_sets(), st.data())
+    def test_inconsistent_exactly_when_no_common_point(self, ms, data):
+        rems = data.draw(remainder_tuples(ms))
+        total = lcrm_many(ms)
+        common = brute_common_points(ms, rems, total)
+        congruences = [Congruence(m, r) for m, r in zip(ms, rems)]
+        if not common:
+            with pytest.raises(Inconsistent):
+                crt_solve(congruences)
+        else:
+            assert common == [crt_solve(congruences).value]
+
+    @settings(max_examples=30, deadline=None)
+    @given(moduli_sets(), moduli_sets(), st.data())
+    def test_repeated_and_interleaved_calls_match_a_fresh_plan(self, ms_a, ms_b, data):
+        def outcome(plan_or_solve, rems):
+            try:
+                return plan_or_solve(rems)
+            except Inconsistent:
+                return "inconsistent"
+
+        calls = []
+        for _ in range(6):
+            ms = data.draw(st.sampled_from((ms_a, ms_b)))
+            calls.append((ms, data.draw(remainder_tuples(ms))))
+        for ms, rems in calls + calls:
+            cached = outcome(lambda r: crt_solve([Congruence(m, x) for m, x in zip(ms, r)]), rems)
+            fresh = outcome(CrtPlan(ms).solve, rems)
+            assert cached == fresh
+
+    def test_mixed_dimension_rejected(self):
+        congruences = [Congruence(IntMatrix.diag(2, 3), (1, 2)), Congruence(IntMatrix.diag(2, 2, 2), (1, 0, 1))]
+        with pytest.raises(DimensionMismatch):
+            crt_solve(congruences)
+        with pytest.raises(DimensionMismatch):
+            crt_solve(congruences[::-1])
+
+    def test_no_congruences_rejected(self):
+        with pytest.raises(ValueError):
+            crt_solve([])

@@ -17,7 +17,7 @@ from mdcrt.lattice import (
     reduce_mod,
     shortest_vector,
 )
-from conftest import brute_closest_vectors, brute_fpd, brute_shortest_sq_sound, random_matrix
+from conftest import brute_closest_vectors, brute_fpd, brute_shortest_sq_sound, random_matrix, square_matrices
 
 M = IntMatrix.from_rows
 M1 = M([[3, 1], [2, 2]])
@@ -300,17 +300,12 @@ class TestRegions:
                 assert other >= dist
 
 
-def square(dim, bound):
-    row = st.lists(st.integers(-bound, bound), min_size=dim, max_size=dim)
-    return st.lists(row, min_size=dim, max_size=dim).map(M)
-
-
 @st.composite
 def region_matrices(draw):
     """(anchor, quotient): 2D or 3D, |det quotient| <= 300, small anchor."""
     dim = draw(st.sampled_from((2, 3)))
-    quotient = draw(square(dim, 12 if dim == 2 else 4))
-    anchor = draw(square(dim, 2 if dim == 2 else 1))
+    quotient = draw(square_matrices(dim, 12 if dim == 2 else 4))
+    anchor = draw(square_matrices(dim, 2 if dim == 2 else 1))
     assume(0 < abs(quotient.det) <= 300 and anchor.det != 0)
     return anchor, quotient
 

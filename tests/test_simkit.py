@@ -1,5 +1,7 @@
 import math
+import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -16,6 +18,8 @@ from mdcrt.simkit import (
     summary_csv_lines,
     trial_rng,
 )
+
+from conftest import brute_ball
 
 M = IntMatrix.from_rows
 G1 = M([[22, -17], [17, 22]])
@@ -57,13 +61,13 @@ class TestRng:
 class TestErrorBall:
     def test_tau_zero(self):
         s = ErrorBallSampler(0)
-        assert s.points == ((0, 0),)
+        assert [s.point(i) for i in range(s.count)] == [(0, 0)]
         gen = trial_rng(0, 0, 0)
         assert s.sample(gen) == (0, 0)
 
     def test_tau_one(self):
         s = ErrorBallSampler(1)
-        assert set(s.points) == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+        assert {s.point(i) for i in range(s.count)} == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
 
     def test_tau_five_count(self):
         # independent count of integer pairs with x^2 + y^2 <= 25
@@ -74,18 +78,69 @@ class TestErrorBall:
             if x * x + y * y <= 25
         )
         assert expected == 81
-        assert len(ErrorBallSampler(5).points) == 81
+        assert ErrorBallSampler(5).count == 81
 
     def test_uniformity_four_sigma(self):
         s = ErrorBallSampler(1)
         gen = XorShift64Star(stream_seed(99, 0, 0))
         n = 100_000
-        counts = {p: 0 for p in s.points}
+        counts = {s.point(i): 0 for i in range(s.count)}
         for _ in range(n):
             counts[s.sample(gen)] += 1
         sigma = math.sqrt(n * 0.2 * 0.8)
         for c in counts.values():
             assert abs(c - n / 5) <= 4 * sigma
+
+
+BALL_TAUS = tuple(Fraction(t) for t in ("0", "1/4", "1", "7/3", "5/2", "27/4", "10", "85/7"))
+
+
+class TestBallDecode:
+    """Index decode of the error ball against the filtered, sorted table."""
+
+    @pytest.mark.parametrize(
+        "dim, tau",
+        [(d, t) for d in (1, 2, 3, 4) for t in BALL_TAUS if d < 4 or t <= 10],
+        ids=str,
+    )
+    def test_points_in_index_order_equal_table(self, dim, tau):
+        s = ErrorBallSampler(tau, dim=dim)
+        assert [s.point(i) for i in range(s.count)] == brute_ball(tau, dim)
+
+    def test_draws_equal_table_draws(self):
+        tau = Fraction(27, 4)
+        table = brute_ball(tau, 2)
+        s = ErrorBallSampler(tau)
+        a, b = trial_rng(5, 1, 2), trial_rng(5, 1, 2)
+        assert [s.sample(a) for _ in range(500)] == [table[b.randrange(len(table))] for _ in range(500)]
+
+    def test_index_out_of_range(self):
+        s = ErrorBallSampler(2)
+        for i in (-1, s.count):
+            with pytest.raises(IndexError):
+                s.point(i)
+
+    def test_dim4_tau85_count_and_speed(self):
+        n = 85 * 85
+        # 4D count as a convolution of 2D disks: pairs with x^2 + y^2 == k
+        # times pairs with x^2 + y^2 <= n - k
+        exact = [0] * (n + 1)
+        for x in range(-85, 86):
+            for y in range(-85, 86):
+                if x * x + y * y <= n:
+                    exact[x * x + y * y] += 1
+        disk = list(accumulate(exact))
+        expected = sum(exact[k] * disk[n - k] for k in range(n + 1))
+        assert expected == 257608409
+
+        start = time.process_time()
+        s = ErrorBallSampler(85, dim=4)
+        gen = trial_rng(4, 0, 0)
+        draws = [s.sample(gen) for _ in range(10_000)]
+        elapsed = time.process_time() - start
+        assert s.count == expected
+        assert all(sum(x * x for x in p) <= n for p in draws)
+        assert elapsed < 1.0
 
 
 class TestSweep:
