@@ -92,7 +92,10 @@ def _cmd_crt(args) -> int:
     return 0
 
 
-def _sweep_configs(cfg: ExperimentConfig, only: str | None = None) -> list[SweepConfig]:
+def _sweep_configs(
+    cfg: ExperimentConfig, trials: int | None, only: str | None = None
+) -> list[SweepConfig]:
+    """One sweep per enabled reconstructor; ``trials``, when given, overrides the config's."""
     out = []
     for recon in cfg.reconstructors:
         if only is not None and recon != only:
@@ -103,7 +106,7 @@ def _sweep_configs(cfg: ExperimentConfig, only: str | None = None) -> list[Sweep
                 reconstructor=recon,
                 grouping=cfg.grouping,
                 taus=cfg.taus,
-                trials=cfg.trials,
+                trials=trials or cfg.trials,
                 seed=cfg.seed,
                 f_mode=cfg.f_mode,
                 f_value=cfg.f_value,
@@ -118,10 +121,6 @@ def _emit_sweeps(cfg: ExperimentConfig, sweeps: list[SweepConfig], args) -> int:
     lines: list[str] = []
     raw_lines: list[str] = []
     for sweep in sweeps:
-        if args.trials is not None:
-            sweep = SweepConfig(
-                **{**sweep.__dict__, "trials": args.trials}
-            )
         fixed = resolve_f(sweep)
         if fixed is not None:
             print(f"# {sweep.reconstructor}: f = {format_vector(fixed)}", file=sys.stderr)
@@ -180,19 +179,19 @@ def _cmd_robust(args) -> int:
     cfg = load_config(args.config)
     if args.remainders:
         return _single_shot_robust(cfg, args.remainders)
-    return _emit_sweeps(cfg, _sweep_configs(cfg, only="single"), args)
+    return _emit_sweeps(cfg, _sweep_configs(cfg, args.trials, only="single"), args)
 
 
 def _cmd_multistage(args) -> int:
     cfg = load_config(args.config)
     if args.remainders:
         return _single_shot_multistage(cfg, args.remainders)
-    return _emit_sweeps(cfg, _sweep_configs(cfg, only="multistage"), args)
+    return _emit_sweeps(cfg, _sweep_configs(cfg, args.trials, only="multistage"), args)
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    return _emit_sweeps(cfg, _sweep_configs(cfg), args)
+    return _emit_sweeps(cfg, _sweep_configs(cfg, args.trials), args)
 
 
 def _cmd_svp_search(args) -> int:

@@ -44,17 +44,20 @@ class ExperimentConfig:
 def _literal(key: str, text: str):
     try:
         return ast.literal_eval(text)
-    except (SyntaxError, ValueError) as e:
+    except (SyntaxError, ValueError, TypeError) as e:
         offset = getattr(e, "offset", 0)
         raise ConfigInvalid(f"key {key!r}: malformed literal at offset {offset}: {text!r}") from None
 
 
-def _as_nested_tuple(obj):
-    if isinstance(obj, (list, tuple)):
-        return tuple(_as_nested_tuple(x) for x in obj)
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return obj
-    raise ConfigInvalid(f"expected nested integer lists, found {obj!r}")
+def _int_array(key: str, obj, depth: int, shape: str):
+    """``obj`` as tuples nested exactly ``depth`` lists deep around ints
+    (bools excluded); anything else raises ConfigInvalid naming ``key``."""
+    if depth == 0:
+        if isinstance(obj, int) and not isinstance(obj, bool):
+            return obj
+    elif isinstance(obj, (list, tuple)):
+        return tuple(_int_array(key, x, depth - 1, shape) for x in obj)
+    raise ConfigInvalid(f"{key!r} must be {shape}, found {obj!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -75,18 +78,19 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "moduli" not in raw:
         raise ConfigInvalid("missing required key 'moduli'")
-    moduli_obj = _literal("moduli", raw["moduli"])
-    if not isinstance(moduli_obj, (list, tuple)) or not moduli_obj:
+    moduli_obj = _int_array("moduli", _literal("moduli", raw["moduli"]), 3, "a list of integer matrices")
+    if not moduli_obj:
         raise ConfigInvalid("'moduli' must be a non-empty list of matrices")
-    moduli = tuple(IntMatrix.from_rows(m) for m in moduli_obj)
+    moduli = tuple(IntMatrix(m) for m in moduli_obj)
     if any(not m.is_square or m.dim != moduli[0].dim for m in moduli):
         raise ConfigInvalid("'moduli' must all be square matrices of one dimension")
 
     grouping = None
     if "grouping" in raw:
-        grouping = _as_nested_tuple(_literal("grouping", raw["grouping"]))
-        if not all(isinstance(stage, tuple) for stage in grouping):
-            raise ConfigInvalid("'grouping' must be a list of stages")
+        grouping = _int_array(
+            "grouping", _literal("grouping", raw["grouping"]), 3,
+            "a list of stages, each a list of groups of modulus indices",
+        )
 
     recon_text = raw.get("reconstructors", "single")
     reconstructors = tuple(s.strip() for s in recon_text.split(",") if s.strip())
@@ -97,11 +101,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigInvalid("reconstructor 'multistage' requires a 'grouping'")
 
     taus_obj = _literal("tau_grid", raw["tau_grid"]) if "tau_grid" in raw else []
-    if not isinstance(taus_obj, (list, tuple)) or not all(
-        isinstance(t, int) and not isinstance(t, bool) for t in taus_obj
-    ):
-        raise ConfigInvalid("'tau_grid' must be a list of nonnegative integers")
-    taus = tuple(Fraction(t) for t in taus_obj)
+    taus = tuple(Fraction(t) for t in _int_array("tau_grid", taus_obj, 1, "a list of nonnegative integers"))
     if any(t < 0 for t in taus):
         raise ConfigInvalid("'tau_grid' entries must be nonnegative")
 
@@ -114,12 +114,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if f_text in ("centroid", "per-trial"):
         f_mode, f_value = f_text, None
     else:
-        vec_obj = _literal("f", f_text)
-        if not isinstance(vec_obj, (list, tuple)) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in vec_obj
-        ):
-            raise ConfigInvalid("'f' must be 'centroid', 'per-trial', or an integer vector")
-        f_mode, f_value = "explicit", tuple(vec_obj)
+        shape = "'centroid', 'per-trial', or an integer vector"
+        f_mode, f_value = "explicit", _int_array("f", _literal("f", f_text), 1, shape)
 
     return ExperimentConfig(
         moduli=moduli,

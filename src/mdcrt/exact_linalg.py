@@ -82,7 +82,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(x) for x in r) for r in rows))
+        return IntMatrix(tuple(tuple(r) for r in rows))
 
     @staticmethod
     def identity(d: int) -> "IntMatrix":
@@ -95,7 +95,7 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(c[i]) for c in cols) for i in range(len(cols[0]))))
+        return IntMatrix(tuple(zip(*cols, strict=True)))
 
     # shape ----------------------------------------------------------------
 
@@ -192,30 +192,34 @@ class IntMatrix:
         return "[" + ",".join("[" + ",".join(str(x) for x in r) + "]" for r in self.rows) + "]"
 
 
+def _parse_literal(text: str, what: str):
+    try:
+        return ast.literal_eval(text.strip())
+    except SyntaxError as e:
+        raise ValueError(f"malformed {what} literal at offset {e.offset}: {text!r}") from None
+    except (ValueError, TypeError):  # a non-literal, or an unhashable set or dict key
+        raise ValueError(f"malformed {what} literal (offset 0): {text!r}") from None
+
+
 def parse_matrix(text: str) -> IntMatrix:
     """Parse the row-major bracketed form, e.g. ``[[3,1],[2,2]]``.
 
-    Raises ValueError with a character offset for malformed input.
+    Raises ValueError with a character offset for malformed input, and for
+    any entry that is not an int (floats and bools are not truncated).
     """
-    try:
-        obj = ast.literal_eval(text.strip())
-    except SyntaxError as e:
-        raise ValueError(f"malformed matrix literal at offset {e.offset}: {text!r}") from None
-    except ValueError:
-        raise ValueError(f"malformed matrix literal (offset 0): {text!r}") from None
+    obj = _parse_literal(text, "matrix")
     if not isinstance(obj, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in obj):
         raise ValueError(f"matrix literal must be a list of rows: {text!r}")
     return IntMatrix.from_rows(obj)
 
 
 def parse_vector(text: str) -> IntVec:
-    try:
-        obj = ast.literal_eval(text.strip())
-    except SyntaxError as e:
-        raise ValueError(f"malformed vector literal at offset {e.offset}: {text!r}") from None
-    if not isinstance(obj, (list, tuple)) or not all(isinstance(x, int) for x in obj):
+    obj = _parse_literal(text, "vector")
+    if not isinstance(obj, (list, tuple)) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in obj
+    ):
         raise ValueError(f"vector literal must be a flat integer list: {text!r}")
-    return tuple(int(x) for x in obj)
+    return tuple(obj)
 
 
 def format_vector(v: Sequence[Scalar]) -> str:

@@ -6,6 +6,9 @@ whose state is derived with splitmix64 from (seed, tau index, trial index),
 so serial and parallel runs produce identical output byte for byte. Within a
 trial the draw order is: the true vector f (when re-sampled per trial), then
 one error vector per modulus in modulus order.
+
+Each tau is reduced to its summary row where it runs, so a sweep holds one
+trial at a time unless its per-trial records are asked for (``keep_raw``).
 """
 
 from __future__ import annotations
@@ -102,7 +105,6 @@ class ErrorBallSampler:
         self._budget = math.floor(tau * tau)
         self._counts: dict[tuple[int, int], int] = {}
         self._totals: dict[tuple[int, int], list[int]] = {}
-        self._drawn: dict[int, IntVec] = {}
         self.count = self._count(dim, self._budget)
 
     def _count(self, dim: int, budget: int) -> int:
@@ -148,15 +150,9 @@ class ErrorBallSampler:
         return tuple(coords)
 
     def sample(self, rng: XorShift64Star) -> IntVec:
-        """``point(rng.randrange(count))``. A point drawn before is returned
-        as the same tuple: a sweep's records keep every draw, and this way
-        they hold each distinct error vector once, as they did when the
-        points came from a table. The memo has one entry per distinct draw."""
-        index = rng.randrange(self.count)
-        p = self._drawn.get(index)
-        if p is None:
-            p = self._drawn[index] = self.point(index)
-        return p
+        """A uniform point: ``point(rng.randrange(count))``, one draw of
+        ``rng`` per call. Nothing is kept per draw."""
+        return self.point(rng.randrange(self.count))
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +180,11 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial as the raw CSV and the checks on it read it. The error
+    vectors are not kept: they follow from the seed and the indices."""
+
     trial_index: int
     f_true: IntVec
-    errors: tuple[IntVec, ...]
     estimate: tuple[Fraction, ...] | None  # None when the solver reported Inconsistent
     error_norm: float  # sqrt of the exact squared error; nan when no estimate
     exact_success: bool  # ||estimate - f||^2 <= tau^2, compared exactly
@@ -209,10 +207,15 @@ class SweepSummary:
 
 
 class _Machinery:
-    """Reconstructor plus the region that f is picked from and checked against."""
+    """What a sweep config fixes, built once per config: the reconstructor,
+    the region that f is picked from and checked against, and the fixed
+    true vector ``f`` (None in per-trial mode) with its remainders.
+
+    An explicit f is validated for region membership by exact arithmetic;
+    the centroid rule picks the region point nearest the continuous centroid.
+    """
 
     def __init__(self, cfg: SweepConfig):
-        self.moduli = cfg.moduli
         if cfg.reconstructor == "single":
             inst = build_instance(cfg.moduli)
             self.reconstruct: Callable = lambda noisy: robust_reconstruct(
@@ -228,101 +231,93 @@ class _Machinery:
         else:
             raise ConfigInvalid(f"unknown reconstructor {cfg.reconstructor!r}")
 
+        if cfg.f_mode == "explicit":
+            if cfg.f_value is None:
+                raise ConfigInvalid("explicit f mode without a vector")
+            if not self.region.contains(cfg.f_value):
+                raise ConfigInvalid(
+                    f"f = {list(cfg.f_value)} is outside the robustly determinable range "
+                    f"of reconstructor {cfg.reconstructor!r}"
+                )
+            self.f: IntVec | None = cfg.f_value
+        elif cfg.f_mode == "centroid":
+            self.f = nearest_region_point(self.region, self.region.centroid())
+        elif cfg.f_mode == "per-trial":
+            self.f = None
+        else:
+            raise ConfigInvalid(f"unknown f mode {cfg.f_mode!r}")
+        self.rems = tuple(reduce_mod(self.f, m)[1] for m in cfg.moduli) if self.f is not None else None
+
 
 @lru_cache(maxsize=8)
 def _machinery(cfg: SweepConfig) -> _Machinery:
     return _Machinery(cfg)
 
 
-@lru_cache(maxsize=8)
 def resolve_f(cfg: SweepConfig) -> IntVec | None:
-    """Fixed true vector for the sweep, or None in per-trial mode.
+    """Fixed true vector for the sweep, or None in per-trial mode; raises
+    ConfigInvalid for an explicit f outside the region (see _Machinery)."""
+    return _machinery(cfg).f
 
-    Explicit vectors are validated for region membership by exact arithmetic;
-    the centroid rule picks the region point nearest the continuous centroid.
-    """
+
+def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow, tuple | None]:
+    """One tau's row, reduced trial by trial, and its records if ``keep_raw``."""
     mach = _machinery(cfg)
-    if cfg.f_mode == "explicit":
-        if cfg.f_value is None:
-            raise ConfigInvalid("explicit f mode without a vector")
-        if not mach.region.contains(cfg.f_value):
-            raise ConfigInvalid(
-                f"f = {list(cfg.f_value)} is outside the robustly determinable range "
-                f"of reconstructor {cfg.reconstructor!r}"
-            )
-        return cfg.f_value
-    if cfg.f_mode == "centroid":
-        region = mach.region
-        return nearest_region_point(region, region.centroid())
-    if cfg.f_mode == "per-trial":
-        return None
-    raise ConfigInvalid(f"unknown f mode {cfg.f_mode!r}")
-
-
-def _run_tau(cfg: SweepConfig, tau_index: int) -> tuple[TrialRecord, ...]:
-    mach = _machinery(cfg)
-    fixed_f = resolve_f(cfg)
     tau = cfg.taus[tau_index]
-    ball = ErrorBallSampler(tau, dim=mach.moduli[0].dim)
+    ball = ErrorBallSampler(tau, dim=cfg.moduli[0].dim)
     tau_sq = tau * tau
-    fixed_rems = (
-        tuple(reduce_mod(fixed_f, m)[1] for m in mach.moduli) if fixed_f is not None else None
-    )
+    total, estimates, successes = 0.0, 0, 0
     records = []
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, tau_index, t)
-        if fixed_f is None:
+        if mach.f is None:
             f = mach.region.sample(rng)
-            rems = tuple(reduce_mod(f, m)[1] for m in mach.moduli)
+            rems = tuple(reduce_mod(f, m)[1] for m in cfg.moduli)
         else:
-            f, rems = fixed_f, fixed_rems
-        errors = tuple(ball.sample(rng) for _ in mach.moduli)
-        noisy = [tuple(a + b for a, b in zip(r, e)) for r, e in zip(rems, errors)]
+            f, rems = mach.f, mach.rems
+        noisy = [tuple(a + b for a, b in zip(r, ball.sample(rng))) for r in rems]
         try:
-            out = mach.reconstruct(noisy)
+            estimate = mach.reconstruct(noisy).estimate
         except Inconsistent:
-            records.append(TrialRecord(t, f, errors, None, float("nan"), False))
-            continue
-        err_sq = vec_norm_sq(vec_sub(out.estimate, f))
-        records.append(
-            TrialRecord(
-                trial_index=t,
-                f_true=f,
-                errors=errors,
-                estimate=out.estimate,
-                error_norm=math.sqrt(err_sq),
-                exact_success=err_sq <= tau_sq,
-            )
-        )
-    return tuple(records)
+            estimate, norm, success = None, float("nan"), False
+        else:
+            err_sq = vec_norm_sq(vec_sub(estimate, f))
+            norm, success = math.sqrt(err_sq), err_sq <= tau_sq
+            total += norm
+            estimates += 1
+            successes += success
+        if keep_raw:
+            records.append(TrialRecord(t, f, estimate, norm, success))
+    row = SweepRow(
+        tau=tau,
+        mean_error=total / estimates if estimates else float("nan"),
+        success_rate=successes / cfg.trials,
+        trials=cfg.trials,
+    )
+    return row, (tuple(records) if keep_raw else None)
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1, keep_raw: bool = False) -> SweepSummary:
-    """Execute the full tau grid; identical output for any jobs value."""
-    resolve_f(cfg)  # validate configuration before spawning workers
+    """Execute the full tau grid; identical output for any jobs value.
+
+    A sweep keeps one ``SweepRow`` per tau, and the per-trial records only
+    when ``keep_raw`` is set; with ``jobs > 1`` each worker sends back just
+    that. A row's mean error adds the finite error norms one by one in trial
+    order (``total += norm``): this order is part of the CSV contract, and
+    it is what ``sum`` did before Python 3.12 began compensating float sums.
+    """
+    _machinery(cfg)  # validate configuration before spawning workers
+    n = len(cfg.taus)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_tau = list(pool.map(_run_tau, [cfg] * len(cfg.taus), range(len(cfg.taus))))
+            per_tau = list(pool.map(_run_tau, [cfg] * n, range(n), [keep_raw] * n))
     else:
-        per_tau = [_run_tau(cfg, ti) for ti in range(len(cfg.taus))]
-    rows = []
-    for tau, records in zip(cfg.taus, per_tau):
-        finite = [r.error_norm for r in records if r.estimate is not None]
-        mean_error = sum(finite) / len(finite) if finite else float("nan")
-        successes = sum(1 for r in records if r.exact_success)
-        rows.append(
-            SweepRow(
-                tau=tau,
-                mean_error=mean_error,
-                success_rate=successes / len(records),
-                trials=len(records),
-            )
-        )
+        per_tau = [_run_tau(cfg, ti, keep_raw) for ti in range(n)]
     return SweepSummary(
         reconstructor=cfg.reconstructor,
         seed=cfg.seed,
-        rows=tuple(rows),
-        raw=tuple(per_tau) if keep_raw else None,
+        rows=tuple(row for row, _ in per_tau),
+        raw=tuple(records for _, records in per_tau) if keep_raw else None,
     )
 
 

@@ -28,6 +28,13 @@ class TestNormalFormCommands:
         assert rc == 2
         assert "offset" in err
 
+    @pytest.mark.parametrize("literal", ["[[1.5,0],[0,1]]", "[[True,0],[0,1]]"])
+    def test_non_integer_entry_exits_2(self, capsys, literal):
+        rc, out, err = run(capsys, "hnf", literal)
+        assert rc == 2
+        assert out == ""
+        assert "non-integer entry" in err
+
     def test_gcld(self, capsys):
         rc, out, _ = run(capsys, "gcld", "[[22,-17],[17,22]]", "[[22,17],[-17,22]]")
         assert rc == 0
@@ -60,6 +67,19 @@ class TestCrtCommand:
         assert rc == 3
         assert "inconsistent" in err
 
+    @pytest.mark.parametrize(
+        "remainder, message",
+        [
+            ("foo", "malformed vector literal (offset 0): 'foo'"),
+            ("[True,0]", "vector literal must be a flat integer list"),
+        ],
+    )
+    def test_bad_remainder_exits_2(self, capsys, remainder, message):
+        rc, _, err = run(capsys, "crt", "--congruence", "[[2,0],[0,2]]", remainder)
+        assert rc == 2
+        assert message in err
+        assert "ast." not in err
+
 
 class TestSearchCommands:
     def test_svp_search_prime(self, capsys):
@@ -88,12 +108,40 @@ class TestConfigs:
             cfg = load_config(path)
             assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_unhashable_literal_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("moduli = {[1]}\n")
+        rc, _, err = run(capsys, "robust", str(bad))
+        assert rc == 2
+        assert "key 'moduli': malformed literal" in err
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("moduli = [[[2,0],[0,2]]]\nwhat = 3\n")
         rc, _, err = run(capsys, "robust", str(bad))
         assert rc == 2
         assert "unknown key" in err
+
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("moduli = [1,2]", "moduli"),
+            ("moduli = [[1,2],[3,4]]", "moduli"),
+            ("moduli = [[[1.5,0],[0,2]]]", "moduli"),
+            ("moduli = [[[True,0],[0,2]]]", "moduli"),
+            ("moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\ngrouping = 5", "grouping"),
+            ("moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\ngrouping = [[0,1]]", "grouping"),
+        ],
+        ids=["flat-moduli", "one-matrix-moduli", "float-entry", "bool-entry", "int-grouping", "one-stage-grouping"],
+    )
+    def test_shape_errors_exit_2(self, tmp_path, capsys, lines, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{lines}\ntau_grid = [1]\ntrials = 2\n")
+        rc, out, err = run(capsys, "simulate", str(bad))
+        assert rc == 2
+        assert out == ""
+        assert f"error: '{key}' must be" in err
 
 
 class TestReconstructionCommands:

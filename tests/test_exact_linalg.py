@@ -235,3 +235,28 @@ class TestTextForm:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             parse_matrix("[[1,2],[3]]")
+
+    @pytest.mark.parametrize("entry", [1.5, True, "1"])
+    def test_constructors_do_not_coerce(self, entry):
+        for build in (M, IntMatrix.from_columns):
+            with pytest.raises(ValueError, match="non-integer entry"):
+                build([[entry, 0], [0, 1]])
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns([[1, 2], [3]])
+
+    @pytest.mark.parametrize("text", ["[[1.5,0],[0,1]]", "[[False,0],[0,1]]"])
+    def test_non_integer_matrix_literal_rejected(self, text):
+        with pytest.raises(ValueError, match="non-integer entry"):
+            parse_matrix(text)
+
+    @pytest.mark.parametrize("text", ["[True,0]", "[1.5,0]", "[[1],[2]]", "7"])
+    def test_non_integer_vector_literal_rejected(self, text):
+        with pytest.raises(ValueError, match="flat integer list"):
+            parse_vector(text)
+
+    @pytest.mark.parametrize("text", ["foo", "{[1]}"])
+    def test_vector_non_literal_names_text(self, text):
+        with pytest.raises(ValueError, match=r"^malformed vector literal \(offset 0\): "):
+            parse_vector(text)

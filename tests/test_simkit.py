@@ -1,10 +1,13 @@
+import gc
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 
+from mdcrt.config import load_config
 from mdcrt.errors import ConfigInvalid
 from mdcrt.exact_linalg import IntMatrix
 from mdcrt.simkit import (
@@ -165,7 +168,7 @@ class TestSweep:
 
     def test_explicit_f_validated(self):
         with pytest.raises(ConfigInvalid):
-            resolve_f.__wrapped__(small_config(f_mode="explicit", f_value=(10**9, 10**9)))
+            resolve_f(small_config(f_mode="explicit", f_value=(10**9, 10**9)))
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_nonpositive_trials_rejected(self, trials):
@@ -205,3 +208,37 @@ class TestSweep:
         serial = summary_csv_lines(run_sweep(cfg))
         parallel = summary_csv_lines(run_sweep(cfg, jobs=3))
         assert serial == parallel
+
+    def test_rows_do_not_depend_on_keep_raw(self):
+        cfg = small_config(trials=12)
+        lean, full = run_sweep(cfg), run_sweep(cfg, keep_raw=True)
+        assert lean.raw is None
+        assert lean.rows == full.rows
+
+    def test_jobs_match_serial_raw(self):
+        # fig3's single-stage bound is 1/4: at tau >= 1 most trials end
+        # Inconsistent, and their nan norms are compared as CSV text
+        moduli = load_config("configs/fig3.cfg").moduli
+        cfg = small_config(moduli=moduli, taus=(Fraction(0), Fraction(1), Fraction(2)), trials=6)
+        serial = raw_csv_lines(run_sweep(cfg, keep_raw=True))
+        assert any(",nan," in line for line in serial)
+        assert raw_csv_lines(run_sweep(cfg, jobs=3, keep_raw=True)) == serial
+
+    def test_memory_flat_in_trials(self):
+        # Without keep_raw a sweep holds one trial at a time. The bound sits
+        # between the two designs: holding every record to the end grows this
+        # peak by ~0.9 MiB from 200 to 800 trials, streaming by ~0.1 MiB, all
+        # of it cyclic garbage the collector has not reached yet.
+        run_sweep(small_config(trials=1))  # warm the CRT plan cache
+        peaks = []
+        for trials in (200, 800):
+            cfg = small_config(trials=trials)
+            resolve_f(cfg)  # the machinery is built once per config, not measured
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_sweep(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 384 * 1024
