@@ -7,14 +7,7 @@ multi-stage reconstruction, and seeded Monte-Carlo sweeps.
 
 from .crt_core import Congruence, CrtSolution, crt_solve, gcld, is_coprime, lcrm, lcrm_many
 from .exact_linalg import IntMatrix, adjugate, det, hnf, parse_matrix, snf, solve_diophantine
-from .lattice import (
-    FpdUnionRegion,
-    LatticeBasis,
-    closest_vector,
-    enumerate_fpd,
-    reduce_mod,
-    shortest_vector,
-)
+from .lattice import FpdUnionRegion, LatticeBasis, closest_vector, reduce_mod, shortest_vector
 from .multistage import GroupingPlan, build_plan, check_group_condition, final_region, multistage_reconstruct
 from .robust import RobustInstance, RobustOutput, build_instance, robust_reconstruct, robustly_determinable_region
 from .svp_search import SearchResult, best_diagonal_svp, mod_inverse, search_max_svp
@@ -37,7 +30,6 @@ __all__ = [
     "closest_vector",
     "crt_solve",
     "det",
-    "enumerate_fpd",
     "final_region",
     "gcld",
     "hnf",

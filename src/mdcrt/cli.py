@@ -3,7 +3,7 @@
 Commands: hnf, snf, gcld, lcrm, crt, robust, multistage, svp-search, drange,
 simulate. Exit codes: 0 success, 2 parse or configuration error (including
 ``--trials`` or ``--jobs`` below 1), 3 mathematical inconsistency,
-4 capability exceeded (dimension or search bound).
+4 dimension above ``lattice.MAX_DIM`` (the exact SVP/CVP cap).
 
 Decision-bearing numbers are printed exactly (integers, fractions); float
 columns are display-only and suffixed ``_f``.
@@ -17,17 +17,10 @@ import sys
 from fractions import Fraction
 
 from .config import ExperimentConfig, load_config
-from .crt_core import Congruence, crt_solve, gcld, lcrm_many
+from .crt_core import congruence_of, crt_solve, gcld, lcrm_many
 from .drange import max_coprime_set, max_dynamic_range
-from .errors import (
-    CapExceeded,
-    ConfigInvalid,
-    DimensionUnsupported,
-    Inconsistent,
-    MdcrtError,
-)
+from .errors import ConfigInvalid, DimensionUnsupported, Inconsistent, MdcrtError
 from .exact_linalg import format_vector, hnf, parse_matrix, parse_vector, snf
-from .lattice import reduce_mod
 from .multistage import build_plan, final_region, multistage_reconstruct
 from .robust import build_instance, robust_reconstruct, robustly_determinable_region
 from .simkit import (
@@ -81,12 +74,9 @@ def _cmd_lcrm(args) -> int:
 def _cmd_crt(args) -> int:
     if len(args.congruence) < 1:
         raise ConfigInvalid("need at least one --congruence MODULUS REMAINDER")
-    congruences = []
-    for mod_text, rem_text in args.congruence:
-        m = parse_matrix(mod_text)
-        r = parse_vector(rem_text)
-        congruences.append(Congruence(m, reduce_mod(r, m)[1]))
-    sol = crt_solve(congruences)
+    sol = crt_solve(
+        [congruence_of(parse_vector(r), parse_matrix(m)) for m, r in args.congruence]
+    )
     print(f"value = {format_vector(sol.value)}")
     print(f"lcrm = {sol.lcrm}")
     return 0
@@ -146,7 +136,7 @@ def _emit_sweeps(cfg: ExperimentConfig, sweeps: list[SweepConfig], args) -> int:
 def _single_shot_robust(cfg: ExperimentConfig, remainders: list[str]) -> int:
     inst = build_instance(cfg.moduli)
     rems = [parse_vector(r) for r in remainders]
-    out = robust_reconstruct(inst, rems, designated_lcrm=inst.lcrm)
+    out = robust_reconstruct(inst, rems)
     print(f"anchor = {inst.anchor}")
     print(f"tau_bound_sq = {inst.tau_bound_sq}")
     print(f"tau_bound_f = {_sqrt_str(inst.tau_bound_sq)}")
@@ -303,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     except Inconsistent as e:
         print(f"inconsistent: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (DimensionUnsupported, CapExceeded) as e:
+    except DimensionUnsupported as e:
         print(f"capability exceeded: {e}", file=sys.stderr)
         return EXIT_CAPABILITY
     except MdcrtError as e:

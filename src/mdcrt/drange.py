@@ -7,7 +7,6 @@ time on each diagonal position.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -39,11 +38,6 @@ def max_coprime_set(q: int) -> CoprimeSet:
         members.append(power)
     product = reduce(lambda a, b: a * b, members, 1)
     return CoprimeSet(cap=q, members=tuple(members), product=product)
-
-
-def lcm_range(q: int) -> int:
-    """Independent lcm(1..q) for cross-checking the prime-power construction."""
-    return reduce(math.lcm, range(1, q + 1), 1)
 
 
 def max_dynamic_range(q: int, d: int) -> int:

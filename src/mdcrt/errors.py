@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: configuration/parse problems exit 2,
-mathematical inconsistency exits 3, capability limits (dimension, search
-bounds) exit 4.
+mathematical inconsistency exits 3, and a dimension above the SVP/CVP cap
+(``DimensionUnsupported``) exits 4. No search or listing has a fixed size
+bound that it can exceed: regions are never enumerated and the
+nearest-region-point search is bounded in closed form.
 """
 
 
@@ -25,16 +27,6 @@ class DimensionUnsupported(MdcrtError):
 
 class RankDeficient(MdcrtError):
     """A D x K block has rank below D (``hnf`` of a block, ``solve_diophantine``)."""
-
-
-class CapExceeded(MdcrtError):
-    """An explicit point listing or search would pass its fixed bound.
-
-    Raised by ``enumerate_fpd`` above 10^6 points and by
-    ``nearest_region_point`` when no region point lies within its search
-    radius. Regions themselves are never enumerated, so building, sampling
-    and testing membership in them never raises it.
-    """
 
 
 class Inconsistent(MdcrtError):

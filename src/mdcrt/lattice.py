@@ -2,10 +2,13 @@
 shortest/closest vector computation, and unions of shifted parallelepipeds.
 
 All lengths are handled as exact squared norms (integers or Fractions);
-square roots appear only in display code elsewhere. A union of shifted
-parallelepipeds is stored as its anchor and quotient matrix and is never
-enumerated: its size, centroid, membership test and i-th shift are closed
-form.
+square roots appear only in display code elsewhere. Nothing here lists the
+points of a parallelepiped: ``FpdSampler`` addresses them by index, and a
+union of shifted parallelepipeds is stored as its anchor and quotient
+matrix, with closed-form size, centroid, membership test and i-th shift.
+Every search is bounded: SVP/CVP by the dimension cap ``MAX_DIM`` and the
+nearest-region-point search by the distance of a region point computed in
+closed form.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .errors import CapExceeded, DimensionUnsupported, SingularMatrix
+from .errors import DimensionUnsupported, SingularMatrix
 from .exact_linalg import (
     IntMatrix,
     IntVec,
     Scalar,
     snf,
+    vec_add,
     vec_dot,
     vec_norm_sq,
     vec_scale,
@@ -30,7 +34,6 @@ from .exact_linalg import (
 )
 
 MAX_DIM = 4  # exact SVP/CVP enumeration, and so robust reconstruction, stop here
-ENUM_CAP = 10**6  # most points enumerate_fpd will list
 
 
 # ---------------------------------------------------------------------------
@@ -52,23 +55,7 @@ def reduce_mod(f: Sequence[int], m: IntMatrix) -> tuple[IntVec, IntVec]:
 
 
 # ---------------------------------------------------------------------------
-# fundamental parallelepiped enumeration and sampling
-
-
-def fpd_size(m: IntMatrix) -> int:
-    d = m.det
-    if d == 0:
-        raise SingularMatrix("FPD of a singular matrix is undefined")
-    return abs(d)
-
-
-def enumerate_fpd(m: IntMatrix) -> list[IntVec]:
-    """All ``|det m|`` integer points of N(m), in ``FpdSampler.point`` order."""
-    count = fpd_size(m)
-    if count > ENUM_CAP:
-        raise CapExceeded(f"|det| = {count} exceeds enumeration cap {ENUM_CAP}")
-    fpd = FpdSampler(m)
-    return [fpd.point(i) for i in range(count)]
+# fundamental parallelepiped sampling
 
 
 class FpdSampler:
@@ -183,54 +170,62 @@ def _enum_best(
 ) -> tuple[Fraction, IntVec]:
     """Minimize ||B c - B x||^2 over integer c (c != 0 when skip_zero).
 
-    Schnorr-Euchner depth-first search: each level tries coefficients
-    outward from the rounded center, so the first descent is the Babai
-    point and sets the bound (when that leaf is the skipped zero, the
-    level-0 loop moves on to the next coefficient). Pruning is strict, so
-    every vector tying the minimum is visited. Returns (min squared value,
-    B @ c) with ties broken by the lexicographically smallest resulting
-    vector.
+    Schnorr-Euchner depth-first search from level n - 1 down to level 0.
+    Each level tries coefficients from the rounded center upward, then from
+    one below it downward, so the first descent is the Babai point and sets
+    the bound (when that leaf is the skipped zero, the level-0 loop moves on
+    to the next coefficient). Pruning is strict, so every vector tying the
+    minimum is visited. Returns (min squared value, B @ c) with ties broken
+    by the lexicographically smallest resulting vector.
+
+    The search is one loop over explicit per-level state: level i holds its
+    center, the rounded center, the current direction (+1, then -1), and
+    ``partial[i + 1]``, the quadratic form summed over the levels above it.
     """
     n = len(d)
     best_q: Fraction | None = None
     best_v: IntVec | None = None
     c = [0] * n
-    z = [Fraction(0)] * n  # z[i] = c[i] - x[i]
+    z = [Fraction(0)] * n  # z[i] = c[i] - x[i] for the levels above the current one
+    center = [Fraction(0)] * n
+    base = [0] * n
+    direction = [1] * n
+    partial = [Fraction(0)] * (n + 1)
 
-    def centers(i: int) -> Fraction:
-        s = x[i]
-        for j in range(i + 1, n):
-            s -= mu[i][j] * z[j]
-        return s
-
-    def visit_leaf(partial: Fraction) -> None:
-        nonlocal best_q, best_v
-        if skip_zero and all(ci == 0 for ci in c):
-            return
-        v = basis.apply(c)
-        if best_q is None or partial < best_q or (partial == best_q and v < best_v):
-            best_q, best_v = partial, v
-
-    def search(i: int, partial: Fraction) -> None:
-        if i < 0:
-            visit_leaf(partial)
-            return
-        center = centers(i)
-        base = math.floor(center + Fraction(1, 2))
-        for direction in (1, -1):
-            ci = base if direction == 1 else base - 1
-            while True:
-                w = ci - center
-                term = d[i] * w * w
-                total = partial + term
-                if best_q is not None and total > best_q:
-                    break
-                c[i] = ci
-                z[i] = ci - x[i]
-                search(i - 1, total)
-                ci += direction
-
-    search(n - 1, Fraction(0))
+    i = n - 1
+    entering = True
+    while i < n:
+        if entering:
+            s = x[i]
+            for j in range(i + 1, n):
+                s -= mu[i][j] * z[j]
+            center[i] = s
+            base[i] = c[i] = math.floor(s + Fraction(1, 2))
+            direction[i] = 1
+        w = c[i] - center[i]
+        total = partial[i + 1] + d[i] * w * w
+        if best_q is not None and total > best_q:
+            entering = False
+            if direction[i] == 1:
+                direction[i] = -1
+                c[i] = base[i] - 1
+            else:
+                i += 1
+                if i < n:
+                    c[i] += direction[i]
+            continue
+        if i > 0:
+            z[i] = c[i] - x[i]
+            partial[i] = total
+            i -= 1
+            entering = True
+            continue
+        if not (skip_zero and not any(c)):
+            v = basis.apply(c)
+            if best_q is None or total < best_q or (total == best_q and v < best_v):
+                best_q, best_v = total, v
+        c[0] += direction[0]
+        entering = False
     assert best_q is not None and best_v is not None
     return best_q, best_v
 
@@ -306,7 +301,8 @@ class FpdUnionRegion:
         return FpdSampler(self.anchor)
 
     def shift(self, index: int) -> IntVec:
-        """Shift number ``index``; the order is that of ``enumerate_fpd(quotient)``."""
+        """Shift number ``index`` in ``[0, |det quotient|)``: the point
+        ``FpdSampler(quotient).point(index)`` of N(quotient)."""
         return self._shifts.point(index)
 
     def contains(self, f: Sequence[int]) -> bool:
@@ -338,34 +334,48 @@ class FpdUnionRegion:
 
 def nearest_region_point(region: FpdUnionRegion, target: Sequence[Scalar]) -> IntVec:
     """Region point minimizing exact Euclidean distance to a rational target;
-    ties broken lexicographically. Expanding-ring search around the rounding."""
+    ties broken lexicographically.
+
+    Expanding-ring search around the rounded target g. The search starts
+    from a region point found in closed form: with ``g = anchor k + r``,
+    r in N(anchor), the seed ``anchor k' + r`` with k' the reduction of k
+    into N(quotient) lies in the region. Ring r holds the points at
+    Chebyshev distance r from g; every point outside rings 0..r lies more
+    than r from the target, so the search stops after the first ring r with
+    best squared distance <= r^2. The seed's distance bounds that r.
+    """
     n = region.anchor.dim
-    base = tuple(math.floor(Fraction(t) + Fraction(1, 2)) for t in target)
-    best: tuple | None = None  # (dist_sq, point)
-
-    def consider(pt: IntVec) -> None:
-        nonlocal best
-        if not region.contains(pt):
-            return
-        dsq = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(pt, target))
-        if best is None or dsq < best[0] or (dsq == best[0] and pt < best[1]):
-            best = (dsq, pt)
-
+    target = tuple(Fraction(t) for t in target)
+    base = tuple(math.floor(t + Fraction(1, 2)) for t in target)
+    # squared distances in units of 1 / den^2, exact in integers
+    den = math.lcm(*(t.denominator for t in target))
+    scaled = tuple(int(t * den) for t in target)
+    k, r = reduce_mod(base, region.anchor)
+    best = vec_add(region.anchor.apply(reduce_mod(k, region.quotient)[1]), r)
+    best_sq = sum((den * x - y) ** 2 for x, y in zip(best, scaled))
     radius = 0
     while True:
         for offset in _ring_offsets(n, radius):
-            consider(tuple(b + o for b, o in zip(base, offset)))
-        if best is not None and best[0] <= radius * radius:
-            return best[1]
+            pt = vec_add(base, offset)
+            dsq = sum((den * x - y) ** 2 for x, y in zip(pt, scaled))
+            if (dsq < best_sq or (dsq == best_sq and pt < best)) and region.contains(pt):
+                best, best_sq = pt, dsq
+        if best_sq <= (radius * den) ** 2:
+            return best
         radius += 1
-        if radius > 10**6:
-            raise CapExceeded("no region point found near target")
 
 
 def _ring_offsets(n: int, radius: int) -> Iterator[tuple[int, ...]]:
+    """The (2r+1)^n - (2r-1)^n offsets of Chebyshev norm exactly r, listed
+    by the first coordinate k that reaches +-r: coordinates before k lie
+    strictly inside, coordinates after it anywhere in [-r, r]."""
     if radius == 0:
         yield (0,) * n
         return
-    for offset in itertools.product(range(-radius, radius + 1), repeat=n):
-        if max(abs(o) for o in offset) == radius:
-            yield offset
+    inner = range(-radius + 1, radius)
+    full = range(-radius, radius + 1)
+    for k in range(n):
+        for head in itertools.product(inner, repeat=k):
+            for tail in itertools.product(full, repeat=n - k - 1):
+                yield head + (-radius,) + tail
+                yield head + (radius,) + tail

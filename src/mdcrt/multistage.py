@@ -219,7 +219,7 @@ def multistage_reconstruct(
     if plan.final_instance is None:
         est = tuple(Fraction(x) for x in current[0])
         return RobustOutput(estimate=est, folds=())
-    return robust_reconstruct(plan.final_instance, current, designated_lcrm=plan.final_lcrm)
+    return robust_reconstruct(plan.final_instance, current)
 
 
 def final_region(plan: GroupingPlan) -> FpdUnionRegion:

@@ -30,7 +30,9 @@ from .lattice import (
 
 @dataclass(frozen=True, eq=False)
 class RobustInstance:
-    """Precomputed data for one set of moduli: gcld table, anchor, bound.
+    """Precomputed data for one set of moduli: anchor, bound, lcrm, and the
+    gcld lattices ``anchor_lattices[j] = L(gcld(M_anchor, M_j))`` that
+    reconstruction snaps onto.
 
     ``tau_bound_sq`` is the exact square of the guaranteed error tolerance,
     min over j != anchor of lambda^2(L(G_{anchor,j})) / 16.
@@ -38,7 +40,6 @@ class RobustInstance:
 
     moduli: tuple[IntMatrix, ...]
     anchor: int
-    pair_gcld: dict[tuple[int, int], IntMatrix]
     tau_bound_sq: Fraction
     lcrm: IntMatrix
     anchor_lattices: dict[int, LatticeBasis]
@@ -50,9 +51,6 @@ class RobustInstance:
     @property
     def dim(self) -> int:
         return self.moduli[0].dim
-
-    def gcld_of(self, i: int, j: int) -> IntMatrix:
-        return self.pair_gcld[(min(i, j), max(i, j))]
 
 
 def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> RobustInstance:
@@ -72,14 +70,13 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
     if len(set(moduli)) != len(moduli):
         raise DuplicateModuli("moduli must be distinct")
 
-    pair_gcld: dict[tuple[int, int], IntMatrix] = {}
+    pair_lattice: dict[tuple[int, int], LatticeBasis] = {}
     pair_lambda_sq: dict[tuple[int, int], int] = {}
     n = len(moduli)
     for i in range(n):
         for j in range(i + 1, n):
-            g = gcld(moduli[i], moduli[j])
-            pair_gcld[(i, j)] = g
-            pair_lambda_sq[(i, j)] = shortest_vector(LatticeBasis(g))[0]
+            g = pair_lattice[(i, j)] = LatticeBasis(gcld(moduli[i], moduli[j]))
+            pair_lambda_sq[(i, j)] = shortest_vector(g)[0]
 
     def row_min(i: int) -> int:
         return min(pair_lambda_sq[(min(i, j), max(i, j))] for j in range(n) if j != i)
@@ -90,15 +87,10 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
         raise ValueError(f"anchor index {anchor} out of range")
 
     tau_bound_sq = Fraction(row_min(anchor), 16)
-    lattices = {
-        j: LatticeBasis(pair_gcld[(min(anchor, j), max(anchor, j))])
-        for j in range(n)
-        if j != anchor
-    }
+    lattices = {j: pair_lattice[(min(anchor, j), max(anchor, j))] for j in range(n) if j != anchor}
     return RobustInstance(
         moduli=moduli,
         anchor=anchor,
-        pair_gcld=pair_gcld,
         tau_bound_sq=tau_bound_sq,
         lcrm=lcrm_many(moduli),
         anchor_lattices=lattices,
@@ -123,7 +115,8 @@ def robust_reconstruct(
     Snap each remainder difference onto its gcld lattice (exact CVP), solve
     the congruence system for the anchor fold inside N(R), recover the other
     folds, and average. ``designated_lcrm`` picks which lcrm representative R
-    the anchor fold is reduced into; default is the HNF-normalized one.
+    the anchor fold is reduced into; by default it stays in N(instance.lcrm),
+    the HNF-normalized one that ``crt_solve`` reduces into.
     Raises Inconsistent when the snapped values are incompatible, which
     callers treat as a failed trial.
     """

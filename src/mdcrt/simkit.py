@@ -218,9 +218,7 @@ class _Machinery:
     def __init__(self, cfg: SweepConfig):
         if cfg.reconstructor == "single":
             inst = build_instance(cfg.moduli)
-            self.reconstruct: Callable = lambda noisy: robust_reconstruct(
-                inst, noisy, designated_lcrm=inst.lcrm
-            )
+            self.reconstruct: Callable = lambda noisy: robust_reconstruct(inst, noisy)
             self.region = robustly_determinable_region(inst, inst.lcrm)
         elif cfg.reconstructor == "multistage":
             if cfg.grouping is None:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotInvertible, NotPrime
-from .exact_linalg import IntMatrix
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # deterministic for n < 3.3 * 10^24, far beyond any searched range
@@ -49,10 +48,6 @@ def mod_inverse(x: int, p: int) -> int:
     if x % p == 0:
         raise NotInvertible(f"{x} has no inverse modulo {p}")
     return pow(x, -1, p)
-
-
-def hnf_lattice_matrix(i: int, p: int) -> IntMatrix:
-    return IntMatrix.from_rows([[1, 0], [i, p]])
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,17 @@ integer row reduction, so they can certify the fast implementations.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import strategies as st
 
+from mdcrt.errors import SingularMatrix
 from mdcrt.exact_linalg import IntMatrix
+from mdcrt.lattice import FpdSampler
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +270,28 @@ def brute_fpd(m: IntMatrix) -> set[tuple[int, ...]]:
     }
 
 
+ENUM_CAP = 10**6  # most points enumerate_fpd will list
+
+
+def fpd_size(m: IntMatrix) -> int:
+    d = m.det
+    if d == 0:
+        raise SingularMatrix("FPD of a singular matrix is undefined")
+    return abs(d)
+
+
+def enumerate_fpd(m: IntMatrix) -> list[tuple[int, ...]]:
+    """All ``|det m|`` integer points of N(m), in ``FpdSampler.point`` order.
+
+    Unlike the brute-force oracles this lists through the library's
+    ``FpdSampler``; tests that need the order use it, and ``brute_fpd``
+    certifies the point set."""
+    count = fpd_size(m)
+    assert count <= ENUM_CAP, f"|det| = {count} exceeds enumeration cap {ENUM_CAP}"
+    fpd = FpdSampler(m)
+    return [fpd.point(i) for i in range(count)]
+
+
 def brute_common_points(moduli, remainders, r: IntMatrix) -> list[tuple[int, ...]]:
     """Points g of N(r) with g - remainders[i] in L(moduli[i]) for every i.
 
@@ -294,3 +320,17 @@ def brute_ball(tau, dim: int) -> list[tuple[int, ...]]:
     return sorted(
         p for p in itertools.product(range(-r, r + 1), repeat=dim) if Fraction(sum(x * x for x in p)) <= tau_sq
     )
+
+
+# ---------------------------------------------------------------------------
+# oracles for the dynamic-range and prime-determinant searches
+
+
+def lcm_range(q: int) -> int:
+    """Independent lcm(1..q) for cross-checking the prime-power construction."""
+    return reduce(math.lcm, range(1, q + 1), 1)
+
+
+def hnf_lattice_matrix(i: int, p: int) -> IntMatrix:
+    """The basis ``[[1,0],[i,p]]`` of the i-th lattice ``svp_search`` scans."""
+    return IntMatrix.from_rows([[1, 0], [i, p]])

@@ -15,12 +15,13 @@ from mdcrt.crt_core import (
 )
 from mdcrt.errors import DimensionMismatch, Inconsistent
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_sub
-from mdcrt.lattice import enumerate_fpd, reduce_mod
+from mdcrt.lattice import reduce_mod
 from conftest import (
     brute_common_left_divisors,
     brute_common_points,
     brute_fpd,
     brute_intersection_det,
+    enumerate_fpd,
     random_matrix,
     square_matrices,
 )

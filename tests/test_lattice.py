@@ -1,23 +1,32 @@
+import gc
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mdcrt.errors import CapExceeded, DimensionUnsupported, SingularMatrix
+from mdcrt.errors import DimensionUnsupported, SingularMatrix
 from mdcrt.exact_linalg import IntMatrix, snf, vec_add, vec_dot, vec_norm_sq, vec_sub
 from mdcrt.lattice import (
     FpdSampler,
     FpdUnionRegion,
     LatticeBasis,
     closest_vector,
-    enumerate_fpd,
     nearest_region_point,
     reduce_mod,
     shortest_vector,
 )
-from conftest import brute_closest_vectors, brute_fpd, brute_shortest_sq_sound, random_matrix, square_matrices
+from conftest import (
+    brute_closest_vectors,
+    brute_fpd,
+    brute_shortest_sq_sound,
+    enumerate_fpd,
+    random_matrix,
+    square_matrices,
+)
 
 M = IntMatrix.from_rows
 M1 = M([[3, 1], [2, 2]])
@@ -97,8 +106,10 @@ class TestEnumerateFpd:
                 assert r in fpd
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            enumerate_fpd(IntMatrix.diag(2000, 2000))
+        # the sampler addresses every point of a 4 * 10^6-point FPD, with no cap
+        sampler = FpdSampler(IntMatrix.diag(2000, 2000))
+        assert sampler.point(0) == (0, 0)
+        assert sampler.point(4 * 10**6 - 1) == (1999, 1999)
 
     def test_sampler_covers(self, rng):
         m = M([[3, 1], [2, 2]])
@@ -235,6 +246,21 @@ class TestClosestVector:
                 assert got == min(winners)
                 assert vec_norm_sq(vec_sub(got, t)) == best
 
+    def test_no_reference_cycles(self):
+        # the search keeps its state in plain lists, so a call leaves nothing
+        # that only the cyclic collector can free
+        l = LatticeBasis(M([[22, -17], [17, 22]]))
+        targets = [(Fraction(7 * i, 3), Fraction(-5 * i, 3)) for i in range(100)]
+        closest_vector(l, targets[0])
+        gc.collect()
+        gc.disable()
+        try:
+            for t in targets:
+                closest_vector(l, t)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_rational_target(self):
         l = LatticeBasis(IntMatrix.diag(3, 3))
         t = (Fraction(4, 3), Fraction(-5, 3))
@@ -344,3 +370,60 @@ class TestRegionGeometry:
         candidates = members | {vec_add(f, e) for f in members for e in steps}
         for f in candidates:
             assert reg.contains(f) == (f in members)
+
+
+def brute_nearest_region_point(reg: FpdUnionRegion, target, radius: int):
+    """Nearest region point by scanning the box of half-width ``radius``
+    around the target with ``reg.contains``; ties go to the lexicographically
+    smallest point. Exact when some region point lies within ``radius``."""
+    ranges = [range(math.ceil(t - radius), math.floor(t + radius) + 1) for t in target]
+    return min(
+        (vec_norm_sq(vec_sub(p, target)), p) for p in itertools.product(*ranges) if reg.contains(p)
+    )[1]
+
+
+def members(reg: FpdUnionRegion) -> set:
+    """Every region point, from the brute-force FPDs of both matrices."""
+    return {vec_add(reg.anchor.apply(k), r) for k in brute_fpd(reg.quotient) for r in brute_fpd(reg.anchor)}
+
+
+class TestNearestRegionPoint:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        region_matrices(),
+        st.lists(st.tuples(st.integers(-8, 8), st.sampled_from((1, 2, 3))), min_size=3, max_size=3),
+    )
+    # ties between two region points at a half-integer target
+    @example((M([[-2, 1], [-1, -1]]), M([[11, 0], [0, -7]])), [(-7, 2), (2, 1), (0, 1)])
+    @example((M([[1, 1], [-2, 0]]), M([[8, 10], [-8, 2]])), [(-1, 2), (-5, 2), (0, 1)])
+    def test_matches_box_scan(self, matrices, offset):
+        anchor, quotient = matrices
+        reg = FpdUnionRegion(anchor=anchor, quotient=quotient)
+        target = tuple(math.floor(c) + Fraction(*o) for c, o in zip(reg.centroid(), offset))
+        # the points anchor @ k, k in N(quotient), lie in the region; the
+        # nearest of them bounds the distance of the answer
+        corners = [anchor.apply(k) for k in brute_fpd(quotient)]
+        radius = math.isqrt(math.ceil(min(vec_norm_sq(vec_sub(p, target)) for p in corners))) + 1
+        assert nearest_region_point(reg, target) == brute_nearest_region_point(reg, target, radius)
+
+    def test_far_target(self):
+        reg = FpdUnionRegion(anchor=M1, quotient=M([[2, -1], [-2, 3]]))
+        target = (Fraction(111, 2), -20)  # 55.5 from the nearest region point
+        points = members(reg)
+        assert min(vec_norm_sq(vec_sub(p, target)) for p in points) >= 50**2
+        start = time.process_time()
+        got = nearest_region_point(reg, target)
+        assert time.process_time() - start < 1
+        assert got == min(points, key=lambda p: (vec_norm_sq(vec_sub(p, target)), p))
+
+    def test_dim4(self):
+        anchor = M([[1, 1, 0, 0], [0, 2, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1]])
+        quotient = M([[3, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 1], [1, 0, 0, 2]])
+        reg = FpdUnionRegion(anchor=anchor, quotient=quotient)
+        target = vec_add(reg.centroid(), (Fraction(3, 2), -2, Fraction(1, 3), 1))
+        points = members(reg)
+        assert len(points) == reg.size
+        start = time.process_time()
+        got = nearest_region_point(reg, target)
+        assert time.process_time() - start < 1
+        assert got == min(points, key=lambda p: (vec_norm_sq(vec_sub(p, target)), p))

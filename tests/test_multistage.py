@@ -7,7 +7,7 @@ import pytest
 from mdcrt.crt_core import congruence_of, crt_solve, lcrm_many
 from mdcrt.errors import CoverageIncomplete, DuplicateOutput, GroupConditionFailed
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_add, vec_norm_sq, vec_sub
-from mdcrt.lattice import LatticeBasis, enumerate_fpd, reduce_mod, shortest_vector
+from mdcrt.lattice import LatticeBasis, reduce_mod, shortest_vector
 from mdcrt.multistage import (
     build_plan,
     check_group_condition,
@@ -15,7 +15,7 @@ from mdcrt.multistage import (
     multistage_reconstruct,
 )
 from mdcrt.robust import build_instance, robust_reconstruct
-from conftest import random_matrix, random_unimodular
+from conftest import enumerate_fpd, random_matrix, random_unimodular
 
 M = IntMatrix.from_rows
 G1 = M([[22, -17], [17, 22]])

@@ -5,19 +5,14 @@ import pytest
 
 from mdcrt.errors import DuplicateModuli, NotAnLcrm
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_add, vec_norm_sq, vec_sub
-from mdcrt.lattice import (
-    FpdSampler,
-    LatticeBasis,
-    enumerate_fpd,
-    reduce_mod,
-    shortest_vector,
-)
+from mdcrt.crt_core import gcld
+from mdcrt.lattice import FpdSampler, LatticeBasis, reduce_mod, shortest_vector
 from mdcrt.robust import (
     build_instance,
     robust_reconstruct,
     robustly_determinable_region,
 )
-from conftest import random_matrix
+from conftest import enumerate_fpd, random_matrix
 
 M = IntMatrix.from_rows
 G1 = M([[22, -17], [17, 22]])
@@ -62,11 +57,15 @@ class TestBuildInstance:
         assert inst.tau_bound_sq == Fraction(1, 16)
 
     def test_motivating_group(self):
-        inst = build_instance([G1, G1 @ A1, G1 @ A2])
+        moduli = [G1, G1 @ A1, G1 @ A2]
+        inst = build_instance(moduli)
         canon = hnf(G1)
         for i in range(3):
             for j in range(i + 1, 3):
-                assert inst.gcld_of(i, j) == canon
+                assert gcld(moduli[i], moduli[j]) == canon
+        for j, lattice in inst.anchor_lattices.items():
+            assert lattice.basis == gcld(moduli[inst.anchor], moduli[j]) == canon
+        assert set(inst.anchor_lattices) == {0, 1, 2} - {inst.anchor}
         assert inst.tau_bound_sq == Fraction(773, 16)
 
     def test_two_stage_family_anchor(self):

@@ -7,12 +7,12 @@ from mdcrt.exact_linalg import IntMatrix
 from mdcrt.lattice import LatticeBasis, shortest_vector
 from mdcrt.svp_search import (
     best_diagonal_svp,
-    hnf_lattice_matrix,
     is_prime,
     mod_inverse,
     primes_below,
     search_max_svp,
 )
+from conftest import hnf_lattice_matrix
 
 
 class TestModInverse:
