@@ -158,13 +158,6 @@ class IntMatrix:
     def adj(self) -> "IntMatrix":
         return adjugate(self)
 
-    def inverse_apply(self, v: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        """Exact ``m^{-1} v`` as a tuple of Fractions."""
-        d = self.det
-        if d == 0:
-            raise SingularMatrix("cannot invert a singular matrix")
-        return tuple(Fraction(x, d) if isinstance(x, int) else x / d for x in self.adj.apply(v))
-
     def is_diagonal(self) -> bool:
         return all(x == 0 for i, r in enumerate(self.rows) for j, x in enumerate(r) if i != j)
 

@@ -1,8 +1,9 @@
 """Lattice geometry: modular reduction, fundamental parallelepipeds, exact
 shortest/closest vector computation, and unions of shifted parallelepipeds.
 
-All lengths are handled as exact squared norms (integers or Fractions);
-square roots appear only in display code elsewhere. Nothing here lists the
+All lengths are handled as exact squared norms; SVP/CVP search a quadratic
+form scaled to integers, so neither builds a Fraction, and square roots
+appear only in display code elsewhere. Nothing here lists the
 points of a parallelepiped: ``FpdSampler`` addresses them by index, and a
 union of shifted parallelepipeds is stored as its anchor and quotient
 matrix, with closed-form size, centroid, membership test and i-th shift.
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .errors import DimensionUnsupported, SingularMatrix
+from .errors import DimensionMismatch, DimensionUnsupported, SingularMatrix
 from .exact_linalg import (
     IntMatrix,
     IntVec,
@@ -110,7 +111,8 @@ def _lagrange_gauss(b1: IntVec, b2: IntVec) -> tuple[IntVec, IntVec]:
 @dataclass(frozen=True)
 class LatticeBasis:
     """Nonsingular integer basis with, for D = 2, a cached
-    Lagrange-Gauss-reduced basis, and the LDL factors that SVP/CVP search."""
+    Lagrange-Gauss-reduced basis, and the cached integer form that SVP/CVP
+    search: the reduced basis when there is one, else ``basis`` itself."""
 
     basis: IntMatrix
 
@@ -130,80 +132,80 @@ class LatticeBasis:
         return IntMatrix.from_columns([b1, b2])
 
     @cached_property
-    def _enum_basis(self) -> IntMatrix:
-        return self.reduced if self.reduced is not None else self.basis
-
-    @cached_property
-    def _ldl(self) -> tuple[list[Fraction], list[list[Fraction]]]:
-        b = self._enum_basis
-        return _ldl_decompose((b.transpose() @ b).rows)
-
-
-def _ldl_decompose(gram_rows) -> tuple[list[Fraction], list[list[Fraction]]]:
-    n = len(gram_rows)
-    d: list[Fraction] = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        di = Fraction(gram_rows[i][i])
-        for k in range(i):
-            di -= d[k] * mu[k][i] * mu[k][i]
-        if di <= 0:
-            raise SingularMatrix("Gram matrix is not positive definite")
-        d.append(di)
-        for j in range(i + 1, n):
-            gij = Fraction(gram_rows[i][j])
-            for k in range(i):
-                gij -= d[k] * mu[k][i] * mu[k][j]
-            mu[i][j] = gij / di
-    return d, mu
+    def _form(self) -> tuple:
+        """``(B, |det B| B^{-1}, |det B|, delta, m, weight)`` for the search
+        basis B (the reduced one when there is one): the fraction-free LDL
+        of ``B^T B`` (Bareiss 1968) that ``_enum_best`` describes."""
+        b = self.reduced if self.reduced is not None else self.basis
+        n = b.dim
+        a = [list(r) for r in (b.transpose() @ b).rows]
+        prev = 1
+        for k in range(n):  # row k keeps its values from step k - 1: m[k]
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+            prev = a[k][k]
+        delta = [1] + [a[k][k] for k in range(n)]
+        p = math.lcm(*(delta[i] * delta[i + 1] for i in range(n)))
+        weight = [p // (delta[i] * delta[i + 1]) for i in range(n)]
+        return b, (b.adj if b.det > 0 else -b.adj), abs(b.det), delta, a, weight
 
 
 # ---------------------------------------------------------------------------
 # exact SVP / CVP by depth-first enumeration of the LDL quadratic form
 
-def _enum_best(
-    basis: IntMatrix,
-    d: list[Fraction],
-    mu: list[list[Fraction]],
-    x: Sequence[Fraction],
-    skip_zero: bool,
-) -> tuple[Fraction, IntVec]:
-    """Minimize ||B c - B x||^2 over integer c (c != 0 when skip_zero).
+def _enum_best(form: tuple, x: Sequence[int], s: int, skip_zero: bool) -> IntVec:
+    """Minimize ||B c - B x / s||^2 over integer c (c != 0 when skip_zero),
+    for an integer vector x and s > 0.
 
     Schnorr-Euchner depth-first search from level n - 1 down to level 0.
     Each level tries coefficients from the rounded center upward, then from
     one below it downward, so the first descent is the Babai point and sets
     the bound (when that leaf is the skipped zero, the level-0 loop moves on
     to the next coefficient). Pruning is strict, so every vector tying the
-    minimum is visited. Returns (min squared value, B @ c) with ties broken
-    by the lexicographically smallest resulting vector.
+    minimum is visited. Returns B @ c for the minimum, ties broken by the
+    lexicographically smallest resulting vector.
+
+    Everything is an integer. With ``delta[k]`` the k-th leading principal
+    minor of ``G = B^T B`` (``delta[0] = 1``), the LDL pivots of G are
+    ``delta[i + 1] / delta[i]`` and ``m[i][j] = mu_ij * delta[i + 1]`` is an
+    integer. Level i's center is ``N_i / den_i`` with
+    ``den_i = s * delta[i + 1]`` and
+    ``N_i = delta[i + 1] * x_i - sum_{j > i} m[i][j] * (s c_j - x_j)``,
+    rounded as ``(2 N_i + den_i) // (2 den_i)``. With P the lcm of the
+    ``delta[i] * delta[i + 1]`` and ``weight[i] = P / (delta[i] delta[i + 1])``,
+    the search minimizes ``P s^2 ||B c - B x / s||^2``, which is
+    ``sum_i weight[i] * (c_i den_i - N_i)^2``.
 
     The search is one loop over explicit per-level state: level i holds its
-    center, the rounded center, the current direction (+1, then -1), and
-    ``partial[i + 1]``, the quadratic form summed over the levels above it.
+    center numerator, the rounded center, the current direction (+1, then
+    -1), and ``partial[i + 1]``, the scaled form summed over the levels above it.
     """
-    n = len(d)
-    best_q: Fraction | None = None
+    basis, _, _, delta, m, weight = form
+    n = len(weight)
+    den = [s * delta[i + 1] for i in range(n)]
+    best_q: int | None = None
     best_v: IntVec | None = None
     c = [0] * n
-    z = [Fraction(0)] * n  # z[i] = c[i] - x[i] for the levels above the current one
-    center = [Fraction(0)] * n
+    z = [0] * n  # z[i] = s c[i] - x[i] for the levels above the current one
+    center = [0] * n
     base = [0] * n
     direction = [1] * n
-    partial = [Fraction(0)] * (n + 1)
+    partial = [0] * (n + 1)
 
     i = n - 1
     entering = True
     while i < n:
         if entering:
-            s = x[i]
+            t = delta[i + 1] * x[i]
+            row = m[i]
             for j in range(i + 1, n):
-                s -= mu[i][j] * z[j]
-            center[i] = s
-            base[i] = c[i] = math.floor(s + Fraction(1, 2))
+                t -= row[j] * z[j]
+            center[i] = t
+            base[i] = c[i] = (2 * t + den[i]) // (2 * den[i])
             direction[i] = 1
-        w = c[i] - center[i]
-        total = partial[i + 1] + d[i] * w * w
+        e = c[i] * den[i] - center[i]
+        total = partial[i + 1] + weight[i] * e * e
         if best_q is not None and total > best_q:
             entering = False
             if direction[i] == 1:
@@ -215,7 +217,7 @@ def _enum_best(
                     c[i] += direction[i]
             continue
         if i > 0:
-            z[i] = c[i] - x[i]
+            z[i] = s * c[i] - x[i]
             partial[i] = total
             i -= 1
             entering = True
@@ -226,8 +228,8 @@ def _enum_best(
                 best_q, best_v = total, v
         c[0] += direction[0]
         entering = False
-    assert best_q is not None and best_v is not None
-    return best_q, best_v
+    assert best_v is not None
+    return best_v
 
 
 def shortest_vector(l: LatticeBasis) -> tuple[int, IntVec]:
@@ -242,11 +244,8 @@ def shortest_vector(l: LatticeBasis) -> tuple[int, IntVec]:
         b1 = l.reduced.column(0)
         lsq = vec_norm_sq(b1)
         return lsq, min(b1, vec_scale(-1, b1))
-    d, mu = l._ldl
-    x = [Fraction(0)] * n
-    q, v = _enum_best(l._enum_basis, d, mu, x, skip_zero=True)
-    assert q.denominator == 1
-    return int(q), v
+    v = _enum_best(l._form, [0] * n, 1, skip_zero=True)
+    return vec_norm_sq(v), v
 
 
 def closest_vector(l: LatticeBasis, target: Sequence[Scalar]) -> IntVec:
@@ -258,12 +257,11 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar]) -> IntVec:
     if n > MAX_DIM:
         raise DimensionUnsupported(f"closest_vector supports dim <= {MAX_DIM}, got {n}")
     if len(target) != n:
-        raise DimensionUnsupported("target dimension mismatch")
-    b = l._enum_basis
-    x = b.inverse_apply(target)
-    d, mu = l._ldl
-    _, v = _enum_best(b, d, mu, x, skip_zero=False)
-    return v
+        raise DimensionMismatch(f"target has length {len(target)}, the lattice is {n}-dimensional")
+    _, inv, det, *_ = form = l._form
+    q = math.lcm(*(t.denominator for t in target))
+    x = inv.apply([t.numerator * (q // t.denominator) for t in target])
+    return _enum_best(form, x, det * q, skip_zero=False)
 
 
 # ---------------------------------------------------------------------------

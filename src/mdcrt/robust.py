@@ -6,17 +6,21 @@ snaps remainder differences onto those gcld lattices by exact closest-vector
 computation, solves the resulting error-free congruence system, and averages.
 
 Remainders may carry exact rational entries: later stages of the multi-stage
-scheme feed averaged estimates back in without rounding.
+scheme feed averaged estimates back in without rounding. Reconstruction
+scales them once to integer vectors over their common denominator T, so the
+differences, folds and sums are integers and each estimate coordinate is one
+``Fraction`` built at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .crt_core import Congruence, crt_solve, gcld, lcrm_many
-from .errors import DimensionUnsupported, DuplicateModuli, NotAnLcrm
+from .errors import DimensionMismatch, DimensionUnsupported, DuplicateModuli, NotAnLcrm
 from .exact_linalg import IntMatrix, IntVec, Scalar, vec_sub
 from .lattice import (
     MAX_DIM,
@@ -114,22 +118,32 @@ def robust_reconstruct(
 
     Snap each remainder difference onto its gcld lattice (exact CVP), solve
     the congruence system for the anchor fold inside N(R), recover the other
-    folds, and average. ``designated_lcrm`` picks which lcrm representative R
-    the anchor fold is reduced into; by default it stays in N(instance.lcrm),
-    the HNF-normalized one that ``crt_solve`` reduces into.
+    folds, and average: the estimate is ``(T * sum of folds + sum of the
+    T * remainders) / (n T)`` for the remainders' common denominator T.
+    ``designated_lcrm`` picks which lcrm representative R the anchor fold is
+    reduced into; by default it stays in N(instance.lcrm), the
+    HNF-normalized one that ``crt_solve`` reduces into.
     Raises Inconsistent when the snapped values are incompatible, which
     callers treat as a failed trial.
     """
     l0 = instance.anchor
-    if len(noisy_remainders) != instance.count:
+    n = instance.count
+    if len(noisy_remainders) != n:
         raise ValueError("one remainder per modulus required")
-    r0 = noisy_remainders[l0]
+    if any(len(r) != instance.dim for r in noisy_remainders):
+        lengths = [len(r) for r in noisy_remainders]
+        raise DimensionMismatch(f"remainders must have length {instance.dim}, got lengths {lengths}")
+    # every remainder as an integer vector over one denominator t
+    t = math.lcm(*(x.denominator for r in noisy_remainders for x in r))
+    scaled = [tuple(x.numerator * (t // x.denominator) for x in r) for r in noisy_remainders]
 
     snapped: dict[int, IntVec] = {}
-    for j in range(instance.count):
+    for j in range(n):
         if j == l0:
             continue
-        diff = vec_sub(noisy_remainders[j], r0)
+        diff = vec_sub(scaled[j], scaled[l0])
+        if t > 1:
+            diff = tuple(Fraction(x, t) for x in diff)
         snapped[j] = closest_vector(instance.anchor_lattices[j], diff)
 
     congruences = []
@@ -140,14 +154,9 @@ def robust_reconstruct(
     if designated_lcrm is not None:
         anchor_fold = reduce_mod(anchor_fold, designated_lcrm)[1]
 
-    folds = tuple(
-        anchor_fold if j == l0 else vec_sub(anchor_fold, snapped[j])
-        for j in range(instance.count)
-    )
-    n = instance.count
+    folds = tuple(anchor_fold if j == l0 else vec_sub(anchor_fold, snapped[j]) for j in range(n))
     estimate = tuple(
-        Fraction(sum(fold[k] for fold in folds)) / n
-        + Fraction(sum(rem[k] for rem in noisy_remainders)) / n
+        Fraction(t * sum(fold[k] for fold in folds) + sum(r[k] for r in scaled), n * t)
         for k in range(instance.dim)
     )
     return RobustOutput(estimate=estimate, folds=folds)

@@ -53,6 +53,18 @@ def square_matrices(dim: int, bound: int):
     return st.lists(row, min_size=dim, max_size=dim).map(IntMatrix.from_rows)
 
 
+# configs/fig3.cfg: six moduli in two groups of three sharing the left
+# factors [[22,-17],[17,22]] and [[22,17],[-17,22]], and its two-stage grouping
+FIG3_MODULI = tuple(
+    IntMatrix.from_rows(m)
+    for m in (
+        [[22, -17], [17, 22]], [[335, -272], [294, 352]], [[352, -250], [272, 369]],
+        [[22, 17], [-17, 22]], [[545, 408], [-386, 528]], [[528, 430], [-408, 511]],
+    )
+)
+FIG3_GROUPING = [[[0, 1, 2], [3, 4, 5]]]
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0x5EED)

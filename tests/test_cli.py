@@ -221,6 +221,19 @@ class TestReconstructionCommands:
         assert "# single: f = [" in err
         assert out.startswith("tau,mean_error")
 
+    @pytest.mark.parametrize("command", ["robust", "multistage"])
+    @pytest.mark.parametrize(
+        "remainders",
+        [["[1,2,3]"] * 6, ["[1,2]", "[1,2]", "[1]", "[1,2]", "[1,2]", "[1,2]"]],
+        ids=["all-3-vectors", "one-1-vector"],
+    )
+    def test_wrong_length_remainders_exit_2(self, capsys, command, remainders):
+        rc, out, err = run(capsys, command, "configs/fig3.cfg", "--remainders", *remainders)
+        assert rc == 2
+        assert out == ""
+        assert "error: remainders must have length 2" in err
+        assert "zip()" not in err and "capability" not in err
+
 
 class TestCountValidation:
     def write_cfg(self, tmp_path, trials=2):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mdcrt.errors import DimensionUnsupported, SingularMatrix
+from mdcrt.errors import DimensionMismatch, DimensionUnsupported, SingularMatrix
 from mdcrt.exact_linalg import IntMatrix, snf, vec_add, vec_dot, vec_norm_sq, vec_sub
 from mdcrt.lattice import (
     FpdSampler,
@@ -19,7 +19,11 @@ from mdcrt.lattice import (
     reduce_mod,
     shortest_vector,
 )
+from mdcrt.multistage import build_plan
+from mdcrt.robust import robust_reconstruct
 from conftest import (
+    FIG3_GROUPING,
+    FIG3_MODULI,
     brute_closest_vectors,
     brute_fpd,
     brute_shortest_sq_sound,
@@ -30,6 +34,16 @@ from conftest import (
 
 M = IntMatrix.from_rows
 M1 = M([[3, 1], [2, 2]])
+
+
+@st.composite
+def bases_and_targets(draw):
+    """A nonsingular D = 2, 3 or 4 basis and a target whose entries share a
+    denominator in {1, 2, 3, 9}."""
+    dim = draw(st.sampled_from([2, 3, 4]))
+    m = draw(square_matrices(dim, 5 if dim == 2 else 3).filter(lambda m: m.det != 0))
+    den = draw(st.sampled_from([1, 2, 3, 9]))
+    return m, tuple(Fraction(draw(st.integers(-60, 60)), den) for _ in range(dim))
 
 
 class TestReduceMod:
@@ -247,19 +261,58 @@ class TestClosestVector:
                 assert vec_norm_sq(vec_sub(got, t)) == best
 
     def test_no_reference_cycles(self):
-        # the search keeps its state in plain lists, so a call leaves nothing
-        # that only the cyclic collector can free
+        # the search keeps its state in plain lists and caches its integer form
+        # on the basis object, so a call leaves nothing that only the cyclic
+        # collector can free: CVP on thirds, SVP in D = 3 on fresh bases, and
+        # a whole reconstruction on stage-2-style (thirds) remainders
         l = LatticeBasis(M([[22, -17], [17, 22]]))
         targets = [(Fraction(7 * i, 3), Fraction(-5 * i, 3)) for i in range(100)]
-        closest_vector(l, targets[0])
-        gc.collect()
-        gc.disable()
-        try:
-            for t in targets:
-                closest_vector(l, t)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        gen = random.Random(3)
+        bases = [LatticeBasis(random_matrix(gen, 3, bound=6)) for _ in range(100)]
+        plan = build_plan(FIG3_MODULI, FIG3_GROUPING)
+        inst = plan.final_instance
+        f = (891008, 895360)
+        noisy = [
+            [tuple(x + Fraction(gen.randint(-20, 20), 3) for x in reduce_mod(f, m)[1]) for m in inst.moduli]
+            for _ in range(100)
+        ]
+        rounds = [
+            lambda i: closest_vector(l, targets[i]),
+            lambda i: shortest_vector(bases[i]),
+            lambda i: robust_reconstruct(inst, noisy[i]),
+        ]
+        for call in rounds:
+            call(0)
+            gc.collect()
+            gc.disable()
+            try:
+                for i in range(100):
+                    call(i)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+
+    @settings(max_examples=80, deadline=None)
+    @given(bases_and_targets())
+    # ties: (1, 0) is equidistant from (0, 0) and (2, 0), the cube center from
+    # eight corners, and the D = 4 target from four lattice vectors
+    @example((IntMatrix.diag(2, 2), (1, 0)))
+    @example((IntMatrix.identity(3), (Fraction(1, 2),) * 3))
+    @example((M([[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [1, 1, 1, 9]]), (Fraction(3, 2),) * 4))
+    def test_matches_oracle(self, case):
+        # the integer-scaled search against exhaustive CVP: the minimum and
+        # the lexicographically smallest of the vectors that reach it
+        m, t = case
+        oracle = brute_closest_vectors(m, t, skip_above=5_000)
+        assume(oracle is not None)
+        best, winners = oracle
+        got = closest_vector(LatticeBasis(m), t)
+        assert vec_norm_sq(vec_sub(got, t)) == best
+        assert got == min(winners)
+
+    def test_target_length_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="2-dimensional"):
+            closest_vector(LatticeBasis(M1), (1, 2, 3))
 
     def test_rational_target(self):
         l = LatticeBasis(IntMatrix.diag(3, 3))

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from mdcrt.errors import DuplicateModuli, NotAnLcrm
+from mdcrt.errors import DimensionMismatch, DuplicateModuli, Inconsistent, NotAnLcrm
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_add, vec_norm_sq, vec_sub
 from mdcrt.crt_core import gcld
 from mdcrt.lattice import FpdSampler, LatticeBasis, reduce_mod, shortest_vector
+from mdcrt.multistage import build_plan
 from mdcrt.robust import (
     build_instance,
     robust_reconstruct,
     robustly_determinable_region,
 )
-from conftest import enumerate_fpd, random_matrix
+from conftest import FIG3_GROUPING, FIG3_MODULI, enumerate_fpd, random_matrix
 
 M = IntMatrix.from_rows
 G1 = M([[22, -17], [17, 22]])
@@ -157,6 +158,46 @@ class TestReconstruct:
             scaled = build_instance([perm @ m for m in inst.moduli])
             assert scaled.anchor == inst.anchor
             assert scaled.tau_bound_sq == inst.tau_bound_sq
+
+
+class TestAveraging:
+    """The integer averaging against the Fraction formula it replaced,
+    ``sum(folds) / n + sum(remainders) / n``, from the returned folds."""
+
+    @pytest.mark.parametrize("den", [1, 3], ids=["integer", "thirds"])
+    def test_matches_fraction_formula(self, den):
+        plan = build_plan(FIG3_MODULI, FIG3_GROUPING)
+        gen = random.Random(den)
+        checked = 0
+        for grp in plan.stages[0]:
+            inst = grp.instance
+            n = inst.count
+            for _ in range(40):
+                f = tuple(gen.randint(-10**6, 10**6) for _ in range(2))
+                rems = [
+                    tuple(x + Fraction(gen.randint(-9, 9), den) for x in reduce_mod(f, m)[1])
+                    if den > 1
+                    else vec_add(reduce_mod(f, m)[1], (gen.randint(-3, 3), gen.randint(-3, 3)))
+                    for m in inst.moduli
+                ]
+                try:
+                    out = robust_reconstruct(inst, rems, designated_lcrm=grp.designated_lcrm)
+                except Inconsistent:
+                    continue
+                checked += 1
+                expected = tuple(
+                    Fraction(sum(fold[k] for fold in out.folds)) / n
+                    + Fraction(sum(r[k] for r in rems)) / n
+                    for k in range(2)
+                )
+                assert out.estimate == expected
+                assert all(type(x) is Fraction for x in out.estimate)
+        assert checked >= 60
+
+    def test_wrong_length_remainder(self):
+        inst = build_instance([G1, G1 @ A1, G1 @ A2])
+        with pytest.raises(DimensionMismatch, match="length 2"):
+            robust_reconstruct(inst, [(1, 2), (1,), (1, 2)])
 
 
 class TestRegion:
