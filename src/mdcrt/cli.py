@@ -193,20 +193,21 @@ def _cmd_svp_search(args) -> int:
     else:
         a, b = args.range
         primes = [p for p in primes_below(b) if p >= a]
+    results = [search_max_svp(p) for p in primes]  # NotPrime before any output
     print("prime,d,sqrt_d_f,floor_sqrt_p,achiever_count,first_achiever")
-    for p in primes:
-        res = search_max_svp(p)
+    for p, res in zip(primes, results):
         first = min(res.achievers)
         print(f"{p},{res.d},{res.sqrt_d:.6g},{best_diagonal_svp(p)},{len(res.achievers)},{first}")
     return 0
 
 
 def _cmd_drange(args) -> int:
+    dynamic_range = max_dynamic_range(args.q, args.dim)  # validates q and dim before any output
     cs = max_coprime_set(args.q)
     print(f"q = {cs.cap}")
     print(f"members = {list(cs.members)}")
     print(f"product = {cs.product}")
-    print(f"range = {max_dynamic_range(args.q, args.dim)}")
+    print(f"range = {dynamic_range}")
     return 0
 
 

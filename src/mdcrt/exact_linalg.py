@@ -22,6 +22,7 @@ import ast
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, RankDeficient, SingularMatrix
@@ -32,13 +33,26 @@ IntVec = tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # vectors (plain tuples)
+#
+# Every kernel that pairs two sequences checks their lengths once and then
+# runs ``map`` over them, which would otherwise stop silently at the shorter.
+
+
+def _check_lengths(a: Sequence[Scalar], b: Sequence[Scalar]) -> None:
+    if len(a) != len(b):
+        raise ValueError(f"vectors of lengths {len(a)} and {len(b)}")
+
 
 def vec_add(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    """Elementwise sum; ValueError for vectors of different lengths."""
+    _check_lengths(a, b)
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    """Elementwise difference; ValueError for vectors of different lengths."""
+    _check_lengths(a, b)
+    return tuple(map(sub, a, b))
 
 
 def vec_scale(k: Scalar, a: Sequence[Scalar]) -> tuple:
@@ -46,11 +60,13 @@ def vec_scale(k: Scalar, a: Sequence[Scalar]) -> tuple:
 
 
 def vec_dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    """Inner product; ValueError for vectors of different lengths."""
+    _check_lengths(a, b)
+    return sum(map(mul, a, b))
 
 
 def vec_norm_sq(a: Sequence[Scalar]) -> Scalar:
-    return sum(x * x for x in a)
+    return sum(map(mul, a, a))
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +142,17 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         ot = list(zip(*other.rows))
-        return IntMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.rows))
+        return IntMatrix(tuple(tuple([sum(map(mul, row, col)) for col in ot]) for row in self.rows))
 
     def apply(self, v: Sequence[Scalar]) -> tuple:
-        """Matrix-vector product; accepts integer or rational entries."""
-        if len(v) != self.ncols:
-            raise DimensionMismatch(f"{self.nrows}x{self.ncols} applied to length-{len(v)} vector")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
+        """Matrix-vector product; accepts integer or rational entries.
+
+        Raises DimensionMismatch unless ``len(v)`` equals the column count.
+        """
+        rows = self.rows
+        if len(v) != len(rows[0]):
+            raise DimensionMismatch(f"{len(rows)}x{len(rows[0])} applied to length-{len(v)} vector")
+        return tuple([sum(map(mul, row, v)) for row in rows])
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(k * x for x in r) for r in self.rows))
@@ -470,11 +490,11 @@ class DiophantineSolver:
             raise DimensionMismatch("right-hand side length must match the row count")
         y = []
         for row, lam in zip(self._u, self._diagonal):
-            q, r = divmod(sum(x * z for x, z in zip(row, b)), lam)
+            q, r = divmod(sum(map(mul, row, b)), lam)
             if r:
                 return None
             y.append(q)
-        return tuple(sum(x * z for x, z in zip(row, y)) for row in self._v)
+        return tuple([sum(map(mul, row, y)) for row in self._v])
 
 
 def solve_diophantine(a: IntMatrix, b: Sequence[int]) -> IntVec | None:

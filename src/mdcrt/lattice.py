@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch, DimensionUnsupported, SingularMatrix
@@ -44,14 +45,19 @@ MAX_DIM = 4  # exact SVP/CVP enumeration, and so robust reconstruction, stop her
 def reduce_mod(f: Sequence[int], m: IntMatrix) -> tuple[IntVec, IntVec]:
     """Split ``f = m @ quotient + remainder`` with the remainder in N(m).
 
-    The quotient is the elementwise floor of the exact rational ``m^{-1} f``.
+    The quotient is the elementwise floor of the exact rational
+    ``m^{-1} f = adj(m) f / det(m)``. Raises SingularMatrix for a singular
+    modulus and DimensionMismatch unless ``len(f)`` equals the size of m.
     """
     d = m.det
     if d == 0:
         raise SingularMatrix("modulus must be nonsingular")
-    num = m.adj.apply(f)
-    quotient = tuple(n // d for n in num)  # Python floordiv floors for either sign of d
-    remainder = vec_sub(f, m.apply(quotient))
+    rows = m.rows
+    if len(f) != len(rows):
+        raise DimensionMismatch(f"{len(rows)}x{len(rows)} modulus applied to length-{len(f)} vector")
+    # Python floordiv floors for either sign of d
+    quotient = tuple([sum(map(mul, row, f)) // d for row in m.adj.rows])
+    remainder = tuple([x - sum(map(mul, row, quotient)) for x, row in zip(f, rows)])
     return quotient, remainder
 
 

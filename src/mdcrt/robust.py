@@ -128,11 +128,12 @@ def robust_reconstruct(
     """
     l0 = instance.anchor
     n = instance.count
+    d = instance.dim
     if len(noisy_remainders) != n:
         raise ValueError("one remainder per modulus required")
-    if any(len(r) != instance.dim for r in noisy_remainders):
+    if any(len(r) != d for r in noisy_remainders):
         lengths = [len(r) for r in noisy_remainders]
-        raise DimensionMismatch(f"remainders must have length {instance.dim}, got lengths {lengths}")
+        raise DimensionMismatch(f"remainders must have length {d}, got lengths {lengths}")
     # every remainder as an integer vector over one denominator t
     t = math.lcm(*(x.denominator for r in noisy_remainders for x in r))
     scaled = [tuple(x.numerator * (t // x.denominator) for x in r) for r in noisy_remainders]
@@ -148,7 +149,7 @@ def robust_reconstruct(
 
     congruences = []
     for j, m in enumerate(instance.moduli):
-        rem = (0,) * instance.dim if j == l0 else reduce_mod(snapped[j], m)[1]
+        rem = (0,) * d if j == l0 else reduce_mod(snapped[j], m)[1]
         congruences.append(Congruence(m, rem))
     anchor_fold = crt_solve(congruences).value
     if designated_lcrm is not None:
@@ -156,8 +157,7 @@ def robust_reconstruct(
 
     folds = tuple(anchor_fold if j == l0 else vec_sub(anchor_fold, snapped[j]) for j in range(n))
     estimate = tuple(
-        Fraction(t * sum(fold[k] for fold in folds) + sum(r[k] for r in scaled), n * t)
-        for k in range(instance.dim)
+        [Fraction(t * sum(fk) + sum(rk), n * t) for fk, rk in zip(zip(*folds), zip(*scaled))]
     )
     return RobustOutput(estimate=estimate, folds=folds)
 

@@ -264,6 +264,24 @@ def _left_divides(g: IntMatrix, m: IntMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# oracle: exact rational solve by Gauss-Jordan elimination (no adjugate)
+
+
+def rational_solve(m: IntMatrix, f) -> list[Fraction]:
+    """The rational x with ``m x = f`` for a nonsingular square m."""
+    n = len(m.rows)
+    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(m.rows, f, strict=True)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k] != 0)
+        a[k], a[p] = a[p], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                a[i] = [x - a[i][k] * y for x, y in zip(a[i], a[k])]
+    return [row[n] for row in a]
+
+
+# ---------------------------------------------------------------------------
 # oracle: fundamental parallelepiped by scanning its bounding box (no SNF)
 
 

@@ -101,6 +101,21 @@ class TestSearchCommands:
         assert "product = 2520" in out
         assert "range = 6350400" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("drange", "--q", "5", "--dim", "0"),
+            ("drange", "--q", "0"),
+            ("svp-search", "--prime", "4"),
+            ("svp-search", "--prime", "1"),
+        ],
+    )
+    def test_bad_input_prints_nothing(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestConfigs:
     def test_shipped_configs_round_trip(self):

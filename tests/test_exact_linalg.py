@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdcrt.errors import DimensionMismatch, RankDeficient, SingularMatrix
 from mdcrt.exact_linalg import (
+    DiophantineSolver,
     IntMatrix,
     adjugate,
     det,
@@ -13,7 +14,10 @@ from mdcrt.exact_linalg import (
     parse_vector,
     snf,
     solve_diophantine,
+    vec_add,
+    vec_sub,
 )
+from mdcrt.lattice import reduce_mod
 from conftest import random_matrix, random_unimodular
 
 M = IntMatrix.from_rows
@@ -218,6 +222,34 @@ class TestSolveDiophantine:
                                 if block.apply((c0, c1, c2, c3)) == rhs:
                                     found = True
                 assert not found
+
+
+BLOCK = M([[3, 1, -2, -2], [2, 2, -1, -3]])
+
+
+class TestLengthChecks:
+    """Every kernel that maps over two sequences rejects unequal lengths
+    instead of stopping at the shorter one."""
+
+    @pytest.mark.parametrize("short", [True, False], ids=["short", "long"])
+    @pytest.mark.parametrize(
+        "kernel, length, error",
+        [
+            (lambda v: reduce_mod(v, M([[3, 1], [2, 2]])), 2, DimensionMismatch),
+            (lambda v: M([[3, 1], [2, 2]]).apply(v), 2, DimensionMismatch),
+            (lambda v: BLOCK.apply(v), 4, DimensionMismatch),
+            (lambda v: DiophantineSolver(BLOCK).solve(v), 2, DimensionMismatch),
+            (lambda v: vec_add((1, 2, 3), v), 3, ValueError),
+            (lambda v: vec_add(v, (1, 2, 3)), 3, ValueError),
+            (lambda v: vec_sub((1, 2, 3), v), 3, ValueError),
+            (lambda v: vec_sub(v, (1, 2, 3)), 3, ValueError),
+        ],
+        ids=["reduce_mod", "apply", "apply_block", "solve", "add_left", "add_right", "sub_left", "sub_right"],
+    )
+    def test_wrong_length_raises(self, kernel, length, error, short):
+        v = tuple(range(1, length)) if short else tuple(range(1, length + 2))
+        with pytest.raises(error):
+            kernel(v)
 
 
 class TestTextForm:

@@ -29,6 +29,7 @@ from conftest import (
     brute_shortest_sq_sound,
     enumerate_fpd,
     random_matrix,
+    rational_solve,
     square_matrices,
 )
 
@@ -44,6 +45,15 @@ def bases_and_targets(draw):
     m = draw(square_matrices(dim, 5 if dim == 2 else 3).filter(lambda m: m.det != 0))
     den = draw(st.sampled_from([1, 2, 3, 9]))
     return m, tuple(Fraction(draw(st.integers(-60, 60)), den) for _ in range(dim))
+
+
+@st.composite
+def moduli_and_vectors(draw):
+    """A nonsingular D = 1..4 modulus (either sign of determinant) and a
+    vector with entries up to 10^6 in absolute value."""
+    dim = draw(st.integers(1, 4))
+    m = draw(square_matrices(dim, 9 if dim <= 2 else 4).filter(lambda m: m.det != 0))
+    return m, tuple(draw(st.lists(st.integers(-(10**6), 10**6), min_size=dim, max_size=dim)))
 
 
 class TestReduceMod:
@@ -84,6 +94,19 @@ class TestReduceMod:
     def test_singular(self):
         with pytest.raises(SingularMatrix):
             reduce_mod((1, 1), M([[1, 2], [2, 4]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=moduli_and_vectors())
+    @example(case=(M([[-3]]), (10**6,)))
+    @example(case=(M([[0, 1], [1, 0]]), (-(10**6), 10**6)))
+    @example(case=(M([[2, 1], [1, -3]]), (-999_999, 7)))
+    @example(case=(M([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]]), (1, -1, 10**6, -(10**6))))
+    def test_matches_rational_floor(self, case):
+        m, f = case
+        q, r = reduce_mod(f, m)
+        assert q == tuple(math.floor(x) for x in rational_solve(m, f))
+        assert vec_add(m.apply(q), r) == f
+        assert reduce_mod(r, m) == ((0,) * len(f), r)
 
 
 class TestEnumerateFpd:
