@@ -7,6 +7,10 @@ simulate. Exit codes: 0 success, 2 parse or configuration error (including
 
 Decision-bearing numbers are printed exactly (integers, fractions); float
 columns are display-only and suffixed ``_f``.
+
+``robust`` and ``multistage`` both run ``build_plan`` ->
+``multistage_reconstruct`` -> ``final_region``: ``robust`` on the zero-stage
+plan, ``multistage`` on the config's grouping.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from .crt_core import congruence_of, crt_solve, gcld, lcrm_many
 from .drange import max_coprime_set, max_dynamic_range
 from .errors import ConfigInvalid, DimensionUnsupported, Inconsistent, MdcrtError
 from .exact_linalg import format_vector, hnf, parse_matrix, parse_vector, snf
-from .multistage import build_plan, final_region, multistage_reconstruct
-from .robust import build_instance, robust_reconstruct, robustly_determinable_region
+from .multistage import GroupingPlan, build_plan, final_region, multistage_reconstruct
 from .simkit import (
     SweepConfig,
     raw_csv_lines,
@@ -133,50 +136,49 @@ def _emit_sweeps(cfg: ExperimentConfig, sweeps: list[SweepConfig], args) -> int:
     return 0
 
 
-def _single_shot_robust(cfg: ExperimentConfig, remainders: list[str]) -> int:
-    inst = build_instance(cfg.moduli)
-    rems = [parse_vector(r) for r in remainders]
-    out = robust_reconstruct(inst, rems)
-    print(f"anchor = {inst.anchor}")
-    print(f"tau_bound_sq = {inst.tau_bound_sq}")
-    print(f"tau_bound_f = {_sqrt_str(inst.tau_bound_sq)}")
-    print(f"estimate = ({','.join(str(x) for x in out.estimate)})")
-    print(f"estimate_f = ({','.join(f'{float(x):.6g}' for x in out.estimate)})")
-    print(f"region_size = {robustly_determinable_region(inst, inst.lcrm).size}")
-    return 0
+def _bound_str(sq: Fraction | None) -> str:
+    return "inf" if sq is None else str(sq)
 
 
-def _single_shot_multistage(cfg: ExperimentConfig, remainders: list[str]) -> int:
-    if cfg.grouping is None:
-        raise ConfigInvalid("multistage needs a 'grouping' in the config")
-    plan = build_plan(cfg.moduli, cfg.grouping)
-    rems = [parse_vector(r) for r in remainders]
-    out = multistage_reconstruct(plan, rems)
-    bounds = ",".join(
-        str(b.tau_max_sq) if b.tau_max_sq is not None else "inf" for b in plan.per_group_bounds
-    )
-    print(f"final_anchor = {plan.final_anchor}")
-    print(f"per_group_bounds_sq = [{bounds}]")
-    delta = plan.delta_final_sq
-    print(f"delta_final_sq = {delta if delta is not None else 'inf'}")
-    print(f"estimate = ({','.join(str(x) for x in out.estimate)})")
-    print(f"estimate_f = ({','.join(f'{float(x):.6g}' for x in out.estimate)})")
-    print(f"region_size = {final_region(plan).size}")
+def _single_shot(plan: GroupingPlan, remainders: list[str], header: list[str]) -> int:
+    """Reconstruct one set of remainders through ``plan``; print ``header``,
+    the estimate and the final region's size, or nothing if a step fails."""
+    est = multistage_reconstruct(plan, [parse_vector(r) for r in remainders]).estimate
+    print("\n".join(header + [
+        f"estimate = ({','.join(str(x) for x in est)})",
+        f"estimate_f = ({','.join(f'{float(x):.6g}' for x in est)})",
+        f"region_size = {final_region(plan).size}",
+    ]))
     return 0
 
 
 def _cmd_robust(args) -> int:
     cfg = load_config(args.config)
-    if args.remainders:
-        return _single_shot_robust(cfg, args.remainders)
-    return _emit_sweeps(cfg, _sweep_configs(cfg, args.trials, only="single"), args)
+    if not args.remainders:
+        return _emit_sweeps(cfg, _sweep_configs(cfg, args.trials, only="single"), args)
+    plan = build_plan(cfg.moduli, ())
+    inst = plan.final.instance
+    return _single_shot(plan, args.remainders, [
+        f"anchor = {inst.anchor}",
+        f"tau_bound_sq = {inst.tau_bound_sq}",
+        f"tau_bound_f = {_sqrt_str(inst.tau_bound_sq)}",
+    ])
 
 
 def _cmd_multistage(args) -> int:
     cfg = load_config(args.config)
-    if args.remainders:
-        return _single_shot_multistage(cfg, args.remainders)
-    return _emit_sweeps(cfg, _sweep_configs(cfg, args.trials, only="multistage"), args)
+    if not args.remainders:
+        return _emit_sweeps(cfg, _sweep_configs(cfg, args.trials, only="multistage"), args)
+    if cfg.grouping is None:
+        raise ConfigInvalid("multistage needs a 'grouping' in the config")
+    plan = build_plan(cfg.moduli, cfg.grouping)
+    final = plan.final
+    bounds = ",".join(_bound_str(b.tau_max_sq) for b in plan.per_group_bounds)
+    return _single_shot(plan, args.remainders, [
+        f"final_anchor = {final.instance.anchor if final.instance else 0}",
+        f"per_group_bounds_sq = [{bounds}]",
+        f"delta_final_sq = {_bound_str(final.delta_sq)}",
+    ])
 
 
 def _cmd_simulate(args) -> int:

@@ -60,6 +60,15 @@ def _int_array(key: str, obj, depth: int, shape: str):
     raise ConfigInvalid(f"{key!r} must be {shape}, found {obj!r}")
 
 
+def _int_value(raw: dict[str, str], key: str, default: str) -> int:
+    """``raw[key]`` (or ``default``) read by ``int``; ConfigInvalid names ``key``."""
+    text = raw.get(key, default)
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigInvalid(f"{key!r} must be an integer, found {text!r}") from None
+
+
 def parse_config(text: str) -> ExperimentConfig:
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -105,10 +114,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if any(t < 0 for t in taus):
         raise ConfigInvalid("'tau_grid' entries must be nonnegative")
 
-    trials = int(raw.get("trials", "2000"))
+    trials = _int_value(raw, "trials", "2000")
     if trials <= 0:
         raise ConfigInvalid("'trials' must be a positive integer")
-    seed = int(raw.get("seed", "0"))
+    seed = _int_value(raw, "seed", "0")
 
     f_text = raw.get("f", "centroid")
     if f_text in ("centroid", "per-trial"):
@@ -136,7 +145,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     if cfg.grouping is not None:
         lines.append("grouping = " + _nested_str(cfg.grouping))
     lines.append("reconstructors = " + ",".join(cfg.reconstructors))
-    lines.append("tau_grid = [" + ",".join(_tau_str(t) for t in cfg.taus) + "]")
+    lines.append("tau_grid = [" + ",".join(str(t) for t in cfg.taus) + "]")
     lines.append(f"trials = {cfg.trials}")
     lines.append(f"seed = {cfg.seed}")
     if cfg.f_mode == "explicit":
@@ -146,10 +155,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     if cfg.out is not None:
         lines.append(f"out = {cfg.out}")
     return "\n".join(lines) + "\n"
-
-
-def _tau_str(t: Fraction) -> str:
-    return str(t.numerator) if t.denominator == 1 else str(t)
 
 
 def _nested_str(obj) -> str:

@@ -1,17 +1,19 @@
 """Multi-stage robust reconstruction.
 
-Moduli are processed in stages: within each declared group the single-stage
+A plan is a chain of stages. Within each declared group the single-stage
 scheme runs with the group's first member as anchor, and the group's lcrm is
 rebased so that the group's robustly determinable range is exactly one FPD.
 That rebasing is possible precisely when the Hermite normal form of
 ``anchor^{-1} lcrm(group)`` is diagonal, which is the admission test for a
 group. Group estimates (exact rationals, never rounded) become the next
-stage's remainders; the final stage combines the surviving lcrms with a free
-anchor choice.
+stage's remainders. The last stage of every plan is one final group that
+combines the surviving lcrms with a free anchor choice (a singleton when one
+lcrm survives). With no declared stages the final group takes the moduli
+themselves, so single-stage reconstruction is the zero-stage plan.
 
 Per-group error bounds follow the path map ``phi``: the bound of an initial
-group is the minimum of its own stage-1 bound, the bounds of every later
-group its output flows through, and the final-stage bound. Singleton groups
+group is the minimum of its own stage-1 bound and the bounds of every later
+group its output flows through, the final group included. Singleton groups
 impose no bound (represented as ``None`` for +infinity).
 """
 
@@ -29,7 +31,13 @@ from .errors import (
 )
 from .exact_linalg import IntMatrix, Scalar, hnf
 from .lattice import FpdUnionRegion
-from .robust import RobustInstance, RobustOutput, build_instance, robust_reconstruct
+from .robust import (
+    RobustInstance,
+    RobustOutput,
+    build_instance,
+    robust_reconstruct,
+    robustly_determinable_region,
+)
 
 Grouping = Sequence[Sequence[Sequence[int]]]
 
@@ -55,20 +63,13 @@ def _rebased_lcrm(anchor: IntMatrix, total: IntMatrix) -> IntMatrix | None:
 
 @dataclass(frozen=True, eq=False)
 class StageGroup:
-    """One group within a stage; the first member index is the anchor."""
+    """One group within a stage. Its anchor is ``instance.anchor``: the
+    first member in a declared group, the free choice in the final one."""
 
     member_indices: tuple[int, ...]
     designated_lcrm: IntMatrix
     delta_sq: Fraction | None  # None means +infinity (singleton group)
     instance: RobustInstance | None  # None for singletons
-
-    @property
-    def anchor_index(self) -> int:
-        return self.member_indices[0]
-
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.member_indices) == 1
 
 
 @dataclass(frozen=True)
@@ -80,34 +81,29 @@ class PerGroupBound:
 @dataclass(frozen=True, eq=False)
 class GroupingPlan:
     moduli: tuple[IntMatrix, ...]
-    stages: tuple[tuple[StageGroup, ...], ...]
-    final_inputs: tuple[IntMatrix, ...]
-    final_anchor: int
-    final_lcrm: IntMatrix
-    final_instance: RobustInstance | None  # None when a single matrix survives
-    delta_final_sq: Fraction | None
+    stages: tuple[tuple[StageGroup, ...], ...]  # the last stage is the final group alone
     phi: tuple[dict[int, frozenset[int]], ...]  # phi[s-2] maps initial group -> stage-s groups
     per_group_bounds: tuple[PerGroupBound, ...]
 
-
-def _min_bound(values: list[Fraction | None]) -> Fraction | None:
-    finite = [v for v in values if v is not None]
-    return min(finite) if finite else None
+    @property
+    def final(self) -> StageGroup:
+        return self.stages[-1][0]
 
 
 def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
     """Validate a declared grouping and precompute every stage bound.
 
-    ``grouping`` lists the non-final stages; each stage is a list of groups,
+    ``grouping`` lists the declared stages; each stage is a list of groups,
     each group a list of indices into the previous stage's outputs with the
     anchor first. Groups may overlap, but every stage must cover all of its
-    inputs. Raises GroupConditionFailed naming the offending group,
-    CoverageIncomplete, or DuplicateOutput when two group lcrms generate the
-    same lattice.
+    inputs. The plan appends the final group; with ``grouping == ()`` it is
+    the single-stage instance of ``moduli``. Raises GroupConditionFailed
+    naming the offending group, CoverageIncomplete, or DuplicateOutput when
+    two group lcrms generate the same lattice.
     """
     moduli = tuple(moduli)
-    if not grouping or not all(stage for stage in grouping):
-        raise CoverageIncomplete("grouping must declare at least one non-empty stage")
+    if not all(grouping):
+        raise CoverageIncomplete("every declared stage must have a group")
 
     stages: list[tuple[StageGroup, ...]] = []
     inputs: tuple[IntMatrix, ...] = moduli
@@ -149,46 +145,34 @@ def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
         stages.append(tuple(groups))
         inputs = outputs
 
-    if len(inputs) >= 2:
-        final_instance = build_instance(inputs)
-        final_anchor = final_instance.anchor
-        final_lcrm = final_instance.lcrm
-        delta_final_sq: Fraction | None = final_instance.tau_bound_sq
+    if len(inputs) >= 2 or not stages:
+        inst = build_instance(inputs)
+        final = StageGroup(tuple(range(len(inputs))), inst.lcrm, inst.tau_bound_sq, inst)
     else:
-        final_instance = None
-        final_anchor = 0
-        final_lcrm = inputs[0]
-        delta_final_sq = None
+        final = StageGroup((0,), inputs[0], None, None)
+    stages.append((final,))
 
     # phi: which later-stage groups consume each initial group's output
     phi: list[dict[int, frozenset[int]]] = []
     reach = {i: frozenset([i]) for i in range(len(stages[0]))}
-    for s in range(1, len(stages)):
-        step: dict[int, frozenset[int]] = {}
-        for i in reach:
-            step[i] = frozenset(
-                k for k, grp in enumerate(stages[s]) if reach[i] & set(grp.member_indices)
-            )
-        phi.append(step)
-        reach = step
+    for stage in stages[1:]:
+        reach = {
+            i: frozenset(k for k, grp in enumerate(stage) if r.intersection(grp.member_indices))
+            for i, r in reach.items()
+        }
+        phi.append(reach)
 
     bounds = []
     for i, grp in enumerate(stages[0]):
-        chain: list[Fraction | None] = [grp.delta_sq]
-        for s_idx, step in enumerate(phi):
-            for k in step[i]:
-                chain.append(stages[s_idx + 1][k].delta_sq)
-        chain.append(delta_final_sq)
-        bounds.append(PerGroupBound(group_index=i, tau_max_sq=_min_bound(chain)))
+        path = [grp.delta_sq] + [
+            stages[s][k].delta_sq for s, step in enumerate(phi, start=1) for k in step[i]
+        ]
+        finite = [d for d in path if d is not None]
+        bounds.append(PerGroupBound(group_index=i, tau_max_sq=min(finite, default=None)))
 
     return GroupingPlan(
         moduli=moduli,
         stages=tuple(stages),
-        final_inputs=inputs,
-        final_anchor=final_anchor,
-        final_lcrm=final_lcrm,
-        final_instance=final_instance,
-        delta_final_sq=delta_final_sq,
         phi=tuple(phi),
         per_group_bounds=tuple(bounds),
     )
@@ -197,32 +181,33 @@ def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
 def multistage_reconstruct(
     plan: GroupingPlan, noisy_remainders: Sequence[Sequence[Scalar]]
 ) -> RobustOutput:
-    """Run every stage and return the final averaged estimate.
+    """Run every stage and return the final group's output.
 
     Group estimates stay exact rationals between stages; singleton groups
-    pass their remainder through unchanged. Inconsistent propagates from the
-    congruence solver and marks a failed trial.
+    pass their remainder through unchanged, with no folds. Inconsistent
+    propagates from the congruence solver and marks a failed trial.
     """
     if len(noisy_remainders) != len(plan.moduli):
-        raise ValueError("one remainder per stage-1 modulus required")
-    current: list[Sequence[Scalar]] = list(noisy_remainders)
+        raise ValueError("one remainder per modulus required")
+    current: Sequence[Sequence[Scalar]] = noisy_remainders
     for stage in plan.stages:
-        nxt: list[Sequence[Scalar]] = []
+        outputs = []
         for grp in stage:
             rems = [current[i] for i in grp.member_indices]
-            if grp.is_singleton:
-                nxt.append(tuple(Fraction(x) for x in rems[0]))
+            if grp.instance is None:
+                outputs.append(RobustOutput(estimate=tuple(Fraction(x) for x in rems[0]), folds=()))
             else:
-                out = robust_reconstruct(grp.instance, rems, designated_lcrm=grp.designated_lcrm)
-                nxt.append(out.estimate)
-        current = nxt
-    if plan.final_instance is None:
-        est = tuple(Fraction(x) for x in current[0])
-        return RobustOutput(estimate=est, folds=())
-    return robust_reconstruct(plan.final_instance, current)
+                outputs.append(
+                    robust_reconstruct(grp.instance, rems, designated_lcrm=grp.designated_lcrm)
+                )
+        current = [out.estimate for out in outputs]
+    return outputs[0]
 
 
 def final_region(plan: GroupingPlan) -> FpdUnionRegion:
-    """Shifted-FPD union of the final anchor that the last stage can recover."""
-    anchor = plan.final_inputs[plan.final_anchor]
-    return FpdUnionRegion(anchor, anchor.left_quotient(plan.final_lcrm))
+    """Shifted-FPD union of the final anchor that the last stage can recover;
+    a singleton final group recovers one FPD of its lcrm."""
+    final = plan.final
+    if final.instance is None:
+        return FpdUnionRegion(final.designated_lcrm, IntMatrix.identity(final.designated_lcrm.dim))
+    return robustly_determinable_region(final.instance, final.designated_lcrm)

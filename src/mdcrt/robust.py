@@ -62,15 +62,17 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
 
     The anchor maximizes min_{j != i} lambda(L(G_{i,j})), smallest index on
     ties; pass ``anchor`` explicitly to pin it (multi-stage groups do).
+    Raises DimensionMismatch for moduli of mixed dimension and
+    DimensionUnsupported above ``lattice.MAX_DIM``.
     """
     moduli = tuple(moduli)
     if len(moduli) < 2:
         raise ValueError("a robust instance needs at least two moduli")
     d = moduli[0].dim
+    if any(m.dim != d for m in moduli):
+        raise DimensionMismatch("moduli of mixed dimension")
     if d > MAX_DIM:
         raise DimensionUnsupported(f"robust reconstruction supports dim <= {MAX_DIM}")
-    if any(m.dim != d for m in moduli):
-        raise DimensionUnsupported("moduli of mixed dimension")
     if len(set(moduli)) != len(moduli):
         raise DuplicateModuli("moduli must be distinct")
 

@@ -7,6 +7,11 @@ so serial and parallel runs produce identical output byte for byte. Within a
 trial the draw order is: the true vector f (when re-sampled per trial), then
 one error vector per modulus in modulus order.
 
+Every sweep runs one pipeline: ``build_plan`` -> ``multistage_reconstruct``,
+with f drawn from and checked against ``final_region``. The "single"
+reconstructor is the zero-stage plan (``grouping = ()``) and "multistage"
+the config's declared grouping.
+
 Each tau is reduced to its summary row where it runs, so a sweep holds one
 trial at a time unless its per-trial records are asked for (``keep_raw``).
 """
@@ -20,13 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable
 
 from .errors import ConfigInvalid, Inconsistent
 from .exact_linalg import IntMatrix, IntVec, vec_norm_sq, vec_sub
 from .lattice import nearest_region_point, reduce_mod
 from .multistage import build_plan, final_region, multistage_reconstruct
-from .robust import build_instance, robust_reconstruct, robustly_determinable_region
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -207,27 +210,23 @@ class SweepSummary:
 
 
 class _Machinery:
-    """What a sweep config fixes, built once per config: the reconstructor,
-    the region that f is picked from and checked against, and the fixed
-    true vector ``f`` (None in per-trial mode) with its remainders.
+    """What a sweep config fixes, built once per config: the plan, the
+    region that f is picked from and checked against, and the fixed true
+    vector ``f`` (None in per-trial mode) with its remainders.
 
     An explicit f is validated for region membership by exact arithmetic;
     the centroid rule picks the region point nearest the continuous centroid.
     """
 
     def __init__(self, cfg: SweepConfig):
-        if cfg.reconstructor == "single":
-            inst = build_instance(cfg.moduli)
-            self.reconstruct: Callable = lambda noisy: robust_reconstruct(inst, noisy)
-            self.region = robustly_determinable_region(inst, inst.lcrm)
-        elif cfg.reconstructor == "multistage":
-            if cfg.grouping is None:
-                raise ConfigInvalid("multistage reconstructor requires a grouping")
-            plan = build_plan(cfg.moduli, cfg.grouping)
-            self.reconstruct = lambda noisy: multistage_reconstruct(plan, noisy)
-            self.region = final_region(plan)
-        else:
+        groupings = {"single": (), "multistage": cfg.grouping}
+        if cfg.reconstructor not in groupings:
             raise ConfigInvalid(f"unknown reconstructor {cfg.reconstructor!r}")
+        grouping = groupings[cfg.reconstructor]
+        if grouping is None:
+            raise ConfigInvalid("multistage reconstructor requires a grouping")
+        self.plan = build_plan(cfg.moduli, grouping)
+        self.region = final_region(self.plan)
 
         if cfg.f_mode == "explicit":
             if cfg.f_value is None:
@@ -275,7 +274,7 @@ def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow
             f, rems = mach.f, mach.rems
         noisy = [tuple(a + b for a, b in zip(r, ball.sample(rng))) for r in rems]
         try:
-            estimate = mach.reconstruct(noisy).estimate
+            estimate = multistage_reconstruct(mach.plan, noisy).estimate
         except Inconsistent:
             estimate, norm, success = None, float("nan"), False
         else:
@@ -326,15 +325,11 @@ SUMMARY_HEADER = "tau,mean_error,success_rate,trials,reconstructor,seed"
 RAW_HEADER = "tau,trial,err_norm,success"
 
 
-def _fmt_tau(tau: Fraction) -> str:
-    return str(tau.numerator) if tau.denominator == 1 else str(tau)
-
-
 def summary_csv_lines(summary: SweepSummary) -> list[str]:
     lines = [SUMMARY_HEADER]
     for row in summary.rows:
         lines.append(
-            f"{_fmt_tau(row.tau)},{row.mean_error!r},{row.success_rate!r},"
+            f"{row.tau},{row.mean_error!r},{row.success_rate!r},"
             f"{row.trials},{summary.reconstructor},{summary.seed}"
         )
     return lines
@@ -347,6 +342,6 @@ def raw_csv_lines(summary: SweepSummary) -> list[str]:
     for tau, records in zip((r.tau for r in summary.rows), summary.raw):
         for rec in records:
             lines.append(
-                f"{_fmt_tau(tau)},{rec.trial_index},{rec.error_norm!r},{int(rec.exact_success)}"
+                f"{tau},{rec.trial_index},{rec.error_norm!r},{int(rec.exact_success)}"
             )
     return lines

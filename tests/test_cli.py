@@ -158,6 +158,18 @@ class TestConfigs:
         assert out == ""
         assert f"error: '{key}' must be" in err
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [("trials = 2.5", "trials"), ("trials = x", "trials"), ("seed = x", "seed"), ("seed = 1.0", "seed")],
+    )
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, line, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\ntau_grid = [1]\n{line}\n")
+        rc, out, err = run(capsys, "simulate", str(bad))
+        assert rc == 2
+        assert out == ""
+        assert f"error: '{key}' must be an integer, found '{line.split(' = ')[1]}'" in err
+
 
 class TestReconstructionCommands:
     MODULI = "[[[22,-17],[17,22]],[[335,-272],[294,352]],[[352,-250],[272,369]]]"
@@ -235,6 +247,78 @@ class TestReconstructionCommands:
         assert rc == 0
         assert "# single: f = [" in err
         assert out.startswith("tau,mean_error")
+
+    # f = [891008,895360] from configs/fig3.cfg; every remainder moved by (2,-1)
+    SHIFTED = ["[11,12]", "[-63,517]", "[-24,512]", "[27,4]", "[246,151]", "[574,-243]"]
+    # the same f with a different error per modulus, each within the
+    # two-stage bound and above the single-stage one
+    SCATTERED = ["[12,11]", "[-69,519]", "[-26,518]", "[27,7]", "[243,149]", "[577,-242]"]
+
+    @pytest.mark.parametrize(
+        "command, remainders, expected",
+        [
+            ("robust", SHIFTED, [
+                "anchor = 0",
+                "tau_bound_sq = 1/16",
+                "tau_bound_f = 0.25",
+                "estimate = (891010,895359)",
+                "estimate_f = (891010,895359)",
+                "region_size = 3171932504064",
+            ]),
+            ("multistage", SHIFTED, [
+                "final_anchor = 0",
+                "per_group_bounds_sq = [773/16,773/16]",
+                "delta_final_sq = 256",
+                "estimate = (891010,895359)",
+                "estimate_f = (891010,895359)",
+                "region_size = 3171932504064",
+            ]),
+            ("multistage", SCATTERED, [
+                "final_anchor = 0",
+                "per_group_bounds_sq = [773/16,773/16]",
+                "delta_final_sq = 256",
+                "estimate = (5346053/6,1790721/2)",
+                "estimate_f = (891009,895360)",
+                "region_size = 3171932504064",
+            ]),
+        ],
+        ids=["robust-shifted", "multistage-shifted", "multistage-scattered"],
+    )
+    def test_fig3_single_shot_stdout(self, capsys, command, remainders, expected):
+        rc, out, err = run(capsys, command, "configs/fig3.cfg", "--remainders", *remainders)
+        assert rc == 0
+        assert out == "\n".join(expected) + "\n"
+        assert err == ""
+
+    def test_fig3_robust_scattered_is_inconsistent(self, capsys):
+        rc, out, err = run(capsys, "robust", "configs/fig3.cfg", "--remainders", *self.SCATTERED)
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("inconsistent: ")
+
+    def test_singleton_final_single_shot_stdout(self, tmp_path, capsys):
+        # one declared group: the final stage passes its estimate through
+        path = self.write_cfg(tmp_path)
+        rc, out, _ = run(capsys, "multistage", path, "--remainders", "[1,1]", "[4,-3]", "[1,1]")
+        assert rc == 0
+        assert out == (
+            "final_anchor = 0\n"
+            "per_group_bounds_sq = [773/16]\n"
+            "delta_final_sq = inf\n"
+            "estimate = (2,-1/3)\n"
+            "estimate_f = (2,-0.333333)\n"
+            "region_size = 50659328\n"
+        )
+
+    @pytest.mark.parametrize("remainders", [["[1,1]"], []], ids=["single-shot", "sweep"])
+    def test_robust_one_modulus_exits_2(self, tmp_path, capsys, remainders):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("moduli = [[[2,0],[0,2]]]\ntau_grid = [1]\ntrials = 1\n")
+        argv = ["--remainders", *remainders] if remainders else []
+        rc, out, err = run(capsys, "robust", str(cfg), *argv)
+        assert rc == 2
+        assert out == ""
+        assert "error: a robust instance needs at least two moduli" in err
 
     @pytest.mark.parametrize("command", ["robust", "multistage"])
     @pytest.mark.parametrize(

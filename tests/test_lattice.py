@@ -293,7 +293,7 @@ class TestClosestVector:
         gen = random.Random(3)
         bases = [LatticeBasis(random_matrix(gen, 3, bound=6)) for _ in range(100)]
         plan = build_plan(FIG3_MODULI, FIG3_GROUPING)
-        inst = plan.final_instance
+        inst = plan.final.instance
         f = (891008, 895360)
         noisy = [
             [tuple(x + Fraction(gen.randint(-20, 20), 3) for x in reduce_mod(f, m)[1]) for m in inst.moduli]

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mdcrt.crt_core import congruence_of, crt_solve, lcrm_many
-from mdcrt.errors import CoverageIncomplete, DuplicateOutput, GroupConditionFailed
+from mdcrt.errors import CoverageIncomplete, DuplicateOutput, GroupConditionFailed, Inconsistent
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_add, vec_norm_sq, vec_sub
 from mdcrt.lattice import LatticeBasis, reduce_mod, shortest_vector
 from mdcrt.multistage import (
@@ -14,8 +15,8 @@ from mdcrt.multistage import (
     final_region,
     multistage_reconstruct,
 )
-from mdcrt.robust import build_instance, robust_reconstruct
-from conftest import enumerate_fpd, random_matrix, random_unimodular
+from mdcrt.robust import build_instance, robust_reconstruct, robustly_determinable_region
+from conftest import enumerate_fpd, random_matrix, random_unimodular, square_matrices
 
 M = IntMatrix.from_rows
 G1 = M([[22, -17], [17, 22]])
@@ -77,7 +78,7 @@ class TestGroupCondition:
 class TestBuildPlan:
     def test_trivial_plan_degenerates(self):
         plan = build_plan([G1, G1 @ A1, G1 @ A2], [[[0, 1, 2]]])
-        assert plan.delta_final_sq is None
+        assert plan.final.instance is None and plan.final.delta_sq is None
         assert [b.tau_max_sq for b in plan.per_group_bounds] == [Fraction(773, 16)]
 
     def test_two_stage_example(self):
@@ -88,7 +89,7 @@ class TestBuildPlan:
         assert g1.designated_lcrm == base.scale(1470)
         assert g1.delta_sq == Fraction(25 * lam_sq, 4)
         assert g2.delta_sq is None  # singleton carries straight through
-        assert plan.delta_final_sq == Fraction(441 * lam_sq, 4)
+        assert plan.final.delta_sq == Fraction(441 * lam_sq, 4)
         # singleton group is only limited by the final stage
         assert [b.tau_max_sq for b in plan.per_group_bounds] == [
             Fraction(25 * lam_sq, 4),
@@ -100,8 +101,8 @@ class TestBuildPlan:
     def test_motivating_plan(self):
         plan = build_plan(SIX, TWO_GROUPS)
         assert [g.delta_sq for g in plan.stages[0]] == [Fraction(773, 16)] * 2
-        assert plan.delta_final_sq == Fraction(256)  # (64/4)^2
-        assert plan.final_lcrm == IntMatrix.diag(1780992, 1780992)
+        assert plan.final.delta_sq == Fraction(256)  # (64/4)^2
+        assert plan.final.designated_lcrm == IntMatrix.diag(1780992, 1780992)
         assert [b.tau_max_sq for b in plan.per_group_bounds] == [Fraction(773, 16)] * 2
 
     def test_three_stage_example(self):
@@ -119,7 +120,7 @@ class TestBuildPlan:
         assert d22.delta_sq == Fraction(6561, 16)  # (81/4)^2
         # the two stage-2 outputs share the left factor Gamma_3 * 1296 I, so
         # the exact final bound is (1296/4)^2 * lambda^2(Gamma_3) = 324^2 * 842
-        assert plan.delta_final_sq == Fraction(1296**2 * 842, 16)
+        assert plan.final.delta_sq == Fraction(1296**2 * 842, 16)
         # path map and per-group bounds, Table-style
         assert plan.phi[0] == {
             0: frozenset({0}),
@@ -140,6 +141,27 @@ class TestBuildPlan:
     def test_coverage_error(self):
         with pytest.raises(CoverageIncomplete):
             build_plan(SIX, [[[0, 1, 2]]])
+
+    @pytest.mark.parametrize(
+        "grouping", [[[]], [[[]]], [TWO_GROUPS[0], []]], ids=["empty-stage", "empty-group", "empty-later-stage"]
+    )
+    def test_empty_stage_or_group_error(self, grouping):
+        with pytest.raises(CoverageIncomplete):
+            build_plan(SIX, grouping)
+
+    def test_zero_stage_plan_is_the_single_stage_instance(self):
+        plan = build_plan(SIX, ())
+        inst = build_instance(SIX)
+        (final,) = plan.stages[0]
+        assert len(plan.stages) == 1 and plan.final is final and plan.phi == ()
+        assert final.member_indices == tuple(range(6))
+        assert final.instance.anchor == inst.anchor
+        assert final.designated_lcrm == inst.lcrm
+        assert final.delta_sq == inst.tau_bound_sq == Fraction(1, 16)
+
+    def test_zero_stage_plan_needs_two_moduli(self):
+        with pytest.raises(ValueError, match="at least two moduli"):
+            build_plan([G1], ())
 
     def test_condition_error_names_group(self):
         with pytest.raises(GroupConditionFailed, match="group 0"):
@@ -213,6 +235,77 @@ class TestReconstruct:
             assert vec_norm_sq(vec_sub(out.estimate, f)) <= Fraction(47 * 47)
 
 
+@st.composite
+def shared_factor_moduli(draw, diagonal=False):
+    """2 to 4 distinct 2D moduli ``G @ S_i``. The common left factor G lets
+    the error bound exceed 1/16. With ``diagonal`` every S_i is diagonal, so
+    HNF(M_0^-1 lcrm) is diagonal and the moduli form one admissible group
+    anchored at the first."""
+    nonsingular = square_matrices(2, 4).filter(lambda m: m.det != 0)
+    g = draw(nonsingular)
+    if diagonal:
+        factor = st.tuples(st.integers(1, 9), st.integers(1, 9)).map(lambda d: IntMatrix.diag(*d))
+    else:
+        factor = nonsingular
+    ms = [g @ s for s in draw(st.lists(factor, min_size=2, max_size=4))]
+    assume(len(set(ms)) == len(ms))
+    return ms
+
+
+@st.composite
+def noisy_remainders(draw, ms):
+    """Remainders of one f, each moved by an error of up to 3 per coordinate."""
+    f = draw(st.tuples(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4)))
+    error = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    return [vec_add(reduce_mod(f, m)[1], draw(error)) for m in ms]
+
+
+def outcome(call):
+    """The call's RobustOutput, or "inconsistent" when it raises Inconsistent."""
+    try:
+        return call()
+    except Inconsistent:
+        return "inconsistent"
+
+
+class TestOnePipeline:
+    """Single-stage reconstruction is the zero-stage plan, and a one-group
+    plan is the single-stage scheme with the group's anchor and lcrm."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shared_factor_moduli(), st.data())
+    def test_zero_stage_plan_reconstructs_as_robust(self, ms, data):
+        noisy = data.draw(noisy_remainders(ms))
+        got = outcome(lambda: multistage_reconstruct(build_plan(ms, ()), noisy))
+        expected = outcome(lambda: robust_reconstruct(build_instance(ms), noisy))
+        assert got == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(shared_factor_moduli())
+    def test_zero_stage_plan_region_and_bound(self, ms):
+        plan = build_plan(ms, ())
+        inst = build_instance(ms)
+        region = final_region(plan)
+        expected = robustly_determinable_region(inst, inst.lcrm)
+        assert (region.anchor, region.quotient) == (expected.anchor, expected.quotient)
+        assert [b.tau_max_sq for b in plan.per_group_bounds] == [inst.tau_bound_sq]
+
+    @settings(max_examples=60, deadline=None)
+    @given(shared_factor_moduli(diagonal=True), st.data())
+    def test_one_group_plan_reconstructs_as_anchored_robust(self, ms, data):
+        noisy = data.draw(noisy_remainders(ms))
+        plan = build_plan(ms, [[list(range(len(ms)))]])
+        designated = plan.stages[0][0].designated_lcrm
+        got = outcome(lambda: multistage_reconstruct(plan, noisy))
+        expected = outcome(
+            lambda: robust_reconstruct(build_instance(ms, anchor=0), noisy, designated_lcrm=designated)
+        )
+        if expected == "inconsistent":
+            assert got == expected
+        else:
+            assert got.estimate == expected.estimate
+
+
 class TestFinalRegion:
     def test_right_multiple_pair(self, rng):
         m = random_matrix(rng, 2, bound=5)
@@ -233,14 +326,15 @@ class TestFinalRegion:
         mods, grouping, gammas = three_stage_instance()
         plan = build_plan(mods, grouping)
         # tie on the single gcld pair, broken toward the smaller index
-        assert plan.final_anchor == 0
+        final = plan.final
+        assert final.instance.anchor == 0
         # 7173^2 shifts: far over what enumerate_fpd lists, but the region
         # never enumerates them
-        q = abs(plan.final_lcrm.det) // abs(plan.final_inputs[0].det)
+        q = abs(final.designated_lcrm.det) // abs(final.instance.moduli[0].det)
         assert q == 7173**2
         region = final_region(plan)
         assert abs(region.quotient.det) == q
-        assert region.size == abs(plan.final_lcrm.det)
+        assert region.size == abs(final.designated_lcrm.det)
 
 
 class TestNoGainCorollary:

@@ -53,6 +53,14 @@ def shared_factor_instance(rng):
 
 
 class TestBuildInstance:
+    @pytest.mark.parametrize("order", [1, -1], ids=["2d-first", "3d-first"])
+    def test_mixed_dimension_is_a_mismatch(self, order):
+        moduli = [IntMatrix.diag(3, 3), IntMatrix.diag(5, 5, 5)][::order]
+        with pytest.raises(DimensionMismatch, match="mixed dimension"):
+            build_instance(moduli)
+        with pytest.raises(DimensionMismatch, match="mixed dimension"):
+            build_plan(moduli, ())
+
     def test_pairwise_coprime_bound(self):
         inst = build_instance([G1, G2, M([[3, 1], [2, 2]])])
         assert inst.tau_bound_sq == Fraction(1, 16)
