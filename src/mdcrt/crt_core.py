@@ -4,29 +4,24 @@ gcld and lcrm outputs are HNF-normalized so equality is testable; the lcrm of
 two moduli is computed as a basis of the intersection lattice, obtained from
 the integer kernel of the stacked block ``(a  -b)``.
 
-The CRT fold depends on the moduli only through normal forms that never
-change while the moduli do not: a ``CrtPlan`` computes them once per ordered
-tuple of moduli (the matrix analogue of Garner's precomputed CRT), and
-``crt_solve`` keeps the most recently used plans, so solving one more set of
-remainders costs matrix-vector products, divisibility tests and reductions.
+A congruence system depends on its moduli only through one Smith normal
+form: all L congruences become one stacked block system for the quotient
+vectors, and a ``CrtPlan`` takes its SNF once per ordered tuple of moduli
+(the matrix analogue of Garner's precomputed CRT). ``crt_solve`` keeps the
+most recently used plans, so solving one more set of remainders costs a few
+divisibility checks, one integer matrix-vector product and one reduction
+into N(lcrm).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, Inconsistent, SingularMatrix
-from .exact_linalg import (
-    DiophantineSolver,
-    IntMatrix,
-    IntVec,
-    hnf,
-    snf,
-    vec_add,
-    vec_sub,
-)
+from .exact_linalg import IntMatrix, IntVec, hnf, snf
 from .lattice import reduce_mod
 
 
@@ -120,42 +115,75 @@ class CrtSolution:
 
 
 class CrtPlan:
-    """The CRT fold of one ordered tuple of moduli, compiled.
+    """The congruence system of one ordered tuple of moduli, compiled.
 
-    Folding congruence k into the running solution x, which is known modulo
-    ``R_{k-1}``, solves ``R_{k-1} a - M_k b = r_k - x`` in integers, lifts
-    ``x + R_{k-1} a`` and reduces it modulo ``R_k = lcrm(R_{k-1}, M_k)``.
-    The plan holds everything in that step that depends on the moduli
-    alone: ``R_1 = hnf(M_1)``, every running lcrm ``R_k``, and a
-    ``DiophantineSolver`` (the SNF of ``(R_{k-1} | -M_k)``) per step.
-    ``lcrm`` is the final ``R_L``, the HNF-normalized lcrm of all moduli.
+    With ``d_k = r_k - r_0``, the congruences ``f = M_k n_k + r_k`` have a
+    common solution exactly when ``M_0 n_0 - M_k n_k = d_k`` (k >= 1) does,
+    one stacked block system ``B n = d`` of size (L-1)D x LD. The plan takes
+    the SNF ``U B V = (Lam 0)`` once: the system is solvable exactly when
+    ``Lam_i`` divides ``(U d)_i`` for every i, and then
+    ``f = r_0 + M_0 n_0 = r_0 + K d / Lam_max`` with
+    ``K = M_0 V_{0,.} diag(Lam_max / Lam) U``, where ``V_{0,.}`` is the first
+    D rows and (L-1)D columns of V and ``Lam_max`` is the last diagonal entry
+    (a multiple of all of them).
+
+    Only what a solve reads is kept: the rows of U with ``Lam_i > 1``, each
+    reduced mod ``Lam_i`` (the others always pass), and K with every column
+    reduced modulo the lattice of ``Lam_max * R``, which changes f by a
+    vector of L(R) alone. ``lcrm`` is R, the HNF-normalized lcrm of all
+    moduli, and every solution is reduced into N(R) once.
     """
 
     def __init__(self, moduli: Sequence[IntMatrix]):
         if not moduli:
             raise ValueError("need at least one congruence")
-        acc = self.first = hnf(moduli[0])
-        steps = []
-        for m in moduli[1:]:
-            if m.dim != acc.dim:
-                raise DimensionMismatch("congruences of mixed dimension")
-            nxt = lcrm(acc, m)
-            steps.append((acc, DiophantineSolver(acc.hstack(-m)), nxt))
-            acc = nxt
-        self.steps = tuple(steps)
-        self.lcrm = acc
+        m0 = moduli[0]
+        d = m0.dim
+        if any(m.dim != d for m in moduli):
+            raise DimensionMismatch("congruences of mixed dimension")
+        self.count, self.dim = len(moduli), d
+        self.lcrm = lcrm_many(moduli)
+        self.checks, self.kernel, self.scale = (), ((),) * d, 1  # one congruence: f = r_0
+        if self.count == 1:
+            return
+        width = self.count * d
+        block = []
+        for k, m in enumerate(moduli[1:], start=1):
+            for r0, rk in zip(m0.rows, m.rows):
+                row = [0] * width
+                row[:d] = r0
+                row[k * d : (k + 1) * d] = [-x for x in rk]
+                block.append(row)
+        dec = snf(IntMatrix.from_rows(block))
+        lam = dec.diagonal()  # no zero: lcrm_many has rejected singular moduli
+        self.scale = big = lam[-1]
+        self.checks = tuple(
+            (tuple(x % q for x in row), q) for row, q in zip(dec.u.rows, lam) if q > 1
+        )
+        weighted = IntMatrix.from_rows(
+            [x * (big // q) for x, q in zip(row, lam)] for row in dec.v.rows[:d]
+        )
+        kernel = m0 @ weighted @ dec.u
+        period = self.lcrm.scale(big)
+        columns = [reduce_mod(col, period)[1] for col in zip(*kernel.rows)]
+        self.kernel = tuple(zip(*columns))
 
     def solve(self, remainders: Sequence[IntVec]) -> CrtSolution:
         """Representative in N(lcrm) of the common solution of the
         congruences ``f = M_k n_k + remainders[k]``; Inconsistent when there
         is none."""
-        x = reduce_mod(remainders[0], self.first)[1]
-        for (acc, solver, nxt), rem in zip(self.steps, remainders[1:], strict=True):
-            sol = solver.solve(vec_sub(rem, x))
-            if sol is None:
-                raise Inconsistent("incompatible remainders: difference not in the gcld lattice")
-            x = reduce_mod(vec_add(x, acc.apply(sol[: acc.nrows])), nxt)[1]
-        return CrtSolution(value=x, lcrm=self.lcrm)
+        if len(remainders) != self.count:
+            raise ValueError("one remainder per congruence required")
+        if any(len(r) != self.dim for r in remainders):
+            raise DimensionMismatch(f"remainders must have length {self.dim}")
+        r0 = remainders[0]
+        diff = [x - y for r in remainders[1:] for x, y in zip(r, r0)]
+        for row, q in self.checks:
+            if sum(map(mul, row, diff)) % q:
+                raise Inconsistent("incompatible remainders: no common solution")
+        big = self.scale
+        f = tuple([x + sum(map(mul, row, diff)) // big for x, row in zip(r0, self.kernel)])
+        return CrtSolution(value=reduce_mod(f, self.lcrm)[1], lcrm=self.lcrm)
 
 
 _PLANS_KEPT = 32  # tuples of moduli whose compiled plans crt_solve keeps
@@ -170,13 +198,13 @@ def crt_solve(congruences: Sequence[Congruence]) -> CrtSolution:
     """Unique representative in N(R) congruent to every remainder, R the
     HNF-normalized lcrm of all moduli.
 
-    The congruences are folded in input order by the ``CrtPlan`` of their
-    moduli, built on first use and kept for the ``_PLANS_KEPT`` most recently
-    used tuples of moduli. The result does not depend on the fold order: the
-    common solution is unique modulo the lcrm, which is one lattice whatever
-    the order, and both R and the representative in N(R) are canonical for
-    it. Raises ValueError for no congruences, DimensionMismatch for moduli of
-    mixed dimension, and Inconsistent when a fold step has no integer
+    The system is solved by the ``CrtPlan`` of the moduli in input order,
+    built on first use and kept for the ``_PLANS_KEPT`` most recently used
+    tuples of moduli. The result does not depend on that order: the common
+    solution is unique modulo the lcrm, which is one lattice whatever the
+    order, and both R and the representative in N(R) are canonical for it.
+    Raises ValueError for no congruences, DimensionMismatch for moduli of
+    mixed dimension, and Inconsistent when the system has no integer
     solution.
     """
     plan = _plan(tuple(c.modulus for c in congruences))

@@ -13,7 +13,8 @@ Conventions, fixed once and used everywhere:
   with ``m = H @ u`` when ``m`` is square.
 * Smith normal form (SNF): ``u @ m @ v = lam`` with unimodular ``u``, ``v``
   and nonnegative diagonal ``lam`` whose entries divide their successors.
-  Rectangular input is supported (needed for coprimality blocks).
+  Rectangular input is supported (coprimality, lcrm and stacked congruence
+  blocks).
 """
 
 from __future__ import annotations
@@ -377,74 +378,81 @@ class SnfDecomposition:
         return sum(1 for x in self.diagonal() if x != 0)
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, s, t)`` with ``s * a + t * b == g == gcd(a, b) >= 0``."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
 def snf(m: IntMatrix) -> SnfDecomposition:
-    """Smith normal form ``u @ m @ v = lam``; rectangular input allowed."""
+    """Smith normal form ``u @ m @ v = lam``; rectangular input allowed.
+
+    Each pivot clears its column and row with 2 x 2 unimodular extended-gcd
+    (Bezout) steps, after Kannan and Bachem (SIAM J. Comput. 8(4), 1979):
+    an entry the pivot divides is cleared by one quotient step, any other
+    turns the pivot into their gcd in one step. The pivot's absolute value
+    therefore only falls, and every entry stays far below the blow-up of
+    repeated quotient-and-swap on stacked blocks.
+    """
     nr, nc = m.nrows, m.ncols
     a = [list(r) for r in m.rows]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    vt = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]  # v, one list per column
 
-    def row_combine(i_dst: int, q: int, i_src: int) -> None:
-        a[i_dst] = [x - q * y for x, y in zip(a[i_dst], a[i_src])]
-        u[i_dst] = [x - q * y for x, y in zip(u[i_dst], u[i_src])]
+    def rows_mix(x: list[list[int]], i: int, k: int, s: int, c: int, p: int, q: int) -> None:
+        """``(x_i, x_k) <- (s x_i + c x_k, p x_i + q x_k)``, unimodular when
+        ``s q - c p == +-1``; ``c == 0`` means ``s == 1``, the quotient step."""
+        xi, xk = x[i], x[k]
+        if c:
+            x[i] = [s * y + c * z for y, z in zip(xi, xk)]
+        x[k] = [p * y + q * z for y, z in zip(xi, xk)]
 
-    def col_combine(j_dst: int, q: int, j_src: int) -> None:
+    def cols_mix(t: int, j: int, s: int, c: int, p: int, q: int) -> None:
         for row in a:
-            row[j_dst] -= q * row[j_src]
-        for row in v:
-            row[j_dst] -= q * row[j_src]
+            y, z = row[t], row[j]
+            row[t], row[j] = s * y + c * z, p * y + q * z
+        rows_mix(vt, t, j, s, c, p, q)
 
-    def row_swap(i1: int, i2: int) -> None:
-        a[i1], a[i2] = a[i2], a[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-
-    def col_swap(j1: int, j2: int) -> None:
-        for row in a:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
-            row[j1], row[j2] = row[j2], row[j1]
+    def clear(pivot: int, x: int) -> tuple[int, int, int, int]:
+        """Coefficients that send (pivot, x) to (new pivot, 0)."""
+        if x % pivot == 0:
+            return 1, 0, -(x // pivot), 1
+        g, s, c = _xgcd(pivot, x)
+        return s, c, -(x // g), pivot // g
 
     t = 0
-    limit = min(nr, nc)
-    while t < limit:
+    while t < min(nr, nc):
         pivots = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j] != 0]
         if not pivots:
             break
         _, pi, pj = min(pivots)
-        if pi != t:
-            row_swap(t, pi)
+        a[t], a[pi] = a[pi], a[t]
+        u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            col_swap(t, pj)
-        dirty = True
-        while dirty:
-            dirty = False
+            cols_mix(t, pj, 0, 1, 1, 0)  # swap
+        while True:
             for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_combine(i, q, t)
-                    if a[i][t] != 0:
-                        row_swap(t, i)
-                        dirty = True
+                if a[i][t]:
+                    s, c, p, q = clear(a[t][t], a[i][t])
+                    rows_mix(a, t, i, s, c, p, q)
+                    rows_mix(u, t, i, s, c, p, q)
+            pivot = a[t][t]
             for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_combine(j, q, t)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-        # enforce the divisibility chain before moving on
-        pivot = a[t][t]
-        culprit = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % pivot != 0:
-                    culprit = i
-                    break
-            if culprit is not None:
+                if a[t][j]:
+                    cols_mix(t, j, *clear(a[t][t], a[t][j]))
+            if a[t][t] != pivot:
+                continue  # a gcd step refilled the column below the pivot
+            # the divisibility chain: fold in a row the pivot does not divide
+            culprit = next(
+                (i for i in range(t + 1, nr) if any(x % pivot for x in a[i][t + 1 :])), None
+            )
+            if culprit is None:
                 break
-        if culprit is not None:
-            row_combine(t, -1, culprit)  # fold the offending row in and redo
-            continue
+            rows_mix(a, t, culprit, 1, 1, 0, 1)
+            rows_mix(u, t, culprit, 1, 1, 0, 1)
         t += 1
 
     for i in range(min(nr, nc)):
@@ -454,7 +462,7 @@ def snf(m: IntMatrix) -> SnfDecomposition:
 
     return SnfDecomposition(
         u=IntMatrix.from_rows(u),
-        v=IntMatrix.from_rows(v),
+        v=IntMatrix.from_rows(zip(*vt)),
         lam=IntMatrix.from_rows(a),
     )
 
@@ -463,45 +471,25 @@ def snf(m: IntMatrix) -> SnfDecomposition:
 # integer linear systems
 
 
-class DiophantineSolver:
-    """Integer solutions of ``a @ x = b`` for one full-row-rank D x K block
-    and any right-hand side, from the SNF of ``a`` computed once.
+def solve_diophantine(a: IntMatrix, b: Sequence[int]) -> IntVec | None:
+    """Integer solution of ``a @ x = b`` for a full-row-rank D x K block.
 
     With ``u @ a @ v = lam``, the system has an integer solution exactly when
     ``c = u @ b`` has ``c[i]`` divisible by ``lam[i][i]`` for every i < D; one
     solution is then ``v @ y`` with ``y[i] = c[i] / lam[i][i]`` for i < D and
-    0 beyond, so only the first D columns of ``v`` are kept.
-
-    Raises RankDeficient when rank(a) < D.
+    0 beyond. Returns None when the system is solvable over the rationals but
+    not the integers. Raises RankDeficient when rank(a) < D and
+    DimensionMismatch unless ``len(b)`` is D.
     """
-
-    def __init__(self, a: IntMatrix):
-        dec = snf(a)
-        if dec.rank < a.nrows:
-            raise RankDeficient(f"rank {dec.rank} < {a.nrows}")
-        self.nrows = a.nrows
-        self._u = dec.u.rows
-        self._diagonal = dec.diagonal()
-        self._v = tuple(row[: a.nrows] for row in dec.v.rows)
-
-    def solve(self, b: Sequence[int]) -> IntVec | None:
-        """One integer solution, or None when there is none."""
-        if len(b) != self.nrows:
-            raise DimensionMismatch("right-hand side length must match the row count")
-        y = []
-        for row, lam in zip(self._u, self._diagonal):
-            q, r = divmod(sum(map(mul, row, b)), lam)
-            if r:
-                return None
-            y.append(q)
-        return tuple([sum(map(mul, row, y)) for row in self._v])
-
-
-def solve_diophantine(a: IntMatrix, b: Sequence[int]) -> IntVec | None:
-    """Integer solution of ``a @ x = b`` for a full-row-rank D x K block.
-
-    Returns None when the system is solvable over the rationals but not the
-    integers. Raises RankDeficient when rank(a) < D. Callers that solve many
-    right-hand sides for one block keep a ``DiophantineSolver`` instead.
-    """
-    return DiophantineSolver(a).solve(b)
+    if len(b) != a.nrows:
+        raise DimensionMismatch("right-hand side length must match the row count")
+    dec = snf(a)
+    if dec.rank < a.nrows:
+        raise RankDeficient(f"rank {dec.rank} < {a.nrows}")
+    y = []
+    for c, lam in zip(dec.u.apply(b), dec.diagonal()):
+        q, r = divmod(c, lam)
+        if r:
+            return None
+        y.append(q)
+    return tuple([sum(map(mul, row[: len(y)], y)) for row in dec.v.rows])

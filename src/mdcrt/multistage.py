@@ -26,6 +26,7 @@ from typing import Sequence
 from .crt_core import lcrm_many
 from .errors import (
     CoverageIncomplete,
+    DimensionMismatch,
     DuplicateOutput,
     GroupConditionFailed,
 )
@@ -184,11 +185,17 @@ def multistage_reconstruct(
     """Run every stage and return the final group's output.
 
     Group estimates stay exact rationals between stages; singleton groups
-    pass their remainder through unchanged, with no folds. Inconsistent
-    propagates from the congruence solver and marks a failed trial.
+    pass their remainder through unchanged, with no folds. Raises
+    DimensionMismatch for a remainder whose length is not the moduli's
+    size; Inconsistent propagates from the congruence solver and marks a
+    failed trial.
     """
     if len(noisy_remainders) != len(plan.moduli):
         raise ValueError("one remainder per modulus required")
+    d = plan.moduli[0].dim
+    if any(len(r) != d for r in noisy_remainders):
+        lengths = [len(r) for r in noisy_remainders]
+        raise DimensionMismatch(f"remainders must have length {d}, got lengths {lengths}")
     current: Sequence[Sequence[Scalar]] = noisy_remainders
     for stage in plan.stages:
         outputs = []

@@ -123,8 +123,9 @@ def robust_reconstruct(
     folds, and average: the estimate is ``(T * sum of folds + sum of the
     T * remainders) / (n T)`` for the remainders' common denominator T.
     ``designated_lcrm`` picks which lcrm representative R the anchor fold is
-    reduced into; by default it stays in N(instance.lcrm), the
-    HNF-normalized one that ``crt_solve`` reduces into.
+    reduced into; by default, or when it is ``instance.lcrm``, the fold stays
+    where ``crt_solve`` put it, in N(instance.lcrm) for the HNF-normalized
+    lcrm.
     Raises Inconsistent when the snapped values are incompatible, which
     callers treat as a failed trial.
     """
@@ -154,7 +155,7 @@ def robust_reconstruct(
         rem = (0,) * d if j == l0 else reduce_mod(snapped[j], m)[1]
         congruences.append(Congruence(m, rem))
     anchor_fold = crt_solve(congruences).value
-    if designated_lcrm is not None:
+    if designated_lcrm is not None and designated_lcrm != instance.lcrm:
         anchor_fold = reduce_mod(anchor_fold, designated_lcrm)[1]
 
     folds = tuple(anchor_fold if j == l0 else vec_sub(anchor_fold, snapped[j]) for j in range(n))

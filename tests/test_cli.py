@@ -333,6 +333,15 @@ class TestReconstructionCommands:
         assert "error: remainders must have length 2" in err
         assert "zip()" not in err and "capability" not in err
 
+    def test_wrong_length_remainder_without_robust_group_exits_2(self, tmp_path, capsys):
+        # a plan with no robust instance still checks the remainder length
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("moduli = [[[2,0],[0,2]]]\ngrouping = [[[0]]]\ntau_grid = [1]\ntrials = 1\n")
+        rc, out, err = run(capsys, "multistage", str(cfg), "--remainders", "[1,2,3]")
+        assert rc == 2
+        assert out == ""
+        assert "error: remainders must have length 2, got lengths [3]" in err
+
 
 class TestCountValidation:
     def write_cfg(self, tmp_path, trials=2):

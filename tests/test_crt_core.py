@@ -276,6 +276,28 @@ class TestCompiledFold:
             fresh = outcome(CrtPlan(ms).solve, rems)
             assert cached == fresh
 
+    def test_4d_three_non_hnf_moduli(self, rng):
+        g = M([[2, 1, 0, 1], [0, 3, 1, 0], [1, 0, 2, 1], [0, 1, 1, 3]])
+        ms = [g @ random_matrix(rng, 4, bound=3) for _ in range(3)]
+        assert all(hnf(m) != m for m in ms)
+        total = lcrm_many(ms)
+        plan = CrtPlan(ms)
+        for _ in range(20):
+            f = tuple(rng.randint(-10**6, 10**6) for _ in range(4))
+            congruences = [congruence_of(f, m) for m in ms]
+            assert crt_solve(congruences).value == reduce_mod(f, total)[1]
+            # one remainder off by a vector outside L(g): no common solution
+            shifted = reduce_mod(vec_sub(congruences[1].remainder, (1, 0, 0, 0)), ms[1])[1]
+            with pytest.raises(Inconsistent):
+                plan.solve([congruences[0].remainder, shifted, congruences[2].remainder])
+
+    def test_solve_checks_shape(self):
+        plan = CrtPlan([IntMatrix.diag(2, 3), IntMatrix.diag(5, 7)])
+        with pytest.raises(ValueError):
+            plan.solve([(1, 2)])
+        with pytest.raises(DimensionMismatch):
+            plan.solve([(1, 2), (1, 2, 3)])
+
     def test_mixed_dimension_rejected(self):
         congruences = [Congruence(IntMatrix.diag(2, 3), (1, 2)), Congruence(IntMatrix.diag(2, 2, 2), (1, 0, 1))]
         with pytest.raises(DimensionMismatch):

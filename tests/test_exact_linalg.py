@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdcrt.crt_core import gcld, is_coprime, lcrm, lcrm_many
 from mdcrt.errors import DimensionMismatch, RankDeficient, SingularMatrix
 from mdcrt.exact_linalg import (
-    DiophantineSolver,
     IntMatrix,
     adjugate,
     det,
@@ -131,6 +131,54 @@ class TestSnf:
                     assert b % a == 0
 
 
+def _entries(rng, nrows, ncols, bound=300):
+    return M([[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)])
+
+
+class TestSnfBoundedCoefficients:
+    """Stacked D x 2D blocks are where repeated quotient-and-swap blew up to
+    million-bit entries; the Bezout elimination keeps u and v small."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("width", [1, 2], ids=["square", "stacked"])
+    def test_invariants_and_size(self, dim, width):
+        rng = random.Random(1000 * dim + width)
+        for _ in range(8):
+            m = _entries(rng, dim, width * dim)
+            dec = snf(m)
+            assert dec.u @ m @ dec.v == dec.lam
+            assert abs(dec.u.det) == 1 and abs(dec.v.det) == 1
+            assert all(x == 0 for i, r in enumerate(dec.lam.rows) for j, x in enumerate(r) if i != j)
+            diag = dec.diagonal()
+            assert all(x >= 0 for x in diag)
+            for a, b in zip(diag, diag[1:]):
+                assert b % a == 0 if a else b == 0
+            assert all(abs(x) < 2**1024 for w in (dec.u, dec.v) for r in w.rows for x in r)
+
+    def test_fig3_stacked_block(self):
+        # moduli 0-2 of configs/fig3.cfg as one block (M_0 -M_1 0; M_0 0 -M_2)
+        m = M([[22, -17, -335, 272, 0, 0], [17, 22, -294, -352, 0, 0],
+               [22, -17, 0, 0, -352, 250], [17, 22, 0, 0, -272, -369]])
+        dec = snf(m)
+        assert dec.u @ m @ dec.v == dec.lam
+        assert dec.diagonal() == (1, 1, 773, 773)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_pairs_agree_with_hnf_routes(self, dim):
+        # lcrm and is_coprime take the SNF of (a -b) and (a b) directly;
+        # lcrm_many and gcld go through hnf first
+        rng = random.Random(dim)
+        for k in range(6):
+            a, b = _entries(rng, dim, dim), _entries(rng, dim, dim)
+            if k % 2:  # a common left factor, so that some pairs are not coprime
+                g = random_matrix(rng, dim, bound=3)
+                a, b = g @ a, g @ b
+            if a.det == 0 or b.det == 0:
+                continue
+            assert lcrm(a, b) == lcrm_many([a, b])
+            assert is_coprime(a, b) == (abs(gcld(a, b).det) == 1)
+
+
 class TestHnf:
     def test_identity(self):
         assert hnf(IntMatrix.identity(2)) == IntMatrix.identity(2)
@@ -238,7 +286,7 @@ class TestLengthChecks:
             (lambda v: reduce_mod(v, M([[3, 1], [2, 2]])), 2, DimensionMismatch),
             (lambda v: M([[3, 1], [2, 2]]).apply(v), 2, DimensionMismatch),
             (lambda v: BLOCK.apply(v), 4, DimensionMismatch),
-            (lambda v: DiophantineSolver(BLOCK).solve(v), 2, DimensionMismatch),
+            (lambda v: solve_diophantine(BLOCK, v), 2, DimensionMismatch),
             (lambda v: vec_add((1, 2, 3), v), 3, ValueError),
             (lambda v: vec_add(v, (1, 2, 3)), 3, ValueError),
             (lambda v: vec_sub((1, 2, 3), v), 3, ValueError),
