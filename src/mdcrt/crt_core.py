@@ -10,7 +10,9 @@ vectors, and a ``CrtPlan`` takes its SNF once per ordered tuple of moduli
 (the matrix analogue of Garner's precomputed CRT). ``crt_solve`` keeps the
 most recently used plans, so solving one more set of remainders costs a few
 divisibility checks, one integer matrix-vector product and one reduction
-into N(lcrm).
+into N(``into``), any basis of the lcrm lattice (the HNF lcrm R by default).
+A ``Congruence`` accepts any representative of its class and stores the one
+in N(modulus), so callers need not reduce before they build one.
 """
 
 from __future__ import annotations
@@ -93,15 +95,17 @@ def lcrm_many(ms: Sequence[IntMatrix]) -> IntMatrix:
 
 @dataclass(frozen=True)
 class Congruence:
-    """``f = modulus @ n + remainder`` with the remainder inside N(modulus)."""
+    """``f = modulus @ n + remainder``. Any representative of the class may
+    be given; the stored remainder is its reduction into N(modulus), so two
+    representatives of one class give equal congruences. Raises
+    SingularMatrix for a singular modulus and DimensionMismatch for a
+    remainder of the wrong length."""
 
     modulus: IntMatrix
     remainder: IntVec
 
     def __post_init__(self) -> None:
-        q, _ = reduce_mod(self.remainder, self.modulus)
-        if any(q):
-            raise ValueError(f"remainder {self.remainder} is not in the FPD of {self.modulus}")
+        object.__setattr__(self, "remainder", reduce_mod(self.remainder, self.modulus)[1])
 
 
 def congruence_of(f: Sequence[int], modulus: IntMatrix) -> Congruence:
@@ -110,6 +114,9 @@ def congruence_of(f: Sequence[int], modulus: IntMatrix) -> Congruence:
 
 @dataclass(frozen=True)
 class CrtSolution:
+    """The common solution ``value``, reduced into N(``lcrm``); ``lcrm`` is
+    the basis of the lcrm lattice it was reduced into."""
+
     value: IntVec
     lcrm: IntMatrix
 
@@ -131,7 +138,10 @@ class CrtPlan:
     reduced mod ``Lam_i`` (the others always pass), and K with every column
     reduced modulo the lattice of ``Lam_max * R``, which changes f by a
     vector of L(R) alone. ``lcrm`` is R, the HNF-normalized lcrm of all
-    moduli, and every solution is reduced into N(R) once.
+    moduli, and every solution is reduced once, into N(``into``), R by
+    default. The remainders may be any representatives of their classes:
+    moving ``r_k`` by ``M_k n`` moves d by a vector of B's image, which
+    changes f by a vector of L(R) alone.
     """
 
     def __init__(self, moduli: Sequence[IntMatrix]):
@@ -168,10 +178,12 @@ class CrtPlan:
         columns = [reduce_mod(col, period)[1] for col in zip(*kernel.rows)]
         self.kernel = tuple(zip(*columns))
 
-    def solve(self, remainders: Sequence[IntVec]) -> CrtSolution:
-        """Representative in N(lcrm) of the common solution of the
+    def solve(self, remainders: Sequence[IntVec], into: IntMatrix | None = None) -> CrtSolution:
+        """Representative in N(into) of the common solution of the
         congruences ``f = M_k n_k + remainders[k]``; Inconsistent when there
-        is none."""
+        is none. ``into`` must be a basis of L(R), any lcrm of the moduli
+        (it is not checked); it defaults to R. Reducing into it once is
+        exact: ``reduce_mod`` depends only on the class of f mod L(R)."""
         if len(remainders) != self.count:
             raise ValueError("one remainder per congruence required")
         if any(len(r) != self.dim for r in remainders):
@@ -183,7 +195,9 @@ class CrtPlan:
                 raise Inconsistent("incompatible remainders: no common solution")
         big = self.scale
         f = tuple([x + sum(map(mul, row, diff)) // big for x, row in zip(r0, self.kernel)])
-        return CrtSolution(value=reduce_mod(f, self.lcrm)[1], lcrm=self.lcrm)
+        if into is None:
+            into = self.lcrm
+        return CrtSolution(value=reduce_mod(f, into)[1], lcrm=into)
 
 
 _PLANS_KEPT = 32  # tuples of moduli whose compiled plans crt_solve keeps
@@ -194,9 +208,11 @@ def _plan(moduli: tuple[IntMatrix, ...]) -> CrtPlan:
     return CrtPlan(moduli)
 
 
-def crt_solve(congruences: Sequence[Congruence]) -> CrtSolution:
+def crt_solve(congruences: Sequence[Congruence], into: IntMatrix | None = None) -> CrtSolution:
     """Unique representative in N(R) congruent to every remainder, R the
-    HNF-normalized lcrm of all moduli.
+    HNF-normalized lcrm of all moduli; with ``into``, a basis of the same
+    lattice (an lcrm representative such as a designated lcrm), the unique
+    representative in N(into) instead, from the same single reduction.
 
     The system is solved by the ``CrtPlan`` of the moduli in input order,
     built on first use and kept for the ``_PLANS_KEPT`` most recently used
@@ -208,4 +224,4 @@ def crt_solve(congruences: Sequence[Congruence]) -> CrtSolution:
     solution.
     """
     plan = _plan(tuple(c.modulus for c in congruences))
-    return plan.solve([c.remainder for c in congruences])
+    return plan.solve([c.remainder for c in congruences], into)

@@ -128,7 +128,7 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    @property
+    @cached_property
     def dim(self) -> int:
         if not self.is_square:
             raise DimensionMismatch("dim is only defined for square matrices")

@@ -14,7 +14,9 @@ themselves, so single-stage reconstruction is the zero-stage plan.
 Per-group error bounds follow the path map ``phi``: the bound of an initial
 group is the minimum of its own stage-1 bound and the bounds of every later
 group its output flows through, the final group included. Singleton groups
-impose no bound (represented as ``None`` for +infinity).
+impose no bound (represented as ``None`` for +infinity). Every bound is
+strict, as in ``RobustInstance``: errors whose squared norm lies below it
+are corrected, and an error at it can be lost to a CVP tie.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ class StageGroup:
 
 @dataclass(frozen=True)
 class PerGroupBound:
+    """Reconstruction succeeds when every error of initial group
+    ``group_index`` has squared norm strictly below ``tau_max_sq``."""
+
     group_index: int
     tau_max_sq: Fraction | None  # None means +infinity
 
@@ -98,9 +103,10 @@ def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
     each group a list of indices into the previous stage's outputs with the
     anchor first. Groups may overlap, but every stage must cover all of its
     inputs. The plan appends the final group; with ``grouping == ()`` it is
-    the single-stage instance of ``moduli``. Raises GroupConditionFailed
-    naming the offending group, CoverageIncomplete, or DuplicateOutput when
-    two group lcrms generate the same lattice.
+    the single-stage instance of ``moduli``. Each per-group bound is the
+    strict limit tau^2 < ``tau_max_sq`` on that group's errors. Raises
+    GroupConditionFailed naming the offending group, CoverageIncomplete, or
+    DuplicateOutput when two group lcrms generate the same lattice.
     """
     moduli = tuple(moduli)
     if not all(grouping):

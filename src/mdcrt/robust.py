@@ -22,14 +22,13 @@ from typing import Sequence
 from .crt_core import Congruence, crt_solve, gcld, lcrm_many
 from .errors import DimensionMismatch, DimensionUnsupported, DuplicateModuli, NotAnLcrm
 from .exact_linalg import IntMatrix, IntVec, Scalar, vec_sub
-from .lattice import (
-    MAX_DIM,
-    FpdUnionRegion,
-    LatticeBasis,
-    closest_vector,
-    reduce_mod,
-    shortest_vector,
-)
+from .lattice import MAX_DIM, FpdUnionRegion, LatticeBasis, closest_vector, shortest_vector
+
+# Reconstruction reduces only inside ``Congruence`` and ``crt_solve``. The
+# name stays bound here because tools that count or time ``reduce_mod``
+# (bench/tracer.py) rebind it in every module that holds it, and its
+# harness test asserts this module is one of them.
+from .lattice import reduce_mod  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +37,15 @@ class RobustInstance:
     gcld lattices ``anchor_lattices[j] = L(gcld(M_anchor, M_j))`` that
     reconstruction snaps onto.
 
-    ``tau_bound_sq`` is the exact square of the guaranteed error tolerance,
-    min over j != anchor of lambda^2(L(G_{anchor,j})) / 16.
+    ``tau_bound_sq`` is min over j != anchor of lambda^2(L(G_{anchor,j})) / 16,
+    the square of lambda / 4. The guarantee is strict: reconstruction
+    succeeds whenever every error has squared norm below ``tau_bound_sq``.
+    At equality it can fail, since two errors of norm lambda / 4 in
+    opposite directions differ by half a shortest vector, a tie no decoder
+    can break.
+
+    ``anchor_congruence`` is the anchor's constant congruence
+    ``f = M_anchor n + 0``, built once for every reconstruction.
     """
 
     moduli: tuple[IntMatrix, ...]
@@ -47,6 +53,7 @@ class RobustInstance:
     tau_bound_sq: Fraction
     lcrm: IntMatrix
     anchor_lattices: dict[int, LatticeBasis]
+    anchor_congruence: Congruence
 
     @property
     def count(self) -> int:
@@ -100,6 +107,7 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
         tau_bound_sq=tau_bound_sq,
         lcrm=lcrm_many(moduli),
         anchor_lattices=lattices,
+        anchor_congruence=Congruence(moduli[anchor], (0,) * d),
     )
 
 
@@ -123,9 +131,9 @@ def robust_reconstruct(
     folds, and average: the estimate is ``(T * sum of folds + sum of the
     T * remainders) / (n T)`` for the remainders' common denominator T.
     ``designated_lcrm`` picks which lcrm representative R the anchor fold is
-    reduced into; by default, or when it is ``instance.lcrm``, the fold stays
-    where ``crt_solve`` put it, in N(instance.lcrm) for the HNF-normalized
-    lcrm.
+    reduced into, ``instance.lcrm`` (the HNF-normalized lcrm) by default;
+    ``crt_solve`` reduces straight into it, once. Each snapped difference
+    is its congruence's remainder as it stands: ``Congruence`` reduces it.
     Raises Inconsistent when the snapped values are incompatible, which
     callers treat as a failed trial.
     """
@@ -150,13 +158,11 @@ def robust_reconstruct(
             diff = tuple(Fraction(x, t) for x in diff)
         snapped[j] = closest_vector(instance.anchor_lattices[j], diff)
 
-    congruences = []
-    for j, m in enumerate(instance.moduli):
-        rem = (0,) * d if j == l0 else reduce_mod(snapped[j], m)[1]
-        congruences.append(Congruence(m, rem))
-    anchor_fold = crt_solve(congruences).value
-    if designated_lcrm is not None and designated_lcrm != instance.lcrm:
-        anchor_fold = reduce_mod(anchor_fold, designated_lcrm)[1]
+    congruences = [
+        instance.anchor_congruence if j == l0 else Congruence(m, snapped[j])
+        for j, m in enumerate(instance.moduli)
+    ]
+    anchor_fold = crt_solve(congruences, into=designated_lcrm).value
 
     folds = tuple(anchor_fold if j == l0 else vec_sub(anchor_fold, snapped[j]) for j in range(n))
     estimate = tuple(

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import ConfigInvalid, Inconsistent
-from .exact_linalg import IntMatrix, IntVec, vec_norm_sq, vec_sub
+from .exact_linalg import IntMatrix, IntVec
 from .lattice import nearest_region_point, reduce_mod
 from .multistage import build_plan, final_region, multistage_reconstruct
 
@@ -257,6 +257,18 @@ def resolve_f(cfg: SweepConfig) -> IntVec | None:
     return _machinery(cfg).f
 
 
+def _score(estimate: tuple[Fraction, ...], f: IntVec, tau_sq: Fraction) -> tuple[float, bool]:
+    """``(sqrt of ||estimate - f||^2, ||estimate - f||^2 <= tau_sq)`` in
+    integers: over ``den``, the lcm of the estimate's denominators, the
+    squared error is ``num / den^2``. ``num / (den * den)`` is one correctly
+    rounded int division, the float that the exact Fraction converts to, and
+    the comparison is cross-multiplied exactly."""
+    den = math.lcm(*(x.denominator for x in estimate))
+    num = sum([(x.numerator * (den // x.denominator) - den * y) ** 2 for x, y in zip(estimate, f)])
+    den_sq = den * den
+    return math.sqrt(num / den_sq), num * tau_sq.denominator <= tau_sq.numerator * den_sq
+
+
 def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow, tuple | None]:
     """One tau's row, reduced trial by trial, and its records if ``keep_raw``."""
     mach = _machinery(cfg)
@@ -278,8 +290,7 @@ def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow
         except Inconsistent:
             estimate, norm, success = None, float("nan"), False
         else:
-            err_sq = vec_norm_sq(vec_sub(estimate, f))
-            norm, success = math.sqrt(err_sq), err_sq <= tau_sq
+            norm, success = _score(estimate, f, tau_sq)
             total += norm
             estimates += 1
             successes += success

@@ -13,8 +13,8 @@ from mdcrt.crt_core import (
     lcrm,
     lcrm_many,
 )
-from mdcrt.errors import DimensionMismatch, Inconsistent
-from mdcrt.exact_linalg import IntMatrix, hnf, vec_sub
+from mdcrt.errors import DimensionMismatch, Inconsistent, SingularMatrix
+from mdcrt.exact_linalg import IntMatrix, hnf, vec_add, vec_sub
 from mdcrt.lattice import reduce_mod
 from conftest import (
     brute_common_left_divisors,
@@ -23,6 +23,7 @@ from conftest import (
     brute_intersection_det,
     enumerate_fpd,
     random_matrix,
+    random_unimodular,
     square_matrices,
 )
 
@@ -205,9 +206,21 @@ class TestCrtSolve:
                 assert key not in seen
                 seen.add(key)
 
-    def test_remainder_validation(self):
-        with pytest.raises(ValueError):
-            Congruence(IntMatrix.diag(2, 2), (5, 0))
+    def test_remainder_validation(self, rng):
+        # any representative is accepted and stored reduced into N(modulus)
+        two_i = IntMatrix.diag(2, 2)
+        assert Congruence(two_i, (5, 0)).remainder == (1, 0)
+        for _ in range(30):
+            m = random_matrix(rng, 2, bound=6)
+            r = tuple(rng.randint(-50, 50) for _ in range(2))
+            k = tuple(rng.randint(-9, 9) for _ in range(2))
+            c = Congruence(m, r)
+            assert Congruence(m, vec_add(r, m.apply(k))) == c
+            assert c.remainder in brute_fpd(m)
+        with pytest.raises(DimensionMismatch):
+            Congruence(two_i, (1, 0, 0))
+        with pytest.raises(SingularMatrix):
+            Congruence(M([[1, 2], [2, 4]]), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +288,34 @@ class TestCompiledFold:
             cached = outcome(lambda r: crt_solve([Congruence(m, x) for m, x in zip(ms, r)]), rems)
             fresh = outcome(CrtPlan(ms).solve, rems)
             assert cached == fresh
+
+    @settings(max_examples=60, deadline=None)
+    @given(moduli_sets(), st.data())
+    def test_into_any_lcrm_basis_from_any_representatives(self, ms, data):
+        """Solving straight into D = R @ U (U unimodular) is reducing the
+        N(R) solution into N(D); unreduced remainders r + M k solve as r."""
+
+        def outcome(solve, *args):
+            try:
+                return solve(*args).value
+            except Inconsistent:
+                return "inconsistent"
+
+        rems = data.draw(remainder_tuples(ms))
+        total = lcrm_many(ms)
+        into = total @ random_unimodular(data.draw(st.randoms(use_true_random=False)), total.dim)
+        unreduced = [
+            vec_add(r, m.apply([data.draw(st.integers(-20, 20)) for _ in r])) for m, r in zip(ms, rems)
+        ]
+        congruences = [Congruence(m, r) for m, r in zip(ms, rems)]
+        plan = CrtPlan(ms)
+        base = outcome(crt_solve, congruences)
+        expected = base if base == "inconsistent" else reduce_mod(base, into)[1]
+        assert outcome(crt_solve, congruences, into) == expected
+        assert outcome(plan.solve, unreduced) == base
+        assert outcome(plan.solve, unreduced, into) == expected
+        if base != "inconsistent":
+            assert crt_solve(congruences, into).lcrm == into
 
     def test_4d_three_non_hnf_moduli(self, rng):
         g = M([[2, 1, 0, 1], [0, 3, 1, 0], [1, 0, 2, 1], [0, 1, 1, 3]])

@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from mdcrt import crt_core, lattice, robust
 from mdcrt.errors import DimensionMismatch, DuplicateModuli, Inconsistent, NotAnLcrm
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_add, vec_norm_sq, vec_sub
 from mdcrt.crt_core import gcld
 from mdcrt.lattice import FpdSampler, LatticeBasis, reduce_mod, shortest_vector
-from mdcrt.multistage import build_plan
+from mdcrt.multistage import build_plan, final_region, multistage_reconstruct
 from mdcrt.robust import (
     build_instance,
     robust_reconstruct,
     robustly_determinable_region,
 )
+from mdcrt.simkit import trial_rng
 from conftest import FIG3_GROUPING, FIG3_MODULI, enumerate_fpd, random_matrix
 
 M = IntMatrix.from_rows
@@ -208,6 +210,57 @@ class TestAveraging:
             robust_reconstruct(inst, [(1, 2), (1,), (1, 2)])
 
 
+class TestReductionCount:
+    """One decode of an n-member group reduces exactly n times: once per
+    non-anchor congruence and once in the CRT solve, straight into the
+    designated lcrm. Every module that holds ``reduce_mod`` on that path
+    is counted. Each count follows a first decode, which compiles and
+    caches the group's ``CrtPlan``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = []
+
+        def counted(f, m):
+            counter.append(m)
+            return reduce_mod(f, m)
+
+        for holder in (crt_core, robust, lattice):
+            monkeypatch.setattr(holder, "reduce_mod", counted)
+        return counter
+
+    def decode_group(self, grp, gen, calls):
+        inst = grp.instance
+        f = tuple(gen.randint(-10**6, 10**6) for _ in range(2))
+        noisy = [
+            vec_add(reduce_mod(f, m)[1], (gen.randint(-2, 2), gen.randint(-2, 2))) for m in inst.moduli
+        ]
+        calls.clear()
+        robust_reconstruct(inst, noisy, designated_lcrm=grp.designated_lcrm)  # consistent: errors are small
+        return len(calls)
+
+    def test_fig3_groups(self, calls):
+        plan = build_plan(FIG3_MODULI, FIG3_GROUPING)
+        groups = [*plan.stages[0], plan.final]
+        assert [grp.instance.count for grp in groups] == [3, 3, 2]
+        assert plan.final.designated_lcrm == plan.final.instance.lcrm
+        gen = random.Random(11)
+        for grp in groups:
+            self.decode_group(grp, gen, calls)
+            for _ in range(20):
+                assert self.decode_group(grp, gen, calls) == grp.instance.count
+
+    def test_fig3_trial(self, calls):
+        plan = build_plan(FIG3_MODULI, FIG3_GROUPING)
+        f = final_region(plan).sample(trial_rng(3, 0, 0))
+        noisy = [reduce_mod(f, m)[1] for m in FIG3_MODULI]
+        multistage_reconstruct(plan, noisy)
+        calls.clear()
+        out = multistage_reconstruct(plan, noisy)
+        assert out.estimate == tuple(Fraction(x) for x in f)
+        assert len(calls) == 3 + 3 + 2
+
+
 class TestRegion:
     def test_shifted_fpd_example(self):
         inst = build_instance([M([[3, 1], [2, 2]]), M([[2, 2], [1, 3]])])
@@ -237,3 +290,46 @@ class TestRegion:
             robustly_determinable_region(inst, IntMatrix.diag(8, 8))
         with pytest.raises(NotAnLcrm):
             robustly_determinable_region(inst, IntMatrix.diag(4, 8))
+
+
+class TestGuaranteeBoundary:
+    """The guarantee is tau^2 < tau_bound_sq, strictly. On fig3's two
+    final-stage moduli the gcld lattice's shortest vector is (-64, 0) and
+    the bound is 256: errors +-(16, 0) on one remainder and -+(16, 0) on the
+    other differ by half a shortest vector, a CVP tie that no decoder can
+    break for both signs."""
+
+    MODULI = (M([[5632, -4352], [4352, 5632]]), M([[12672, 9792], [-9792, 12672]]))
+
+    def outcomes(self, axis_errors):
+        """Per region-sampled f (300 of them), whether each error pair
+        ``(a, 0), (-a, 0)`` for a in ``axis_errors`` decodes within
+        sqrt(256) of f through the single-stage plan."""
+        plan = build_plan(self.MODULI, ())
+        assert plan.final.instance.tau_bound_sq == 256
+        region = final_region(plan)
+        results = []
+        for t in range(300):
+            f = region.sample(trial_rng(7, 0, t))
+            rems = [reduce_mod(f, m)[1] for m in self.MODULI]
+            row = []
+            for a in axis_errors:
+                noisy = [vec_add(rems[0], (a, 0)), vec_add(rems[1], (-a, 0))]
+                try:
+                    est = multistage_reconstruct(plan, noisy).estimate
+                except Inconsistent:
+                    row.append(False)
+                else:
+                    row.append(vec_norm_sq(vec_sub(est, f)) <= 256)
+            results.append(row)
+        return results
+
+    def test_errors_at_the_bound_can_fail(self):
+        results = self.outcomes((16, -16))
+        assert sum(row.count(False) for row in results) == 300
+        # the tie goes the wrong way for exactly one of the two signs
+        assert all(row.count(False) == 1 for row in results)
+
+    def test_errors_below_the_bound_succeed(self):
+        results = self.outcomes(range(-15, 16))
+        assert all(all(row) for row in results)

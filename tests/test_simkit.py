@@ -6,12 +6,14 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdcrt.config import load_config
 from mdcrt.errors import ConfigInvalid
-from mdcrt.exact_linalg import IntMatrix
+from mdcrt.exact_linalg import IntMatrix, vec_norm_sq, vec_sub
 from mdcrt.simkit import (
     ErrorBallSampler,
+    _score,
     SweepConfig,
     XorShift64Star,
     raw_csv_lines,
@@ -144,6 +146,47 @@ class TestBallDecode:
         assert s.count == expected
         assert all(sum(x * x for x in p) <= n for p in draws)
         assert elapsed < 1.0
+
+
+def fraction_score(estimate, f, tau):
+    """The Fraction formula that trial scoring replaced."""
+    err_sq = vec_norm_sq(vec_sub(estimate, f))
+    return math.sqrt(err_sq), err_sq <= tau * tau
+
+
+class TestScore:
+    """Trials are scored in integers over the lcm of the estimate's
+    denominators; the norm and the success flag match the Fraction formula
+    bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_formula(self, data):
+        dim = data.draw(st.integers(1, 4))
+        big = data.draw(st.sampled_from((10, 10**6, 10**40)))
+        f = tuple(data.draw(st.integers(-big, big)) for _ in range(dim))
+        error = st.fractions(-big, big, max_denominator=data.draw(st.sampled_from((1, 7, 10**9))))
+        estimate = tuple(Fraction(x) + data.draw(error) for x in f)
+        tau = data.draw(st.fractions(0, 2 * big, max_denominator=1000))
+        assert _score(estimate, f, tau * tau) == fraction_score(estimate, f, tau)
+
+    @pytest.mark.parametrize(
+        "error, tau",
+        [
+            ((3, 4), 5),
+            ((Fraction(3, 7), Fraction(4, 7)), Fraction(5, 7)),
+            ((Fraction(-6, 35), Fraction(8, 35)), Fraction(2, 7)),
+        ],
+    )
+    def test_boundary_is_a_success(self, error, tau):
+        f = (10**9, -17)
+        estimate = tuple(Fraction(x) + e for x, e in zip(f, error))
+        assert vec_norm_sq(vec_sub(estimate, f)) == Fraction(tau) ** 2
+        norm, success = _score(estimate, f, Fraction(tau) ** 2)
+        assert success and norm == float(tau)
+        assert (norm, success) == fraction_score(estimate, f, Fraction(tau))
+        below = Fraction(tau) ** 2 - Fraction(1, 10**12)
+        assert _score(estimate, f, below)[1] is False
 
 
 class TestSweep:
