@@ -6,7 +6,7 @@ multi-stage reconstruction, and seeded Monte-Carlo sweeps.
 """
 
 from .crt_core import Congruence, CrtSolution, crt_solve, gcld, is_coprime, lcrm, lcrm_many
-from .exact_linalg import IntMatrix, adjugate, det, hnf, parse_matrix, snf, solve_diophantine
+from .exact_linalg import IntMatrix, adjugate, det, hnf, parse_matrix, snf
 from .lattice import FpdUnionRegion, LatticeBasis, closest_vector, reduce_mod, shortest_vector
 from .multistage import GroupingPlan, build_plan, check_group_condition, final_region, multistage_reconstruct
 from .robust import RobustInstance, RobustOutput, build_instance, robust_reconstruct, robustly_determinable_region
@@ -45,7 +45,6 @@ __all__ = [
     "search_max_svp",
     "shortest_vector",
     "snf",
-    "solve_diophantine",
 ]
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ class DimensionUnsupported(MdcrtError):
 
 
 class RankDeficient(MdcrtError):
-    """A D x K block has rank below D (``hnf`` of a block, ``solve_diophantine``)."""
+    """A D x K block has rank below D (``hnf`` of a block)."""
 
 
 class Inconsistent(MdcrtError):

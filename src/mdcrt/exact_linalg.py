@@ -465,31 +465,3 @@ def snf(m: IntMatrix) -> SnfDecomposition:
         v=IntMatrix.from_rows(zip(*vt)),
         lam=IntMatrix.from_rows(a),
     )
-
-
-# ---------------------------------------------------------------------------
-# integer linear systems
-
-
-def solve_diophantine(a: IntMatrix, b: Sequence[int]) -> IntVec | None:
-    """Integer solution of ``a @ x = b`` for a full-row-rank D x K block.
-
-    With ``u @ a @ v = lam``, the system has an integer solution exactly when
-    ``c = u @ b`` has ``c[i]`` divisible by ``lam[i][i]`` for every i < D; one
-    solution is then ``v @ y`` with ``y[i] = c[i] / lam[i][i]`` for i < D and
-    0 beyond. Returns None when the system is solvable over the rationals but
-    not the integers. Raises RankDeficient when rank(a) < D and
-    DimensionMismatch unless ``len(b)`` is D.
-    """
-    if len(b) != a.nrows:
-        raise DimensionMismatch("right-hand side length must match the row count")
-    dec = snf(a)
-    if dec.rank < a.nrows:
-        raise RankDeficient(f"rank {dec.rank} < {a.nrows}")
-    y = []
-    for c, lam in zip(dec.u.apply(b), dec.diagonal()):
-        q, r = divmod(c, lam)
-        if r:
-            return None
-        y.append(q)
-    return tuple([sum(map(mul, row[: len(y)], y)) for row in dec.v.rows])

@@ -7,9 +7,10 @@ appear only in display code elsewhere. Nothing here lists the
 points of a parallelepiped: ``FpdSampler`` addresses them by index, and a
 union of shifted parallelepipeds is stored as its anchor and quotient
 matrix, with closed-form size, centroid, membership test and i-th shift.
-Every search is bounded: SVP/CVP by the dimension cap ``MAX_DIM`` and the
-nearest-region-point search by the distance of a region point computed in
-closed form.
+SVP/CVP search a pairwise-reduced basis at every dimension up to the cap
+``MAX_DIM``, so the reduced basis, not a skewed input basis such as a
+Hermite normal form, bounds their search. The nearest-region-point search
+is bounded by the distance of a region point computed in closed form.
 """
 
 from __future__ import annotations
@@ -102,23 +103,41 @@ class FpdSampler:
 # lattice basis with cached reduction
 
 
-def _lagrange_gauss(b1: IntVec, b2: IntVec) -> tuple[IntVec, IntVec]:
-    """Two-dimensional reduced basis: ||b1|| <= ||b2||, |<b1,b2>| <= ||b1||^2 / 2."""
-    while True:
-        if vec_norm_sq(b1) > vec_norm_sq(b2):
-            b1, b2 = b2, b1
-        n1 = vec_norm_sq(b1)
-        q = (2 * vec_dot(b1, b2) + n1) // (2 * n1)
-        if q == 0:
-            return b1, b2
-        b2 = vec_sub(b2, vec_scale(q, b1))
+def _pairwise_reduce(columns: Sequence[IntVec]) -> list[IntVec]:
+    """Pairwise Lagrange-Gauss reduction of any number of columns.
+
+    Sort the columns stably by squared norm, shorten each column by the
+    nearest multiple of each shorter column b_j while
+    ``2 |<b_i, b_j>| > ||b_j||^2``, and repeat until nothing changes. Each
+    step lowers an integer squared norm, so the loop ends. On two columns
+    this is the Lagrange-Gauss algorithm, except that an exact tie
+    ``2 <b_1, b_2> = ||b_1||^2`` keeps b_2 instead of taking b_2 - b_1.
+    """
+    b = sorted(columns, key=vec_norm_sq)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(b)):
+            for j in range(i):
+                nj = vec_norm_sq(b[j])
+                dot = vec_dot(b[i], b[j])
+                if 2 * abs(dot) > nj:
+                    b[i] = vec_sub(b[i], vec_scale((2 * dot + nj) // (2 * nj), b[j]))
+                    changed = True
+        b.sort(key=vec_norm_sq)
+    return b
 
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Nonsingular integer basis with, for D = 2, a cached
-    Lagrange-Gauss-reduced basis, and the cached integer form that SVP/CVP
-    search: the reduced basis when there is one, else ``basis`` itself."""
+    """Nonsingular integer basis with its cached pairwise-reduced basis
+    (sorted by norm, ``2 |<b_i, b_j>| <= ||b_i||^2`` for i < j) and the
+    cached integer form that SVP/CVP search on it.
+
+    The shortest-vector witness is min(b, -b) of the first reduced column
+    for D <= 2 and the lexicographically smallest shortest vector for
+    D >= 3.
+    """
 
     basis: IntMatrix
 
@@ -131,18 +150,15 @@ class LatticeBasis:
         return self.basis.dim
 
     @cached_property
-    def reduced(self) -> IntMatrix | None:
-        if self.dim != 2:
-            return None
-        b1, b2 = _lagrange_gauss(self.basis.column(0), self.basis.column(1))
-        return IntMatrix.from_columns([b1, b2])
+    def reduced(self) -> IntMatrix:
+        return IntMatrix.from_columns(_pairwise_reduce(self.basis.transpose().rows))
 
     @cached_property
     def _form(self) -> tuple:
         """``(B, |det B| B^{-1}, |det B|, delta, m, weight)`` for the search
-        basis B (the reduced one when there is one): the fraction-free LDL
-        of ``B^T B`` (Bareiss 1968) that ``_enum_best`` describes."""
-        b = self.reduced if self.reduced is not None else self.basis
+        basis B, the reduced one: the fraction-free LDL of ``B^T B``
+        (Bareiss 1968) that ``_enum_best`` describes."""
+        b = self.reduced
         n = b.dim
         a = [list(r) for r in (b.transpose() @ b).rows]
         prev = 1
@@ -239,17 +255,18 @@ def _enum_best(form: tuple, x: Sequence[int], s: int, skip_zero: bool) -> IntVec
 
 
 def shortest_vector(l: LatticeBasis) -> tuple[int, IntVec]:
-    """Exact squared minimum distance of the lattice and a witness vector."""
+    """Exact squared minimum distance of the lattice and a witness vector.
+
+    For D <= 2 the first reduced column is a shortest vector, and the
+    witness is min(b, -b) of it (``(-|g|,)`` in D = 1). For D >= 3 it is
+    the lexicographically smallest shortest vector.
+    """
     n = l.dim
     if n > MAX_DIM:
         raise DimensionUnsupported(f"shortest_vector supports dim <= {MAX_DIM}, got {n}")
-    if n == 1:
-        g = l.basis.rows[0][0]
-        return g * g, (abs(g),)
-    if n == 2:
+    if n <= 2:
         b1 = l.reduced.column(0)
-        lsq = vec_norm_sq(b1)
-        return lsq, min(b1, vec_scale(-1, b1))
+        return vec_norm_sq(b1), min(b1, vec_scale(-1, b1))
     v = _enum_best(l._form, [0] * n, 1, skip_zero=True)
     return vec_norm_sq(v), v
 

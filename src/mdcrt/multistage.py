@@ -28,7 +28,6 @@ from typing import Sequence
 from .crt_core import lcrm_many
 from .errors import (
     CoverageIncomplete,
-    DimensionMismatch,
     DuplicateOutput,
     GroupConditionFailed,
 )
@@ -38,6 +37,7 @@ from .robust import (
     RobustInstance,
     RobustOutput,
     build_instance,
+    check_remainder_shape,
     robust_reconstruct,
     robustly_determinable_region,
 )
@@ -196,12 +196,7 @@ def multistage_reconstruct(
     size; Inconsistent propagates from the congruence solver and marks a
     failed trial.
     """
-    if len(noisy_remainders) != len(plan.moduli):
-        raise ValueError("one remainder per modulus required")
-    d = plan.moduli[0].dim
-    if any(len(r) != d for r in noisy_remainders):
-        lengths = [len(r) for r in noisy_remainders]
-        raise DimensionMismatch(f"remainders must have length {d}, got lengths {lengths}")
+    check_remainder_shape(noisy_remainders, len(plan.moduli), plan.moduli[0].dim)
     current: Sequence[Sequence[Scalar]] = noisy_remainders
     for stage in plan.stages:
         outputs = []

@@ -111,6 +111,16 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
     )
 
 
+def check_remainder_shape(remainders: Sequence[Sequence[Scalar]], count: int, dim: int) -> None:
+    """Raise ValueError unless there are ``count`` remainders, and
+    DimensionMismatch unless each has length ``dim``."""
+    if len(remainders) != count:
+        raise ValueError("one remainder per modulus required")
+    if any(len(r) != dim for r in remainders):
+        lengths = [len(r) for r in remainders]
+        raise DimensionMismatch(f"remainders must have length {dim}, got lengths {lengths}")
+
+
 @dataclass(frozen=True)
 class RobustOutput:
     """Averaged estimate (exact rational) and the recovered fold terms M_i n_i."""
@@ -139,12 +149,7 @@ def robust_reconstruct(
     """
     l0 = instance.anchor
     n = instance.count
-    d = instance.dim
-    if len(noisy_remainders) != n:
-        raise ValueError("one remainder per modulus required")
-    if any(len(r) != d for r in noisy_remainders):
-        lengths = [len(r) for r in noisy_remainders]
-        raise DimensionMismatch(f"remainders must have length {d}, got lengths {lengths}")
+    check_remainder_shape(noisy_remainders, n, instance.dim)
     # every remainder as an integer vector over one denominator t
     t = math.lcm(*(x.denominator for r in noisy_remainders for x in r))
     scaled = [tuple(x.numerator * (t // x.denominator) for x in r) for r in noisy_remainders]

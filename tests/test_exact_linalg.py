@@ -13,7 +13,6 @@ from mdcrt.exact_linalg import (
     parse_matrix,
     parse_vector,
     snf,
-    solve_diophantine,
     vec_add,
     vec_sub,
 )
@@ -229,49 +228,6 @@ class TestHnf:
             hnf(M([[1, 2, 3], [2, 4, 6]]))
 
 
-class TestSolveDiophantine:
-    def test_identity(self):
-        assert solve_diophantine(IntMatrix.identity(2), (5, -3)) == (5, -3)
-
-    def test_coprime_pair_always_solvable(self, rng):
-        a = M([[3, 1], [2, 2]])
-        b = M([[2, 2], [1, 3]])
-        block = a.hstack(-b)
-        for _ in range(40):
-            rhs = (rng.randint(-30, 30), rng.randint(-30, 30))
-            x = solve_diophantine(block, rhs)
-            assert x is not None
-            assert block.apply(x) == rhs
-
-    def test_parity_obstruction(self):
-        block = M([[2, 0, 2, 0], [0, 2, 0, 2]])
-        assert solve_diophantine(block, (1, 1)) is None
-
-    def test_rank_deficient(self):
-        with pytest.raises(RankDeficient):
-            solve_diophantine(M([[1, 2], [2, 4]]), (1, 1))
-
-    def test_none_means_no_solution(self, rng):
-        # cross-check a None answer against exhaustive search in a box
-        for _ in range(25):
-            a = random_matrix(rng, 2, bound=4)
-            k = rng.choice([2, 3, 4])
-            block = a.hstack(a.scale(k))
-            rhs = (rng.randint(-6, 6), rng.randint(-6, 6))
-            x = solve_diophantine(block, rhs)
-            if x is not None:
-                assert block.apply(x) == rhs
-            else:
-                found = False
-                for c0 in range(-8, 9):
-                    for c1 in range(-8, 9):
-                        for c2 in range(-8, 9):
-                            for c3 in range(-8, 9):
-                                if block.apply((c0, c1, c2, c3)) == rhs:
-                                    found = True
-                assert not found
-
-
 BLOCK = M([[3, 1, -2, -2], [2, 2, -1, -3]])
 
 
@@ -286,13 +242,12 @@ class TestLengthChecks:
             (lambda v: reduce_mod(v, M([[3, 1], [2, 2]])), 2, DimensionMismatch),
             (lambda v: M([[3, 1], [2, 2]]).apply(v), 2, DimensionMismatch),
             (lambda v: BLOCK.apply(v), 4, DimensionMismatch),
-            (lambda v: solve_diophantine(BLOCK, v), 2, DimensionMismatch),
             (lambda v: vec_add((1, 2, 3), v), 3, ValueError),
             (lambda v: vec_add(v, (1, 2, 3)), 3, ValueError),
             (lambda v: vec_sub((1, 2, 3), v), 3, ValueError),
             (lambda v: vec_sub(v, (1, 2, 3)), 3, ValueError),
         ],
-        ids=["reduce_mod", "apply", "apply_block", "solve", "add_left", "add_right", "sub_left", "sub_right"],
+        ids=["reduce_mod", "apply", "apply_block", "add_left", "add_right", "sub_left", "sub_right"],
     )
     def test_wrong_length_raises(self, kernel, length, error, short):
         v = tuple(range(1, length)) if short else tuple(range(1, length + 2))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mdcrt.errors import DimensionMismatch, DimensionUnsupported, SingularMatrix
-from mdcrt.exact_linalg import IntMatrix, snf, vec_add, vec_dot, vec_norm_sq, vec_sub
+from mdcrt.exact_linalg import IntMatrix, hnf, snf, vec_add, vec_dot, vec_norm_sq, vec_sub
 from mdcrt.lattice import (
     FpdSampler,
     FpdUnionRegion,
@@ -225,13 +225,44 @@ class TestShortestVector:
         with pytest.raises(DimensionUnsupported):
             shortest_vector(LatticeBasis(IntMatrix.identity(5)))
 
+    def test_witness_rule(self):
+        # D <= 2: min(b, -b) of the first reduced column; D >= 3: the
+        # lexicographically smallest shortest vector
+        assert shortest_vector(LatticeBasis(M([[3]]))) == (9, (-3,))
+        assert shortest_vector(LatticeBasis(M([[-3]]))) == (9, (-3,))
+        assert shortest_vector(LatticeBasis(M([[0, 1], [1, 0]]))) == (1, (0, -1))
+        assert shortest_vector(LatticeBasis(M([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))) == (1, (-1, 0, 0))
+
     def test_reduced_basis_conditions(self, rng):
-        for _ in range(60):
-            m = random_matrix(rng, 2, bound=15)
-            red = LatticeBasis(m).reduced
-            b1, b2 = red.column(0), red.column(1)
-            assert vec_norm_sq(b1) <= vec_norm_sq(b2)
-            assert 2 * abs(vec_dot(b1, b2)) <= vec_norm_sq(b1)
+        # small random bases, and the Hermite forms of bases with entries up
+        # to 10^4, whose last column is as long as |det|
+        for dim in (2, 3, 4):
+            for k in range(60):
+                m = random_matrix(rng, dim, bound=15 if k % 2 else 10**4)
+                basis = m if k % 2 else hnf(m)
+                red = LatticeBasis(basis).reduced
+                cols = [red.column(j) for j in range(dim)]
+                norms = [vec_norm_sq(b) for b in cols]
+                assert norms == sorted(norms)
+                for i, j in itertools.combinations(range(dim), 2):
+                    assert 2 * abs(vec_dot(cols[i], cols[j])) <= norms[i]
+                # the same lattice: equal index, and every column in L(basis)
+                assert abs(red.det) == abs(basis.det)
+                basis.left_quotient(red)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_hermite_form_searches_like_its_lattice(self, dim):
+        # SVP and CVP answer for the lattice, whichever basis it comes in:
+        # the skewed Hermite form of a basis with entries up to 10^4 gives
+        # the same minimum, witness and closest vectors as the basis itself
+        gen = random.Random(dim)
+        for _ in range(6):
+            m = random_matrix(gen, dim, bound=10**4)
+            raw, skewed = LatticeBasis(m), LatticeBasis(hnf(m))
+            assert shortest_vector(skewed) == shortest_vector(raw)
+            for _ in range(3):
+                t = tuple(Fraction(gen.randint(-(10**6), 10**6), gen.choice([1, 2, 3])) for _ in range(dim))
+                assert closest_vector(skewed, t) == closest_vector(raw, t)
 
 
 class TestClosestVector:

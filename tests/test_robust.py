@@ -161,6 +161,23 @@ class TestReconstruct:
             out = robust_reconstruct(inst, noisy, designated_lcrm=inst.lcrm)
             assert out.folds == true_folds(f, inst.moduli)
 
+    def test_3d_moduli_with_skewed_gcld_bases(self):
+        # 6B, 10B, 15B: every gcld is a multiple of B, a Hermite form whose
+        # last column is as long as p; errors just below the bound (their
+        # differences stay inside half the shortest gcld vector) are corrected
+        b = M([[1, 0, 0], [0, 1, 0], [909925047, 861425548, 1000000007]])
+        moduli = [b.scale(k) for k in (6, 10, 15)]
+        plan = build_plan(moduli, ())
+        inst = plan.final.instance
+        assert inst.anchor == 2 and inst.tau_bound_sq == Fraction(9 * 1103009, 16)  # 9 lambda^2(B) / 16
+        f = final_region(plan).sample(random.Random(3))
+        errs = [(450, -450, 450), (-450, 450, -450), (0, 0, 0)]
+        assert all(vec_norm_sq(e) < inst.tau_bound_sq for e in errs)
+        noisy = [vec_add(reduce_mod(f, m)[1], e) for m, e in zip(moduli, errs)]
+        out = multistage_reconstruct(plan, noisy)
+        assert out.folds == true_folds(f, moduli)
+        assert out.estimate == tuple(Fraction(x) for x in f)  # the errors sum to zero
+
     def test_anchor_invariant_under_signed_permutation(self, rng):
         perm = M([[0, -1], [1, 0]])
         for _ in range(10):
