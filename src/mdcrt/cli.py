@@ -175,9 +175,9 @@ def _cmd_multistage(args) -> int:
     final = plan.final
     bounds = ",".join(_bound_str(b.tau_max_sq) for b in plan.per_group_bounds)
     return _single_shot(plan, args.remainders, [
-        f"final_anchor = {final.instance.anchor if final.instance else 0}",
+        f"final_anchor = {final.instance.anchor}",
         f"per_group_bounds_sq = [{bounds}]",
-        f"delta_final_sq = {_bound_str(final.delta_sq)}",
+        f"delta_final_sq = {_bound_str(final.instance.tau_bound_sq)}",
     ])
 
 

@@ -7,16 +7,20 @@ That rebasing is possible precisely when the Hermite normal form of
 ``anchor^{-1} lcrm(group)`` is diagonal, which is the admission test for a
 group. Group estimates (exact rationals, never rounded) become the next
 stage's remainders. The last stage of every plan is one final group that
-combines the surviving lcrms with a free anchor choice (a singleton when one
-lcrm survives). With no declared stages the final group takes the moduli
-themselves, so single-stage reconstruction is the zero-stage plan.
+combines the surviving lcrms with a free anchor choice. With no declared
+stages the final group takes the moduli themselves, so single-stage
+reconstruction is the zero-stage plan.
+
+Every group, a singleton included, is one ``RobustInstance``. A singleton
+group is the one-modulus instance: its bound is +infinity (``None``), its
+lcrm is its modulus and its estimate is its remainder.
 
 Per-group error bounds follow the path map ``phi``: the bound of an initial
 group is the minimum of its own stage-1 bound and the bounds of every later
-group its output flows through, the final group included. Singleton groups
-impose no bound (represented as ``None`` for +infinity). Every bound is
-strict, as in ``RobustInstance``: errors whose squared norm lies below it
-are corrected, and an error at it can be lost to a CVP tie.
+group its output flows through, the final group included; a singleton on
+the path adds no limit. Every bound is strict, as in ``RobustInstance``:
+errors whose squared norm lies below it are corrected, and an error at it
+can be lost to a CVP tie.
 """
 
 from __future__ import annotations
@@ -49,12 +53,11 @@ def check_group_condition(moduli: Sequence[IntMatrix], anchor_index: int) -> Int
     """Admission test for a group: returns the rebased lcrm ``anchor @ D``
     when HNF(anchor^{-1} lcrm(moduli)) is a diagonal D, else None.
 
-    Singleton groups pass trivially and return their only modulus.
+    A singleton group passes and returns its only modulus, since
+    HNF(M^{-1} hnf(M)) = I.
     """
     if not 0 <= anchor_index < len(moduli):
         raise ValueError("anchor index out of range")
-    if len(moduli) == 1:
-        return moduli[0]
     return _rebased_lcrm(moduli[anchor_index], lcrm_many(moduli))
 
 
@@ -66,13 +69,14 @@ def _rebased_lcrm(anchor: IntMatrix, total: IntMatrix) -> IntMatrix | None:
 
 @dataclass(frozen=True, eq=False)
 class StageGroup:
-    """One group within a stage. Its anchor is ``instance.anchor``: the
-    first member in a declared group, the free choice in the final one."""
+    """One group within a stage, always a robust instance (one modulus for
+    a singleton). Its anchor is ``instance.anchor``: the first member in a
+    declared group, the free choice in the final one. Its bound is
+    ``instance.tau_bound_sq``."""
 
     member_indices: tuple[int, ...]
     designated_lcrm: IntMatrix
-    delta_sq: Fraction | None  # None means +infinity (singleton group)
-    instance: RobustInstance | None  # None for singletons
+    instance: RobustInstance
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,8 @@ def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
     moduli = tuple(moduli)
     if not all(grouping):
         raise CoverageIncomplete("every declared stage must have a group")
+    if not grouping and len(moduli) < 2:
+        raise ValueError("a robust instance needs at least two moduli")
 
     stages: list[tuple[StageGroup, ...]] = []
     inputs: tuple[IntMatrix, ...] = moduli
@@ -127,9 +133,6 @@ def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
                 raise CoverageIncomplete(f"stage {s} group {g} repeats a member")
             seen.update(member_idx)
             members = [inputs[i] for i in member_idx]
-            if len(members) == 1:
-                groups.append(StageGroup(member_idx, members[0], None, None))
-                continue
             inst = build_instance(members, anchor=0)
             designated = _rebased_lcrm(members[0], inst.lcrm)
             if designated is None:
@@ -137,7 +140,7 @@ def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
                     f"stage {s} group {g} (members {list(member_idx)}): "
                     "HNF of anchor^-1 lcrm is not diagonal"
                 )
-            groups.append(StageGroup(member_idx, designated, inst.tau_bound_sq, inst))
+            groups.append(StageGroup(member_idx, designated, inst))
         if seen != set(range(len(inputs))):
             missing = sorted(set(range(len(inputs))) - seen)
             raise CoverageIncomplete(f"stage {s} leaves moduli {missing} uncovered")
@@ -152,12 +155,8 @@ def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
         stages.append(tuple(groups))
         inputs = outputs
 
-    if len(inputs) >= 2 or not stages:
-        inst = build_instance(inputs)
-        final = StageGroup(tuple(range(len(inputs))), inst.lcrm, inst.tau_bound_sq, inst)
-    else:
-        final = StageGroup((0,), inputs[0], None, None)
-    stages.append((final,))
+    inst = build_instance(inputs)
+    stages.append((StageGroup(tuple(range(len(inputs))), inst.lcrm, inst),))
 
     # phi: which later-stage groups consume each initial group's output
     phi: list[dict[int, frozenset[int]]] = []
@@ -171,10 +170,8 @@ def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
 
     bounds = []
     for i, grp in enumerate(stages[0]):
-        path = [grp.delta_sq] + [
-            stages[s][k].delta_sq for s, step in enumerate(phi, start=1) for k in step[i]
-        ]
-        finite = [d for d in path if d is not None]
+        path = [grp] + [stages[s][k] for s, step in enumerate(phi, start=1) for k in step[i]]
+        finite = [g.instance.tau_bound_sq for g in path if g.instance.tau_bound_sq is not None]
         bounds.append(PerGroupBound(group_index=i, tau_max_sq=min(finite, default=None)))
 
     return GroupingPlan(
@@ -190,11 +187,11 @@ def multistage_reconstruct(
 ) -> RobustOutput:
     """Run every stage and return the final group's output.
 
-    Group estimates stay exact rationals between stages; singleton groups
-    pass their remainder through unchanged, with no folds. Raises
-    DimensionMismatch for a remainder whose length is not the moduli's
-    size; Inconsistent propagates from the congruence solver and marks a
-    failed trial.
+    Group estimates stay exact rationals between stages; a singleton
+    group's estimate is its remainder as a ``Fraction`` vector, with one
+    zero fold. Raises DimensionMismatch for a remainder whose length is not
+    the moduli's size; Inconsistent propagates from the congruence solver
+    and marks a failed trial.
     """
     check_remainder_shape(noisy_remainders, len(plan.moduli), plan.moduli[0].dim)
     current: Sequence[Sequence[Scalar]] = noisy_remainders
@@ -202,20 +199,14 @@ def multistage_reconstruct(
         outputs = []
         for grp in stage:
             rems = [current[i] for i in grp.member_indices]
-            if grp.instance is None:
-                outputs.append(RobustOutput(estimate=tuple(Fraction(x) for x in rems[0]), folds=()))
-            else:
-                outputs.append(
-                    robust_reconstruct(grp.instance, rems, designated_lcrm=grp.designated_lcrm)
-                )
+            outputs.append(robust_reconstruct(grp.instance, rems, designated_lcrm=grp.designated_lcrm))
         current = [out.estimate for out in outputs]
     return outputs[0]
 
 
 def final_region(plan: GroupingPlan) -> FpdUnionRegion:
-    """Shifted-FPD union of the final anchor that the last stage can recover;
-    a singleton final group recovers one FPD of its lcrm."""
+    """Shifted-FPD union of the final anchor that the last stage can recover.
+    A singleton final group M recovers one FPD: its quotient M^{-1} hnf(M)
+    is unimodular, so the union has one shift."""
     final = plan.final
-    if final.instance is None:
-        return FpdUnionRegion(final.designated_lcrm, IntMatrix.identity(final.designated_lcrm.dim))
     return robustly_determinable_region(final.instance, final.designated_lcrm)

@@ -42,7 +42,9 @@ class RobustInstance:
     succeeds whenever every error has squared norm below ``tau_bound_sq``.
     At equality it can fail, since two errors of norm lambda / 4 in
     opposite directions differ by half a shortest vector, a tie no decoder
-    can break.
+    can break. A one-modulus instance has no pairs, so its bound is the
+    minimum over an empty set, +infinity, written ``None``: its estimate is
+    its remainder.
 
     ``anchor_congruence`` is the anchor's constant congruence
     ``f = M_anchor n + 0``, built once for every reconstruction.
@@ -50,7 +52,7 @@ class RobustInstance:
 
     moduli: tuple[IntMatrix, ...]
     anchor: int
-    tau_bound_sq: Fraction
+    tau_bound_sq: Fraction | None  # None means +infinity (one modulus)
     lcrm: IntMatrix
     anchor_lattices: dict[int, LatticeBasis]
     anchor_congruence: Congruence
@@ -69,12 +71,14 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
 
     The anchor maximizes min_{j != i} lambda(L(G_{i,j})), smallest index on
     ties; pass ``anchor`` explicitly to pin it (multi-stage groups do).
-    Raises DimensionMismatch for moduli of mixed dimension and
+    One modulus M gives the degenerate instance: anchor 0, bound ``None``,
+    lcrm hnf(M) and no lattices. Raises ValueError for no moduli,
+    DimensionMismatch for moduli of mixed dimension and
     DimensionUnsupported above ``lattice.MAX_DIM``.
     """
     moduli = tuple(moduli)
-    if len(moduli) < 2:
-        raise ValueError("a robust instance needs at least two moduli")
+    if not moduli:
+        raise ValueError("a robust instance needs at least one modulus")
     d = moduli[0].dim
     if any(m.dim != d for m in moduli):
         raise DimensionMismatch("moduli of mixed dimension")
@@ -91,15 +95,16 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
             g = pair_lattice[(i, j)] = LatticeBasis(gcld(moduli[i], moduli[j]))
             pair_lambda_sq[(i, j)] = shortest_vector(g)[0]
 
-    def row_min(i: int) -> int:
-        return min(pair_lambda_sq[(min(i, j), max(i, j))] for j in range(n) if j != i)
+    def row_min(i: int) -> int | None:
+        return min((pair_lambda_sq[(min(i, j), max(i, j))] for j in range(n) if j != i), default=None)
 
     if anchor is None:
         anchor = max(range(n), key=lambda i: (row_min(i), -i))
     elif not 0 <= anchor < n:
         raise ValueError(f"anchor index {anchor} out of range")
 
-    tau_bound_sq = Fraction(row_min(anchor), 16)
+    lambda_sq = row_min(anchor)
+    tau_bound_sq = None if lambda_sq is None else Fraction(lambda_sq, 16)
     lattices = {j: pair_lattice[(min(anchor, j), max(anchor, j))] for j in range(n) if j != anchor}
     return RobustInstance(
         moduli=moduli,

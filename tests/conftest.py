@@ -64,6 +64,17 @@ FIG3_MODULI = tuple(
 )
 FIG3_GROUPING = [[[0, 1, 2], [3, 4, 5]]]
 
+# configs/fig2_nondiag.cfg: four moduli over the base [[1,0],[32,881]] and
+# its two-stage grouping, the one shipped plan with a singleton group
+FIG2_NONDIAG_MODULI = tuple(
+    IntMatrix.from_rows(m)
+    for m in (
+        [[30, 0], [960, 26430]], [[70, 0], [11050, 61670]],
+        [[105, 15], [3360, 92985]], [[462, 42], [14784, 408366]],
+    )
+)
+FIG2_NONDIAG_GROUPING = [[[0, 1, 2], [3]]]
+
 
 @pytest.fixture
 def rng() -> random.Random:

@@ -237,6 +237,21 @@ class TestReconstructionCommands:
         assert rc == 4
         assert "capability" in err
 
+    @pytest.mark.parametrize("remainders", [["[1,2,3,4,5]"], []], ids=["single-shot", "sweep"])
+    def test_dimension_cap_exits_4_for_singleton_plan(self, tmp_path, capsys, remainders):
+        # a singleton group is a one-modulus robust instance, so it meets
+        # the same dimension cap as every other group
+        cfg = tmp_path / "big_singleton.cfg"
+        five = str([[2 if i == j else 0 for j in range(5)] for i in range(5)]).replace(" ", "")
+        cfg.write_text(
+            f"moduli = [{five}]\ngrouping = [[[0]]]\nreconstructors = multistage\ntau_grid = [1]\ntrials = 1\n"
+        )
+        argv = ["--remainders", *remainders] if remainders else []
+        rc, out, err = run(capsys, "multistage", str(cfg), *argv)
+        assert rc == 4
+        assert out == ""
+        assert err.startswith("capability exceeded: ")
+
     def test_fig3_single_centroid_exits_0(self, tmp_path, capsys):
         # the single-stage region has 4.1e9 points; it is never enumerated
         text = open("configs/fig3.cfg").read()

@@ -78,7 +78,7 @@ class TestGroupCondition:
 class TestBuildPlan:
     def test_trivial_plan_degenerates(self):
         plan = build_plan([G1, G1 @ A1, G1 @ A2], [[[0, 1, 2]]])
-        assert plan.final.instance is None and plan.final.delta_sq is None
+        assert plan.final.instance.tau_bound_sq is None
         assert [b.tau_max_sq for b in plan.per_group_bounds] == [Fraction(773, 16)]
 
     def test_two_stage_example(self):
@@ -87,9 +87,9 @@ class TestBuildPlan:
         plan = build_plan(two_stage_family(base), [[[0, 1, 2], [3]]])
         g1, g2 = plan.stages[0]
         assert g1.designated_lcrm == base.scale(1470)
-        assert g1.delta_sq == Fraction(25 * lam_sq, 4)
-        assert g2.delta_sq is None  # singleton carries straight through
-        assert plan.final.delta_sq == Fraction(441 * lam_sq, 4)
+        assert g1.instance.tau_bound_sq == Fraction(25 * lam_sq, 4)
+        assert g2.instance.tau_bound_sq is None  # singleton carries straight through
+        assert plan.final.instance.tau_bound_sq == Fraction(441 * lam_sq, 4)
         # singleton group is only limited by the final stage
         assert [b.tau_max_sq for b in plan.per_group_bounds] == [
             Fraction(25 * lam_sq, 4),
@@ -100,8 +100,8 @@ class TestBuildPlan:
 
     def test_motivating_plan(self):
         plan = build_plan(SIX, TWO_GROUPS)
-        assert [g.delta_sq for g in plan.stages[0]] == [Fraction(773, 16)] * 2
-        assert plan.final.delta_sq == Fraction(256)  # (64/4)^2
+        assert [g.instance.tau_bound_sq for g in plan.stages[0]] == [Fraction(773, 16)] * 2
+        assert plan.final.instance.tau_bound_sq == Fraction(256)  # (64/4)^2
         assert plan.final.designated_lcrm == IntMatrix.diag(1780992, 1780992)
         assert [b.tau_max_sq for b in plan.per_group_bounds] == [Fraction(773, 16)] * 2
 
@@ -116,11 +116,11 @@ class TestBuildPlan:
         d21, d22 = plan.stages[1]
         assert d21.designated_lcrm == gammas[2] @ IntMatrix.diag(16028928, 16028928)
         assert d22.designated_lcrm == gammas[2] @ IntMatrix.diag(9296208, 9296208)
-        assert d21.delta_sq == Fraction(16)  # (16/4)^2 = 4^2
-        assert d22.delta_sq == Fraction(6561, 16)  # (81/4)^2
+        assert d21.instance.tau_bound_sq == Fraction(16)  # (16/4)^2 = 4^2
+        assert d22.instance.tau_bound_sq == Fraction(6561, 16)  # (81/4)^2
         # the two stage-2 outputs share the left factor Gamma_3 * 1296 I, so
         # the exact final bound is (1296/4)^2 * lambda^2(Gamma_3) = 324^2 * 842
-        assert plan.final.delta_sq == Fraction(1296**2 * 842, 16)
+        assert plan.final.instance.tau_bound_sq == Fraction(1296**2 * 842, 16)
         # path map and per-group bounds, Table-style
         assert plan.phi[0] == {
             0: frozenset({0}),
@@ -157,7 +157,7 @@ class TestBuildPlan:
         assert final.member_indices == tuple(range(6))
         assert final.instance.anchor == inst.anchor
         assert final.designated_lcrm == inst.lcrm
-        assert final.delta_sq == inst.tau_bound_sq == Fraction(1, 16)
+        assert final.instance.tau_bound_sq == inst.tau_bound_sq == Fraction(1, 16)
 
     def test_zero_stage_plan_needs_two_moduli(self):
         with pytest.raises(ValueError, match="at least two moduli"):

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from mdcrt import crt_core, lattice, robust
-from mdcrt.errors import DimensionMismatch, DuplicateModuli, Inconsistent, NotAnLcrm
+from mdcrt.errors import (
+    DimensionMismatch,
+    DimensionUnsupported,
+    DuplicateModuli,
+    Inconsistent,
+    NotAnLcrm,
+    SingularMatrix,
+)
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_add, vec_norm_sq, vec_sub
 from mdcrt.crt_core import gcld
 from mdcrt.lattice import FpdSampler, LatticeBasis, reduce_mod, shortest_vector
@@ -15,7 +22,14 @@ from mdcrt.robust import (
     robustly_determinable_region,
 )
 from mdcrt.simkit import trial_rng
-from conftest import FIG3_GROUPING, FIG3_MODULI, enumerate_fpd, random_matrix
+from conftest import (
+    FIG2_NONDIAG_GROUPING,
+    FIG2_NONDIAG_MODULI,
+    FIG3_GROUPING,
+    FIG3_MODULI,
+    enumerate_fpd,
+    random_matrix,
+)
 
 M = IntMatrix.from_rows
 G1 = M([[22, -17], [17, 22]])
@@ -94,6 +108,48 @@ class TestBuildInstance:
     def test_forced_anchor(self):
         inst = build_instance([G1 @ A1, G1, G1 @ A2], anchor=1)
         assert inst.anchor == 1
+
+
+class TestOneModulus:
+    """One modulus M is the degenerate robust instance: no gcld pairs, so
+    the bound is the minimum over an empty set (+infinity, ``None``), the
+    lcrm is hnf(M) and the estimate is the remainder itself."""
+
+    MODULI = {
+        1: M([[6]]),
+        2: M([[3, 1], [2, 2]]),
+        3: M([[2, 1, 0], [0, 3, 1], [1, 0, 4]]),
+    }
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_instance(self, dim):
+        m = self.MODULI[dim]
+        inst = build_instance([m])
+        assert inst.anchor == 0 and inst.tau_bound_sq is None
+        assert inst.lcrm == hnf(m) and inst.anchor_lattices == {}
+
+    @pytest.mark.parametrize("den", [1, 3], ids=["integer", "thirds"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_estimate_is_the_remainder(self, dim, den):
+        m = self.MODULI[dim]
+        inst = build_instance([m])
+        gen = random.Random(10 * dim + den)
+        for _ in range(20):
+            r = tuple(gen.randint(-50, 50) for _ in range(dim))
+            if den > 1:
+                r = tuple(Fraction(x, den) for x in r)
+            out = robust_reconstruct(inst, [r], designated_lcrm=m)
+            assert out.estimate == tuple(Fraction(x) for x in r)
+            assert all(type(x) is Fraction for x in out.estimate)
+            assert out.folds == ((0,) * dim,)
+
+    def test_rejected_moduli(self):
+        with pytest.raises(ValueError, match="at least one modulus"):
+            build_instance([])
+        with pytest.raises(SingularMatrix):
+            build_instance([M([[2, 4], [1, 2]])])
+        with pytest.raises(DimensionUnsupported):
+            build_instance([IntMatrix.diag(2, 2, 2, 2, 2)])
 
 
 class TestReconstruct:
@@ -276,6 +332,19 @@ class TestReductionCount:
         out = multistage_reconstruct(plan, noisy)
         assert out.estimate == tuple(Fraction(x) for x in f)
         assert len(calls) == 3 + 3 + 2
+
+    def test_fig2_nondiag_trial(self, calls):
+        # the singleton stage-1 group {3} is a one-modulus instance: it
+        # reduces once, in its CRT solve
+        plan = build_plan(FIG2_NONDIAG_MODULI, FIG2_NONDIAG_GROUPING)
+        assert [grp.instance.count for grp in [*plan.stages[0], plan.final]] == [3, 1, 2]
+        f = final_region(plan).sample(trial_rng(3, 0, 0))
+        noisy = [reduce_mod(f, m)[1] for m in FIG2_NONDIAG_MODULI]
+        multistage_reconstruct(plan, noisy)
+        calls.clear()
+        out = multistage_reconstruct(plan, noisy)
+        assert out.estimate == tuple(Fraction(x) for x in f)
+        assert len(calls) == 3 + 1 + 2
 
 
 class TestRegion:
