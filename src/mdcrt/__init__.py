@@ -10,7 +10,7 @@ from .exact_linalg import IntMatrix, adjugate, det, hnf, parse_matrix, snf
 from .lattice import FpdUnionRegion, LatticeBasis, closest_vector, reduce_mod, shortest_vector
 from .multistage import GroupingPlan, build_plan, check_group_condition, final_region, multistage_reconstruct
 from .robust import RobustInstance, RobustOutput, build_instance, robust_reconstruct, robustly_determinable_region
-from .svp_search import SearchResult, best_diagonal_svp, mod_inverse, search_max_svp
+from .svp_search import SearchResult, best_diagonal_svp, search_max_svp
 
 __all__ = [
     "Congruence",
@@ -36,7 +36,6 @@ __all__ = [
     "is_coprime",
     "lcrm",
     "lcrm_many",
-    "mod_inverse",
     "multistage_reconstruct",
     "parse_matrix",
     "reduce_mod",

@@ -110,7 +110,7 @@ def _sweep_configs(
     return out
 
 
-def _emit_sweeps(cfg: ExperimentConfig, sweeps: list[SweepConfig], args) -> int:
+def _emit_sweeps(sweeps: list[SweepConfig], args) -> int:
     lines: list[str] = []
     raw_lines: list[str] = []
     for sweep in sweeps:
@@ -124,11 +124,10 @@ def _emit_sweeps(cfg: ExperimentConfig, sweeps: list[SweepConfig], args) -> int:
             rblock = raw_csv_lines(summary)
             raw_lines.extend(rblock if not raw_lines else rblock[1:])
     text = "\n".join(lines) + "\n"
-    out_path = args.out or cfg.out
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {out_path}", file=sys.stderr)
+        print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
     if args.raw:
@@ -155,7 +154,7 @@ def _single_shot(plan: GroupingPlan, remainders: list[str], header: list[str]) -
 def _cmd_robust(args) -> int:
     cfg = load_config(args.config)
     if not args.remainders:
-        return _emit_sweeps(cfg, _sweep_configs(cfg, args.trials, only="single"), args)
+        return _emit_sweeps(_sweep_configs(cfg, args.trials, only="single"), args)
     plan = build_plan(cfg.moduli, ())
     inst = plan.final.instance
     return _single_shot(plan, args.remainders, [
@@ -168,7 +167,7 @@ def _cmd_robust(args) -> int:
 def _cmd_multistage(args) -> int:
     cfg = load_config(args.config)
     if not args.remainders:
-        return _emit_sweeps(cfg, _sweep_configs(cfg, args.trials, only="multistage"), args)
+        return _emit_sweeps(_sweep_configs(cfg, args.trials, only="multistage"), args)
     if cfg.grouping is None:
         raise ConfigInvalid("multistage needs a 'grouping' in the config")
     plan = build_plan(cfg.moduli, cfg.grouping)
@@ -183,7 +182,7 @@ def _cmd_multistage(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    return _emit_sweeps(cfg, _sweep_configs(cfg, args.trials), args)
+    return _emit_sweeps(_sweep_configs(cfg, args.trials), args)
 
 
 def _cmd_svp_search(args) -> int:
@@ -254,23 +253,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_crt)
 
-    for name, fn in (("robust", _cmd_robust), ("multistage", _cmd_multistage)):
-        p = sub.add_parser(name, help=f"{name} reconstruction or sweep")
+    for name, fn, help_text in (
+        ("robust", _cmd_robust, "robust reconstruction or sweep"),
+        ("multistage", _cmd_multistage, "multistage reconstruction or sweep"),
+        ("simulate", _cmd_simulate, "run every reconstructor in a config"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("config")
-        p.add_argument("--remainders", nargs="+", help="single-shot mode: one vector per modulus")
+        if fn is not _cmd_simulate:
+            p.add_argument("--remainders", nargs="+", help="single-shot mode: one vector per modulus")
         p.add_argument("--trials", type=_positive_int, default=None)
         p.add_argument("--jobs", type=_positive_int, default=1)
         p.add_argument("--raw", action="store_true")
         p.add_argument("--out", default=None)
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("simulate", help="run every reconstructor in a config")
-    p.add_argument("config")
-    p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--raw", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("svp-search", help="max shortest-vector search over prime HNF lattices")
     p.add_argument("--prime", type=int, default=None)

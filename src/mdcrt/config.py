@@ -2,9 +2,9 @@
 
 Example::
 
-    # two-group plan over four moduli
-    moduli = [[[30,0],[960,26430]], [[70,0],[11050,61670]]]
-    grouping = [[[0,1],[2]]]
+    # configs/fig2_nondiag.cfg: group {0, 1, 2} and singleton {3}, then the final group
+    moduli = [[[30,0],[960,26430]],[[70,0],[11050,61670]],[[105,15],[3360,92985]],[[462,42],[14784,408366]]]
+    grouping = [[[0,1,2],[3]]]
     reconstructors = single,multistage
     tau_grid = [5,10,15]
     trials = 500
@@ -12,7 +12,7 @@ Example::
     f = centroid
 
 ``f`` is either the word ``centroid``, the word ``per-trial``, or an explicit
-vector literal like ``[12,34]``. Parsing and serializing round-trip exactly.
+vector literal like ``[12,34]``. The output path is ``--out``, not a key.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import ConfigInvalid
 from .exact_linalg import IntMatrix, IntVec
 
-_KNOWN_KEYS = ("moduli", "grouping", "reconstructors", "tau_grid", "trials", "seed", "f", "out")
+_KNOWN_KEYS = ("moduli", "grouping", "reconstructors", "tau_grid", "trials", "seed", "f")
 _RECONSTRUCTORS = ("single", "multistage")
 
 
@@ -38,7 +38,6 @@ class ExperimentConfig:
     seed: int
     f_mode: str  # "centroid", "per-trial", or "explicit"
     f_value: IntVec | None
-    out: str | None
 
 
 def _literal(key: str, text: str):
@@ -135,32 +134,7 @@ def parse_config(text: str) -> ExperimentConfig:
         seed=seed,
         f_mode=f_mode,
         f_value=f_value,
-        out=raw.get("out"),
     )
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    lines.append("moduli = [" + ",".join(str(m) for m in cfg.moduli) + "]")
-    if cfg.grouping is not None:
-        lines.append("grouping = " + _nested_str(cfg.grouping))
-    lines.append("reconstructors = " + ",".join(cfg.reconstructors))
-    lines.append("tau_grid = [" + ",".join(str(t) for t in cfg.taus) + "]")
-    lines.append(f"trials = {cfg.trials}")
-    lines.append(f"seed = {cfg.seed}")
-    if cfg.f_mode == "explicit":
-        lines.append("f = [" + ",".join(str(x) for x in cfg.f_value) + "]")
-    else:
-        lines.append(f"f = {cfg.f_mode}")
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    return "\n".join(lines) + "\n"
-
-
-def _nested_str(obj) -> str:
-    if isinstance(obj, tuple):
-        return "[" + ",".join(_nested_str(x) for x in obj) + "]"
-    return str(obj)
 
 
 def load_config(path: str) -> ExperimentConfig:

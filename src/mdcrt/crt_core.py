@@ -23,7 +23,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, Inconsistent, SingularMatrix
-from .exact_linalg import IntMatrix, IntVec, hnf, snf
+from .exact_linalg import IntMatrix, IntVec, Scalar, hnf, snf
 from .lattice import reduce_mod
 
 
@@ -87,6 +87,16 @@ def lcrm_many(ms: Sequence[IntMatrix]) -> IntMatrix:
 
 # ---------------------------------------------------------------------------
 # congruences
+
+
+def check_remainder_shape(remainders: Sequence[Sequence[Scalar]], count: int, dim: int) -> None:
+    """Raise ValueError unless there are ``count`` remainders, and
+    DimensionMismatch unless each has length ``dim``."""
+    if len(remainders) != count:
+        raise ValueError("one remainder per modulus required")
+    if any(len(r) != dim for r in remainders):
+        lengths = [len(r) for r in remainders]
+        raise DimensionMismatch(f"remainders must have length {dim}, got lengths {lengths}")
 
 
 @dataclass(frozen=True)
@@ -180,10 +190,7 @@ class CrtPlan:
         is none. ``into`` must be a basis of L(R), any lcrm of the moduli
         (it is not checked); it defaults to R. Reducing into it once is
         exact: ``reduce_mod`` depends only on the class of f mod L(R)."""
-        if len(remainders) != self.count:
-            raise ValueError("one remainder per congruence required")
-        if any(len(r) != self.dim for r in remainders):
-            raise DimensionMismatch(f"remainders must have length {self.dim}")
+        check_remainder_shape(remainders, self.count, self.dim)
         r0 = remainders[0]
         diff = [x - y for r in remainders[1:] for x, y in zip(r, r0)]
         for row, q in self.checks:

@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: configuration/parse problems exit 2,
 mathematical inconsistency exits 3, and a dimension above the SVP/CVP cap
-(``DimensionUnsupported``) exits 4. No search or listing has a fixed size
+(``DimensionUnsupported``) exits 4; every other ``MdcrtError``, such as
+``NotPrime`` from ``svp-search``, exits 2. No search or listing has a fixed size
 bound that it can exceed: regions are never enumerated and the
 nearest-region-point search is bounded in closed form.
 """
@@ -55,10 +56,6 @@ class DuplicateOutput(MdcrtError):
 
 class NotPrime(MdcrtError):
     """A prime integer was required."""
-
-
-class NotInvertible(MdcrtError):
-    """No modular inverse exists."""
 
 
 class ConfigInvalid(MdcrtError):

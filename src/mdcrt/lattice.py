@@ -28,6 +28,7 @@ from .exact_linalg import (
     IntMatrix,
     IntVec,
     Scalar,
+    bareiss,
     snf,
     vec_add,
     vec_dot,
@@ -88,7 +89,11 @@ class FpdSampler:
 
     def point(self, index: int) -> IntVec:
         """Point number ``index`` in ``[0, |det m|)``: a mixed-radix decode
-        over the SNF diagonal, last digit fastest (lexicographic digits)."""
+        over the SNF diagonal, last digit fastest (lexicographic digits).
+        Raises IndexError for any other index."""
+        count = abs(self.m.det)
+        if not 0 <= index < count:
+            raise IndexError(f"point index {index} outside [0, {count})")
         digits = [0] * len(self._diag)
         for i in reversed(range(len(self._diag))):
             index, digits[i] = divmod(index, self._diag[i])
@@ -157,16 +162,11 @@ class LatticeBasis:
     def _form(self) -> tuple:
         """``(B, |det B| B^{-1}, |det B|, delta, m, weight)`` for the search
         basis B, the reduced one: the fraction-free LDL of ``B^T B``
-        (Bareiss 1968) that ``_enum_best`` describes."""
+        (``bareiss``) that ``_enum_best`` describes."""
         b = self.reduced
         n = b.dim
         a = [list(r) for r in (b.transpose() @ b).rows]
-        prev = 1
-        for k in range(n):  # row k keeps its values from step k - 1: m[k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
+        bareiss(a)  # a Gram matrix is positive definite: no row moves
         delta = [1] + [a[k][k] for k in range(n)]
         p = math.lcm(*(delta[i] * delta[i + 1] for i in range(n)))
         weight = [p // (delta[i] * delta[i + 1]) for i in range(n)]
@@ -323,7 +323,8 @@ class FpdUnionRegion:
 
     def shift(self, index: int) -> IntVec:
         """Shift number ``index`` in ``[0, |det quotient|)``: the point
-        ``FpdSampler(quotient).point(index)`` of N(quotient)."""
+        ``FpdSampler(quotient).point(index)`` of N(quotient). Raises
+        IndexError for any other index."""
         return self._shifts.point(index)
 
     def contains(self, f: Sequence[int]) -> bool:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .crt_core import lcrm_many
+from .crt_core import check_remainder_shape, lcrm_many
 from .errors import (
     CoverageIncomplete,
     DuplicateOutput,
@@ -41,7 +41,6 @@ from .robust import (
     RobustInstance,
     RobustOutput,
     build_instance,
-    check_remainder_shape,
     robust_reconstruct,
     robustly_determinable_region,
 )
@@ -144,8 +143,7 @@ def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
         if seen != set(range(len(inputs))):
             missing = sorted(set(range(len(inputs))) - seen)
             raise CoverageIncomplete(f"stage {s} leaves moduli {missing} uncovered")
-        outputs = tuple(grp.designated_lcrm for grp in groups)
-        canon = [hnf(r) for r in outputs]
+        canon = [grp.instance.lcrm for grp in groups]  # = hnf(designated_lcrm)
         for i in range(len(canon)):
             for j in range(i + 1, len(canon)):
                 if canon[i] == canon[j]:
@@ -153,7 +151,7 @@ def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
                         f"stage {s} groups {i} and {j} produce the same lattice"
                     )
         stages.append(tuple(groups))
-        inputs = outputs
+        inputs = tuple(grp.designated_lcrm for grp in groups)
 
     inst = build_instance(inputs)
     stages.append((StageGroup(tuple(range(len(inputs))), inst.lcrm, inst),))

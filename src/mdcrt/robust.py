@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .crt_core import Congruence, crt_solve, gcld, lcrm_many
+from .crt_core import Congruence, check_remainder_shape, crt_solve, gcld, lcrm_many
 from .errors import DimensionMismatch, DimensionUnsupported, DuplicateModuli, NotAnLcrm
 from .exact_linalg import IntMatrix, IntVec, Scalar, vec_sub
 from .lattice import MAX_DIM, FpdUnionRegion, LatticeBasis, closest_vector, shortest_vector
@@ -114,16 +114,6 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
         anchor_lattices=lattices,
         anchor_congruence=Congruence(moduli[anchor], (0,) * d),
     )
-
-
-def check_remainder_shape(remainders: Sequence[Sequence[Scalar]], count: int, dim: int) -> None:
-    """Raise ValueError unless there are ``count`` remainders, and
-    DimensionMismatch unless each has length ``dim``."""
-    if len(remainders) != count:
-        raise ValueError("one remainder per modulus required")
-    if any(len(r) != dim for r in remainders):
-        lengths = [len(r) for r in remainders]
-        raise DimensionMismatch(f"remainders must have length {dim}, got lengths {lengths}")
 
 
 @dataclass(frozen=True)

@@ -64,12 +64,19 @@ class XorShift64Star:
         return (s * 0x2545F4914F6CDD1D) & _MASK
 
     def randrange(self, n: int) -> int:
+        """Uniform in [0, n). Each attempt joins w = max(1, ceil(bitlen(n - 1) / 64))
+        draws, first draw most significant, into v < 2^(64w) and keeps v mod n
+        unless v falls in the top 2^(64w) mod n values. For n <= 2^64 that is
+        one draw per attempt."""
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
-        span = 1 << 64
+        words = max(1, -(-(n - 1).bit_length() // 64))
+        span = 1 << (64 * words)
         limit = span - span % n
         while True:
             v = self.next_u64()
+            for _ in range(words - 1):
+                v = (v << 64) | self.next_u64()
             if v < limit:
                 return v % n
 

@@ -3,7 +3,8 @@ vector.
 
 Among the lattices generated by ``[[1,0],[i,p]]`` for ``0 <= i < p`` (p
 prime), find the largest shortest-nonzero-vector length and the indices that
-achieve it. Squared lengths only; the perfect-square test is exact.
+achieve it. Squared lengths only; the perfect-square test is exact, and
+each modular inverse is one ``pow(x, -1, p)``, kept per x for the search.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotInvertible, NotPrime
+from .errors import NotPrime
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # deterministic for n < 3.3 * 10^24, far beyond any searched range
@@ -39,15 +40,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def mod_inverse(x: int, p: int) -> int:
-    """Inverse of x modulo a prime p, in [1, p)."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if x % p == 0:
-        raise NotInvertible(f"{x} has no inverse modulo {p}")
-    return pow(x, -1, p)
 
 
 @dataclass(frozen=True)

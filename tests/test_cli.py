@@ -1,9 +1,6 @@
 import pytest
 
 from mdcrt.cli import main
-from mdcrt.config import load_config, parse_config, serialize_config
-
-FIG_CONFIGS = ("configs/fig2_diag.cfg", "configs/fig2_nondiag.cfg", "configs/fig3.cfg")
 
 
 def run(capsys, *argv):
@@ -118,11 +115,6 @@ class TestSearchCommands:
 
 
 class TestConfigs:
-    def test_shipped_configs_round_trip(self):
-        for path in FIG_CONFIGS:
-            cfg = load_config(path)
-            assert parse_config(serialize_config(cfg)) == cfg
-
     def test_unhashable_literal_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("moduli = {[1]}\n")
@@ -136,6 +128,15 @@ class TestConfigs:
         rc, _, err = run(capsys, "robust", str(bad))
         assert rc == 2
         assert "unknown key" in err
+
+    def test_out_is_not_a_config_key(self, tmp_path, capsys):
+        """The output path is the ``--out`` option alone."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\ntau_grid = [1]\nout = x.csv\n")
+        rc, out, err = run(capsys, "simulate", str(bad))
+        assert rc == 2
+        assert out == ""
+        assert "unknown key 'out'" in err
 
 
     @pytest.mark.parametrize(

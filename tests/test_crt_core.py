@@ -222,6 +222,13 @@ class TestCrtSolve:
         with pytest.raises(SingularMatrix):
             Congruence(M([[1, 2], [2, 4]]), (1, 0))
 
+    def test_plan_checks_remainder_shape(self):
+        plan = CrtPlan((G1, G2))
+        with pytest.raises(ValueError, match="^one remainder per modulus required$"):
+            plan.solve([(0, 0)])
+        with pytest.raises(DimensionMismatch, match=r"^remainders must have length 2, got lengths \[2, 3\]$"):
+            plan.solve([(0, 0), (0, 0, 0)])
+
 
 # ---------------------------------------------------------------------------
 # the compiled fold, against brute force

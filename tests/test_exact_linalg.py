@@ -8,6 +8,7 @@ from mdcrt.errors import DimensionMismatch, RankDeficient, SingularMatrix
 from mdcrt.exact_linalg import (
     IntMatrix,
     adjugate,
+    bareiss,
     det,
     hnf,
     parse_matrix,
@@ -60,6 +61,26 @@ class TestDet:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             det(M([[1, 2, 3], [4, 5, 6]]))
+
+    def test_bareiss_sign_follows_the_row_swap(self):
+        # a zero first pivot: one row swap, so sign -1 and det -1
+        p = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        a = [row[:] for row in p]
+        assert bareiss(a) == -1
+        assert a[3][3] == 1
+        assert det(M(p)) == -1
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 1, 1]],  # no pivot in column 0
+            [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 0, 1, 0]],  # last minor 0
+        ],
+        ids=["zero-column", "dependent-rows"],
+    )
+    def test_bareiss_singular(self, rows):
+        assert bareiss([row[:] for row in rows]) == 0
+        assert det(M(rows)) == 0
 
 
 class TestLeftQuotient:

@@ -148,6 +148,13 @@ class TestEnumerateFpd:
         assert sampler.point(0) == (0, 0)
         assert sampler.point(4 * 10**6 - 1) == (1999, 1999)
 
+    def test_point_index_checked(self):
+        sampler = FpdSampler(IntMatrix.diag(2, 3))
+        assert {sampler.point(i) for i in range(6)} == set(enumerate_fpd(IntMatrix.diag(2, 3)))
+        for index in (-1, 6):
+            with pytest.raises(IndexError):
+                sampler.point(index)
+
     def test_sampler_covers(self, rng):
         m = M([[3, 1], [2, 2]])
         sampler = FpdSampler(m)
@@ -411,6 +418,13 @@ class TestRegions:
         shifts = set(enumerate_fpd(reg.quotient))
         for f in itertools.product(range(-8, 9), repeat=2):
             assert reg.contains(f) == (reduce_mod(f, M1)[0] in shifts)
+
+    def test_shift_index_checked(self):
+        reg = FpdUnionRegion(anchor=M1, quotient=IntMatrix.diag(1, 3))
+        assert len({reg.shift(i) for i in range(3)}) == 3
+        for index in (-1, 3):
+            with pytest.raises(IndexError):
+                reg.shift(index)
 
     def test_size_and_sampling(self):
         reg = self.region()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mdcrt.config import load_config
 from mdcrt.crt_core import congruence_of, crt_solve, lcrm_many
 from mdcrt.errors import CoverageIncomplete, DuplicateOutput, GroupConditionFailed, Inconsistent
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_add, vec_norm_sq, vec_sub
@@ -175,6 +176,18 @@ class TestBuildPlan:
             other = m @ M([[1, 1], [0, 1]])
         with pytest.raises(DuplicateOutput):
             build_plan([m, other], [[[0], [1]]])
+
+
+class TestGroupOutputs:
+    @pytest.mark.parametrize("path", ["configs/fig2_diag.cfg", "configs/fig2_nondiag.cfg", "configs/fig3.cfg"])
+    def test_designated_lcrm_has_the_instance_lcrm_as_hnf(self, path):
+        # designated = anchor HNF(anchor^-1 R) = R U with U unimodular, so the
+        # instance's HNF lcrm R names the group's output lattice
+        cfg = load_config(path)
+        for grouping in [()] + ([cfg.grouping] if cfg.grouping is not None else []):
+            for stage in build_plan(cfg.moduli, grouping).stages:
+                for grp in stage:
+                    assert hnf(grp.designated_lcrm) == grp.instance.lcrm
 
 
 class TestReconstruct:

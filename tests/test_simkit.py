@@ -62,6 +62,37 @@ class TestRng:
         for _ in range(1000):
             assert 0 <= gen.randrange(13) < 13
 
+    @pytest.mark.parametrize("n", [1, 13, 2**63, 2**64 - 1, 2**64], ids=["1", "13", "2^63", "2^64-1", "2^64"])
+    def test_randrange_one_word_draw(self, n):
+        # up to 2^64 an attempt is one next_u64, rejected in its top 2^64 mod n values
+        limit = 2**64 - 2**64 % n
+        for seed in range(50):
+            a, b = XorShift64Star(seed), XorShift64Star(seed)
+            v = b.next_u64()
+            while v >= limit:
+                v = b.next_u64()
+            assert a.randrange(n) == v % n
+
+    @pytest.mark.parametrize("n", [2**64 + 1, 2**200], ids=["2^64+1", "2^200"])
+    def test_randrange_beyond_one_word(self, n):
+        a, b = XorShift64Star(7), XorShift64Star(7)
+        draws = [a.randrange(n) for _ in range(200)]
+        assert draws == [b.randrange(n) for _ in range(200)]
+        assert all(0 <= v < n for v in draws)
+        assert max(draws) > n // 2  # the draws span the range, not the low 64 bits
+
+    def test_per_trial_sweep_with_factors_beyond_one_word(self):
+        # the final quotient diag(1, p + 2) and anchor diag(1, p) have SNF
+        # factors above 2^64, so each per-trial f draws multi-word ranges
+        p = 2**65 + 131
+        cfg = small_config(
+            moduli=(M([[1, 0], [0, p]]), M([[1, 0], [0, p + 2]])),
+            taus=(Fraction(0),),
+            trials=3,
+            f_mode="per-trial",
+        )
+        assert run_sweep(cfg).rows[0].success_rate == 1.0
+
 
 class TestErrorBall:
     def test_tau_zero(self):

@@ -2,38 +2,16 @@ import random
 
 import pytest
 
-from mdcrt.errors import NotInvertible, NotPrime
+from mdcrt.errors import NotPrime
 from mdcrt.exact_linalg import IntMatrix
 from mdcrt.lattice import LatticeBasis, shortest_vector
 from mdcrt.svp_search import (
     best_diagonal_svp,
     is_prime,
-    mod_inverse,
     primes_below,
     search_max_svp,
 )
 from conftest import hnf_lattice_matrix
-
-
-class TestModInverse:
-    def test_one(self):
-        assert mod_inverse(1, 97) == 1
-
-    def test_small(self):
-        assert mod_inverse(2, 5) == 3
-
-    def test_random_defining_property(self):
-        gen = random.Random(8)
-        for _ in range(50):
-            p = gen.choice([5, 13, 101, 3257])
-            x = gen.randrange(1, p)
-            assert x * mod_inverse(x, p) % p == 1
-
-    def test_errors(self):
-        with pytest.raises(NotPrime):
-            mod_inverse(3, 8)
-        with pytest.raises(NotInvertible):
-            mod_inverse(10, 5)
 
 
 class TestPrimality:
