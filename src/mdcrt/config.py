@@ -102,9 +102,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     recon_text = raw.get("reconstructors", "single")
     reconstructors = tuple(s.strip() for s in recon_text.split(",") if s.strip())
-    for r in reconstructors:
+    if not reconstructors:
+        raise ConfigInvalid(f"'reconstructors' must name at least one reconstructor, found {recon_text!r}")
+    for i, r in enumerate(reconstructors):
         if r not in _RECONSTRUCTORS:
             raise ConfigInvalid(f"unknown reconstructor {r!r}")
+        if r in reconstructors[:i]:
+            raise ConfigInvalid(f"'reconstructors' names {r!r} twice")
     if "multistage" in reconstructors and grouping is None:
         raise ConfigInvalid("reconstructor 'multistage' requires a 'grouping'")
 

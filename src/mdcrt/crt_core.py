@@ -226,5 +226,5 @@ def crt_solve(congruences: Sequence[Congruence], into: IntMatrix | None = None) 
     mixed dimension, and Inconsistent when the system has no integer
     solution.
     """
-    plan = _plan(tuple(c.modulus for c in congruences))
+    plan = _plan(tuple([c.modulus for c in congruences]))
     return plan.solve([c.remainder for c in congruences], into)

@@ -9,8 +9,13 @@ union of shifted parallelepipeds is stored as its anchor and quotient
 matrix, with closed-form size, centroid, membership test and i-th shift.
 SVP/CVP search a pairwise-reduced basis at every dimension up to the cap
 ``MAX_DIM``, so the reduced basis, not a skewed input basis such as a
-Hermite normal form, bounds their search. The nearest-region-point search
-is bounded by the distance of a region point computed in closed form.
+Hermite normal form, bounds their search. CVP stops at its first leaf,
+the nearest-plane point, when that point lies strictly within half the
+shortest Gram-Schmidt length of the target: by Babai's bound it is then the
+unique closest vector. The test is strict because at exactly half that
+length two lattice vectors can tie, and only the full search applies the
+lexicographic tie-break. The nearest-region-point search is bounded by the
+distance of a region point computed in closed form.
 """
 
 from __future__ import annotations
@@ -137,7 +142,12 @@ def _pairwise_reduce(columns: Sequence[IntVec]) -> list[IntVec]:
 class LatticeBasis:
     """Nonsingular integer basis with its cached pairwise-reduced basis
     (sorted by norm, ``2 |<b_i, b_j>| <= ||b_i||^2`` for i < j) and the
-    cached integer form that SVP/CVP search on it.
+    cached integer form that SVP/CVP search on it. The form carries the
+    certificate threshold ``min_i weight[i] * delta[i + 1]^2``: P times the
+    shortest squared Gram-Schmidt length. A CVP leaf whose scaled distance
+    ``total`` has ``4 total < s^2 * threshold`` is strictly closer than half
+    that length, so it is the unique closest vector; the inequality is strict
+    so that no tie, which the lexicographic rule must break, can pass it.
 
     The shortest-vector witness is min(b, -b) of the first reduced column
     for D <= 2 and the lexicographically smallest shortest vector for
@@ -160,9 +170,10 @@ class LatticeBasis:
 
     @cached_property
     def _form(self) -> tuple:
-        """``(B, |det B| B^{-1}, |det B|, delta, m, weight)`` for the search
-        basis B, the reduced one: the fraction-free LDL of ``B^T B``
-        (``bareiss``) that ``_enum_best`` describes."""
+        """``(B, |det B| B^{-1}, |det B|, delta, m, weight, threshold)`` for
+        the search basis B, the reduced one: the fraction-free LDL of
+        ``B^T B`` (``bareiss``) and the certificate threshold that
+        ``_enum_best`` describes."""
         b = self.reduced
         n = b.dim
         a = [list(r) for r in (b.transpose() @ b).rows]
@@ -170,7 +181,8 @@ class LatticeBasis:
         delta = [1] + [a[k][k] for k in range(n)]
         p = math.lcm(*(delta[i] * delta[i + 1] for i in range(n)))
         weight = [p // (delta[i] * delta[i + 1]) for i in range(n)]
-        return b, (b.adj if b.det > 0 else -b.adj), abs(b.det), delta, a, weight
+        threshold = min(w * delta[i + 1] ** 2 for i, w in enumerate(weight))
+        return b, (b.adj if b.det > 0 else -b.adj), abs(b.det), delta, a, weight, threshold
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +211,23 @@ def _enum_best(form: tuple, x: Sequence[int], s: int, skip_zero: bool) -> IntVec
     the search minimizes ``P s^2 ||B c - B x / s||^2``, which is
     ``sum_i weight[i] * (c_i den_i - N_i)^2``.
 
+    The LDL pivots are the squared Gram-Schmidt lengths, so ``threshold``,
+    the least ``weight[i] * delta[i + 1]^2``, is P times the shortest one.
+    A leaf with ``4 total < s^2 threshold`` lies strictly within half the
+    shortest Gram-Schmidt length of the target, and by Babai's bound
+    (Combinatorica 6, 1986) is then the unique closest vector, the
+    nearest-plane point that the first descent reaches: the search returns
+    it at once. The test is strict because a leaf at exactly half that
+    length can tie another vector, and only the full search breaks the tie
+    lexicographically. An SVP leaf never passes: a nonzero vector is no
+    shorter than the shortest Gram-Schmidt length.
+
     The search is one loop over explicit per-level state: level i holds its
     center numerator, the rounded center, the current direction (+1, then
     -1), and ``partial[i + 1]``, the scaled form summed over the levels above it.
     """
-    basis, _, _, delta, m, weight = form
+    basis, _, _, delta, m, weight, threshold = form
+    certified = s * s * threshold
     n = len(weight)
     den = [s * delta[i + 1] for i in range(n)]
     best_q: int | None = None
@@ -246,6 +270,8 @@ def _enum_best(form: tuple, x: Sequence[int], s: int, skip_zero: bool) -> IntVec
             continue
         if not (skip_zero and not any(c)):
             v = basis.apply(c)
+            if 4 * total < certified:
+                return v
             if best_q is None or total < best_q or (total == best_q and v < best_v):
                 best_q, best_v = total, v
         c[0] += direction[0]
@@ -283,8 +309,9 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar]) -> IntVec:
         raise DimensionMismatch(f"target has length {len(target)}, the lattice is {n}-dimensional")
     _, inv, det, *_ = form = l._form
     q = math.lcm(*(t.denominator for t in target))
-    x = inv.apply([t.numerator * (q // t.denominator) for t in target])
-    return _enum_best(form, x, det * q, skip_zero=False)
+    if q > 1:
+        target = [t.numerator * (q // t.denominator) for t in target]
+    return _enum_best(form, inv.apply(target), det * q, skip_zero=False)
 
 
 # ---------------------------------------------------------------------------

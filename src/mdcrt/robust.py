@@ -7,9 +7,10 @@ computation, solves the resulting error-free congruence system, and averages.
 
 Remainders may carry exact rational entries: later stages of the multi-stage
 scheme feed averaged estimates back in without rounding. Reconstruction
-scales them once to integer vectors over their common denominator T, so the
-differences, folds and sums are integers and each estimate coordinate is one
-``Fraction`` built at the end.
+scales them once to integer vectors over their common denominator T (integer
+remainders, T = 1, are used as given), so the differences, folds and sums
+are integers and each estimate coordinate is one ``Fraction`` built at the
+end.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 
 from .crt_core import Congruence, check_remainder_shape, crt_solve, gcld, lcrm_many
 from .errors import DimensionMismatch, DimensionUnsupported, DuplicateModuli, NotAnLcrm
-from .exact_linalg import IntMatrix, IntVec, Scalar, vec_sub
+from .exact_linalg import IntMatrix, IntVec, Scalar
 from .lattice import MAX_DIM, FpdUnionRegion, LatticeBasis, closest_vector, shortest_vector
 
 # Reconstruction reduces only inside ``Congruence`` and ``crt_solve``. The
@@ -147,26 +148,32 @@ def robust_reconstruct(
     check_remainder_shape(noisy_remainders, n, instance.dim)
     # every remainder as an integer vector over one denominator t
     t = math.lcm(*(x.denominator for r in noisy_remainders for x in r))
-    scaled = [tuple(x.numerator * (t // x.denominator) for x in r) for r in noisy_remainders]
+    if t == 1:
+        rems = noisy_remainders
+    else:
+        rems = [[x.numerator * (t // x.denominator) for x in r] for r in noisy_remainders]
 
-    snapped: dict[int, IntVec] = {}
-    for j in range(n):
-        if j == l0:
-            continue
-        diff = vec_sub(scaled[j], scaled[l0])
-        if t > 1:
-            diff = tuple(Fraction(x, t) for x in diff)
-        snapped[j] = closest_vector(instance.anchor_lattices[j], diff)
-
+    # with t = 1 each target is an int vector, also for integral Fraction
+    # remainders (stage estimates), so the CVP runs in int arithmetic
+    base = rems[l0]
+    lattices = instance.anchor_lattices
+    snapped = [
+        None if j == l0
+        else closest_vector(lattices[j], [(x - y).numerator for x, y in zip(r, base)] if t == 1
+                            else [Fraction(x - y, t) for x, y in zip(r, base)])
+        for j, r in enumerate(rems)
+    ]
     congruences = [
-        instance.anchor_congruence if j == l0 else Congruence(m, snapped[j])
-        for j, m in enumerate(instance.moduli)
+        instance.anchor_congruence if v is None else Congruence(m, v)
+        for m, v in zip(instance.moduli, snapped)
     ]
     anchor_fold = crt_solve(congruences, into=designated_lcrm).value
 
-    folds = tuple(anchor_fold if j == l0 else vec_sub(anchor_fold, snapped[j]) for j in range(n))
+    folds = tuple(
+        [anchor_fold if v is None else tuple([a - b for a, b in zip(anchor_fold, v)]) for v in snapped]
+    )
     estimate = tuple(
-        [Fraction(t * sum(fk) + sum(rk), n * t) for fk, rk in zip(zip(*folds), zip(*scaled))]
+        [Fraction(t * sum(fk) + sum(rk), n * t) for fk, rk in zip(zip(*folds), zip(*rems))]
     )
     return RobustOutput(estimate=estimate, folds=folds)
 

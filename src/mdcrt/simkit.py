@@ -149,7 +149,7 @@ class ErrorBallSampler:
         budget = self._budget
         coords = []
         for dim in range(self.dim, 1, -1):
-            totals = self._running_totals(dim, budget)
+            totals = self._totals.get((dim, budget)) or self._running_totals(dim, budget)
             k = bisect_right(totals, index)
             if k:
                 index -= totals[k - 1]
@@ -291,7 +291,7 @@ def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow
             rems = tuple(reduce_mod(f, m)[1] for m in cfg.moduli)
         else:
             f, rems = mach.f, mach.rems
-        noisy = [tuple(a + b for a, b in zip(r, ball.sample(rng))) for r in rems]
+        noisy = [[a + b for a, b in zip(r, ball.sample(rng))] for r in rems]
         try:
             estimate = multistage_reconstruct(mach.plan, noisy).estimate
         except Inconsistent:

@@ -363,6 +363,29 @@ def brute_ball(tau, dim: int) -> list[tuple[int, ...]]:
     )
 
 
+# oracle: every error tuple strictly inside per-modulus bounds
+
+
+def error_tuples(bounds_sq, dim: int):
+    """Every tuple ``(e_0, ..., e_{L-1})`` of integer vectors in Z^dim with
+    ``|e_j|^2 < bounds_sq[j]``, strictly: the guarantee's error set, listed
+    through ``ErrorBallSampler.point``. Each ball has the integer budget
+    ``ceil(bound) - 1``, the largest squared norm below the bound."""
+    import itertools
+
+    from mdcrt.simkit import ErrorBallSampler
+
+    q = 1 << 20
+    balls = []
+    for bound in bounds_sq:
+        budget = math.ceil(bound) - 1
+        tau = Fraction(math.isqrt(budget * q * q) + 1, q)  # budget <= tau^2 < budget + 1
+        assert math.floor(tau * tau) == budget
+        ball = ErrorBallSampler(tau, dim)
+        balls.append([ball.point(i) for i in range(ball.count)])
+    return itertools.product(*balls)
+
+
 # ---------------------------------------------------------------------------
 # oracles for the dynamic-range and prime-determinant searches
 

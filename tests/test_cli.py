@@ -171,6 +171,29 @@ class TestConfigs:
         assert out == ""
         assert f"error: '{key}' must be an integer, found '{line.split(' = ')[1]}'" in err
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (",", "'reconstructors' must name at least one reconstructor, found ','"),
+            ("", "'reconstructors' must name at least one reconstructor, found ''"),
+            ("single,single", "'reconstructors' names 'single' twice"),
+            ("single, multistage ,single", "'reconstructors' names 'single' twice"),
+        ],
+        ids=["comma-only", "blank", "repeat", "repeat-after-other"],
+    )
+    def test_reconstructor_list_errors_exit_2(self, tmp_path, capsys, value, message):
+        """An empty list used to fail later as 'reconstructor None', and a
+        repeated name ran its sweep twice."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            "moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\ngrouping = [[[0],[1]]]\n"
+            f"reconstructors = {value}\ntau_grid = [1]\ntrials = 2\n"
+        )
+        rc, out, err = run(capsys, "simulate", str(bad))
+        assert rc == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
 
 class TestReconstructionCommands:
     MODULI = "[[[22,-17],[17,22]],[[335,-272],[294,352]],[[352,-250],[272,369]]]"

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from mdcrt.crt_core import gcld
 from mdcrt.errors import DimensionMismatch, DimensionUnsupported, SingularMatrix
 from mdcrt.exact_linalg import IntMatrix, hnf, snf, vec_add, vec_dot, vec_norm_sq, vec_sub
 from mdcrt.lattice import (
@@ -381,6 +382,93 @@ class TestClosestVector:
         got = closest_vector(l, t)
         best, winners = brute_closest_vectors(IntMatrix.diag(3, 3), t)
         assert got == min(winners)
+
+
+def gram_schmidt_sq(basis: IntMatrix) -> list[Fraction]:
+    """Squared Gram-Schmidt lengths of the columns, in order, by exact
+    rational projection."""
+    ortho: list[list[Fraction]] = []
+    for col in basis.transpose().rows:
+        v = [Fraction(x) for x in col]
+        for u in ortho:
+            mu = Fraction(vec_dot(col, u)) / vec_dot(u, u)
+            v = [a - mu * b for a, b in zip(v, u)]
+        ortho.append(v)
+    return [vec_dot(v, v) for v in ortho]
+
+
+@st.composite
+def certified_targets(draw):
+    """A D = 2, 3 or 4 lattice, one of its points v, and a target v + o whose
+    offset o has denominator 1..3 and lies strictly within half the shortest
+    Gram-Schmidt length g of the search basis: 4 |o|^2 < g."""
+    dim = draw(st.sampled_from([2, 3, 4]))
+    m = draw(square_matrices(dim, 5 if dim == 2 else 3).filter(lambda m: m.det != 0))
+    m = m.scale(draw(st.integers(1, 4)))
+    g = min(gram_schmidt_sq(LatticeBasis(m).reduced))
+    den = draw(st.integers(1, 3))
+    r = math.isqrt(math.floor(g * den * den / 4))  # 4 r^2 <= g den^2: one axis at most reaches it
+    offset = tuple(Fraction(draw(st.integers(-r, r)), den) for _ in range(dim))
+    assume(4 * vec_norm_sq(offset) < g)
+    v = m.apply(draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)))
+    return m, v, vec_add(v, offset)
+
+
+class TestCertificate:
+    """CVP returns its first leaf, the nearest-plane point, when that leaf is
+    strictly within half the shortest Gram-Schmidt length of the target.
+    Exactly at half, two vectors can tie and the first leaf need not be the
+    lexicographically smallest: the full search must run."""
+
+    BOUNDARY_LATTICE = gcld(M([[5632, -4352], [4352, 5632]]), M([[12672, 9792], [-9792, 12672]]))
+
+    @pytest.mark.parametrize(
+        "basis, target, expected",
+        [
+            (IntMatrix.identity(2), (Fraction(1, 2), 0), (0, 0)),
+            (IntMatrix.diag(2, 2), (1, 0), (0, 0)),
+            # tests/test_robust.py::TestGuaranteeBoundary's gcld lattice,
+            # shortest vector (-64, 0), at half of it
+            (BOUNDARY_LATTICE, (-32, 0), (-64, 0)),
+        ],
+        ids=["Z2", "diag22", "guarantee-boundary"],
+    )
+    def test_tie_at_half_the_shortest_gram_schmidt_length(self, basis, target, expected):
+        l = LatticeBasis(basis)
+        got = closest_vector(l, target)
+        best, winners = brute_closest_vectors(basis, target)
+        # the target sits exactly at the certificate's threshold, on a tie
+        assert 4 * best == min(gram_schmidt_sq(l.reduced))
+        assert len(winners) >= 2
+        assert got == min(winners) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(certified_targets())
+    def test_inside_the_threshold_returns_the_lattice_point(self, case):
+        m, v, target = case
+        assert closest_vector(LatticeBasis(m), target) == v
+        oracle = brute_closest_vectors(m, target, skip_above=5_000)
+        assume(oracle is not None)
+        assert oracle[1] == [v]
+
+    def test_skewed_basis_below_lambda(self, rng):
+        """Here the shortest Gram-Schmidt length is below lambda, so targets
+        between half of each are unique-closest but not certified: the full
+        search must find them."""
+        m = M([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
+        l = LatticeBasis(m)
+        g = min(gram_schmidt_sq(l.reduced))
+        lambda_sq = shortest_vector(l)[0]
+        assert (g, lambda_sq) == (6, 8)
+        uncertified = 0
+        for _ in range(300):
+            t = tuple(Fraction(rng.randint(-24, 24), rng.choice([1, 2, 3, 4])) for _ in range(3))
+            best, winners = brute_closest_vectors(m, t)
+            got = closest_vector(l, t)
+            assert got == min(winners)
+            assert vec_norm_sq(vec_sub(got, t)) == best
+            uncertified += g <= 4 * best < lambda_sq
+        assert uncertified > 0
 
 
 class TestRegions:

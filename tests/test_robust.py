@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,7 +28,9 @@ from conftest import (
     FIG2_NONDIAG_MODULI,
     FIG3_GROUPING,
     FIG3_MODULI,
+    brute_ball,
     enumerate_fpd,
+    error_tuples,
     random_matrix,
 )
 
@@ -419,3 +422,67 @@ class TestGuaranteeBoundary:
     def test_errors_below_the_bound_succeed(self):
         results = self.outcomes(range(-15, 16))
         assert all(all(row) for row in results)
+
+
+class TestGuaranteeExhaustive:
+    """Below the bound, every error tuple decodes exactly: on instances
+    small enough to list them all, each tuple with |e_j|^2 < the bound of
+    modulus j recovers the true folds, and the estimate is f plus the
+    plan's average of the errors. The moduli are B @ A_j with a
+    non-diagonal B and left-coprime A_j, so every pair's gcld lattice is
+    L(B)."""
+
+    @staticmethod
+    def moduli(base, factors):
+        return tuple(M(base) @ M(a) for a in factors)
+
+    def test_oracle_lists_the_open_balls(self):
+        # |e|^2 < 97/16 is |e|^2 <= 6 (tau 5/2), |e|^2 < 73/16 is |e|^2 <= 4
+        # (tau 2), and |e|^2 < 9 excludes the boundary points, |e|^2 = 9
+        got = list(error_tuples([Fraction(97, 16), Fraction(73, 16), Fraction(9)], 2))
+        balls = [brute_ball(Fraction(5, 2), 2), brute_ball(2, 2), brute_ball(Fraction(283, 100), 2)]
+        assert got == list(itertools.product(*balls))
+
+    @pytest.mark.parametrize(
+        "base, factors",
+        [
+            ([[20, 0], [7, 21]], ([[2, 1], [0, 3]], [[5, 0], [1, 7]])),
+            ([[9, 0], [4, 10]], ([[2, 1], [0, 3]], [[5, 0], [1, 7]], [[3, 0], [2, 11]])),
+        ],
+        ids=["two-moduli", "three-moduli"],
+    )
+    def test_single_stage(self, base, factors):
+        moduli = self.moduli(base, factors)
+        inst = build_instance(moduli)
+        f = robustly_determinable_region(inst, inst.lcrm).sample(trial_rng(11, 0, len(moduli)))
+        rems = [reduce_mod(f, m)[1] for m in moduli]
+        folds = true_folds(f, moduli)
+        n = len(moduli)
+        count = 0
+        for errors in error_tuples([inst.tau_bound_sq] * n, 2):
+            out = robust_reconstruct(inst, [vec_add(r, e) for r, e in zip(rems, errors)])
+            assert out.folds == folds
+            assert out.estimate == tuple(x + Fraction(sum(c), n) for x, c in zip(f, zip(*errors)))
+            count += 1
+        assert count > 1000
+
+    def test_two_stage_plan(self):
+        """Group {0, 1}, singleton {2}, then the final pair: the estimate
+        is f + ((e_0 + e_1) / 2 + e_2) / 2."""
+        moduli = self.moduli([[8, 0], [3, 9]], ([[2, 0], [0, 3]], [[5, 0], [0, 7]], [[11, 0], [1, 13]]))
+        plan = build_plan(moduli, [[[0, 1], [2]]])
+        bounds = [b.tau_max_sq for b in plan.per_group_bounds]
+        assert bounds == [Fraction(73, 16)] * 2
+        region = final_region(plan)
+        for t in range(2):
+            f = region.sample(trial_rng(11, 1, t))
+            rems = [reduce_mod(f, m)[1] for m in moduli]
+            count = 0
+            for e0, e1, e2 in error_tuples([bounds[0], bounds[0], bounds[1]], 2):
+                noisy = [vec_add(rems[0], e0), vec_add(rems[1], e1), vec_add(rems[2], e2)]
+                est = multistage_reconstruct(plan, noisy).estimate
+                assert est == tuple(
+                    x + (Fraction(a + b, 2) + c) / 2 for x, a, b, c in zip(f, e0, e1, e2)
+                )
+                count += 1
+            assert count == 13**3
