@@ -7,10 +7,10 @@ computation, solves the resulting error-free congruence system, and averages.
 
 Remainders may carry exact rational entries: later stages of the multi-stage
 scheme feed averaged estimates back in without rounding. Reconstruction
-scales them once to integer vectors over their common denominator T (integer
-remainders, T = 1, are used as given), so the differences, folds and sums
-are integers and each estimate coordinate is one ``Fraction`` built at the
-end.
+scales them once to integer vectors over their common denominator T
+(remainders of type int are used as given, with T = 1), so the differences,
+folds and sums are integers and each estimate coordinate is one ``Fraction``
+built at the end.
 """
 
 from __future__ import annotations
@@ -146,20 +146,19 @@ def robust_reconstruct(
     l0 = instance.anchor
     n = instance.count
     check_remainder_shape(noisy_remainders, n, instance.dim)
-    # every remainder as an integer vector over one denominator t
-    t = math.lcm(*(x.denominator for r in noisy_remainders for x in r))
-    if t == 1:
-        rems = noisy_remainders
+    # every remainder as an int vector over one denominator t: int
+    # remainders as given, any others scaled once (integral ones to t = 1)
+    if all(type(x) is int for r in noisy_remainders for x in r):
+        t, rems = 1, noisy_remainders
     else:
+        t = math.lcm(*(x.denominator for r in noisy_remainders for x in r))
         rems = [[x.numerator * (t // x.denominator) for x in r] for r in noisy_remainders]
 
-    # with t = 1 each target is an int vector, also for integral Fraction
-    # remainders (stage estimates), so the CVP runs in int arithmetic
     base = rems[l0]
     lattices = instance.anchor_lattices
     snapped = [
         None if j == l0
-        else closest_vector(lattices[j], [(x - y).numerator for x, y in zip(r, base)] if t == 1
+        else closest_vector(lattices[j], [x - y for x, y in zip(r, base)] if t == 1
                             else [Fraction(x - y, t) for x, y in zip(r, base)])
         for j, r in enumerate(rems)
     ]

@@ -194,6 +194,27 @@ class TestReconstruct:
                 assert vec_norm_sq(vec_sub(out.estimate, f)) <= 1
         assert trials == 240
 
+    def test_integral_fraction_remainders_decode_like_ints(self, rng):
+        # stage estimates arrive as Fractions, often integral: they are
+        # scaled to ints (T = 1), alone or mixed with int remainders, and
+        # decode exactly as the int remainders do
+        gen = random.Random(23)
+        ball = disk(1)
+        for _ in range(6):
+            inst, _ = shared_factor_instance(rng)
+            region = robustly_determinable_region(inst, inst.lcrm)
+            for _ in range(10):
+                f = region.sample(gen)
+                noisy = [
+                    vec_add(reduce_mod(f, m)[1], ball[gen.randrange(len(ball))]) for m in inst.moduli
+                ]
+                want = robust_reconstruct(inst, noisy)
+                fractions = [tuple(Fraction(x) for x in r) for r in noisy]
+                for rems in (fractions, fractions[:1] + noisy[1:]):
+                    got = robust_reconstruct(inst, rems)
+                    assert got == want
+                    assert all(type(x) is int for fold in got.folds for x in fold)
+
     def test_snap_condition_failure_breaks_folds(self):
         # gcld lattice L(2I): a difference of (2,0) snaps to itself, not 0
         m1 = IntMatrix.diag(2, 2)
