@@ -158,8 +158,8 @@ def robust_reconstruct(
     lattices = instance.anchor_lattices
     snapped = [
         None if j == l0
-        else closest_vector(lattices[j], [x - y for x, y in zip(r, base)] if t == 1
-                            else [Fraction(x - y, t) for x, y in zip(r, base)])
+        else closest_vector(lattices[j], [x - y for x, y in zip(r, base)]) if t == 1
+        else closest_vector(lattices[j], [Fraction(x - y, t) for x, y in zip(r, base)])
         for j, r in enumerate(rems)
     ]
     congruences = [
