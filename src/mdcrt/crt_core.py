@@ -64,8 +64,6 @@ def lcrm(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     d = a.dim
     block = a.hstack(-b)
     dec = snf(block)
-    if dec.rank != d:
-        raise SingularMatrix("stacked block lost rank")  # cannot happen for nonsingular a
     kernel_cols = [dec.v.column(j) for j in range(d, 2 * d)]
     p = IntMatrix.from_columns([col[:d] for col in kernel_cols])
     return hnf(a @ p)

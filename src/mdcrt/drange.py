@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .exact_linalg import IntMatrix
 from .svp_search import primes_below
 
 
@@ -44,17 +43,3 @@ def max_dynamic_range(q: int, d: int) -> int:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     return max_coprime_set(q).product ** d
-
-
-def diagonal_moduli_construction(q: int, d: int) -> list[IntMatrix]:
-    """Moduli achieving the maximum range: for each co-prime member m and
-    each position j, the identity with m at (j, j)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    out = []
-    for m in max_coprime_set(q).members:
-        for j in range(d):
-            entries = [1] * d
-            entries[j] = m
-            out.append(IntMatrix.diag(*entries))
-    return out

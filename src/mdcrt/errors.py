@@ -4,8 +4,12 @@ The CLI maps these onto exit codes: configuration/parse problems exit 2,
 mathematical inconsistency exits 3, and a dimension above the SVP/CVP cap
 (``DimensionUnsupported``) exits 4; every other ``MdcrtError``, such as
 ``NotPrime`` from ``svp-search``, exits 2. No search or listing has a fixed size
-bound that it can exceed: regions are never enumerated and the
-nearest-region-point search is bounded in closed form.
+bound that it can exceed: regions are never enumerated, and the
+nearest-region-point search stops within the distance of a seed point
+computed in closed form. Its time still grows with the square of the
+target's distance from the region (in D = 2 against a 900-point region,
+0.06 s for (60,60) and 8.3 s for (400,400) with CPython 3.11 on a 2-core
+x86-64 host); only centroid targets reach it.
 """
 
 

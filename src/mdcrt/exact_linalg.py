@@ -15,6 +15,14 @@ Conventions, fixed once and used everywhere:
   and nonnegative diagonal ``lam`` whose entries divide their successors.
   Rectangular input is supported (coprimality, lcrm and stacked congruence
   blocks).
+
+Both forms eliminate with one 2 x 2 unimodular extended-gcd (Bezout) step
+after Kannan and Bachem (SIAM J. Comput. 8(4), 1979). It sends a pivot entry
+x and an entry y to ``(g, 0)`` with ``g = gcd(x, y)``, so a nonzero pivot
+never grows, and its coefficients are at most ``max(1, |x|/g)`` and
+``max(1, |y|/g)``, so a step scales the other entries by no more than the
+two it combines. HNF also reduces each finished row modulo its pivot, which
+keeps the entries left of H's diagonal below it as it goes.
 """
 
 from __future__ import annotations
@@ -320,43 +328,36 @@ def hnf(block: IntMatrix) -> IntMatrix:
     """Column HNF basis of a nonsingular square matrix or a full-row-rank
     D x K block: column-reduces ``block`` to ``(H 0)`` and returns the D x D ``H``.
 
+    Each nonzero entry y right of the pivot x is cleared by one extended-gcd
+    step, the one ``snf`` uses, with ``g = s x + t y = gcd(x, y)``:
+    ``(col_p, col_j) <- (s col_p + t col_j, (x/g) col_j - (y/g) col_p)``.
+
     Raises SingularMatrix for a singular square matrix and RankDeficient for
     a block whose rank is below its row count.
     """
     nr, nc = block.nrows, block.ncols
     a = [list(col) for col in zip(*block.rows)]  # work column-major
 
-    def combine(j_dst: int, q: int, j_src: int) -> None:
-        a[j_dst] = [x - q * y for x, y in zip(a[j_dst], a[j_src])]
-
     p = 0
     for i in range(nr):
         if p >= nc:
             break
-        while True:
-            live = [j for j in range(p, nc) if a[j][i] != 0]
-            if not live:
-                break
-            j0 = min(live, key=lambda j: abs(a[j][i]))
-            if j0 != p:
-                a[p], a[j0] = a[j0], a[p]
-            done = True
-            for j in range(p + 1, nc):
-                if a[j][i] != 0:
-                    q = a[j][i] // a[p][i]
-                    combine(j, q, p)
-                    if a[j][i] != 0:
-                        done = False
-            if done:
-                break
-        if a[p][i] == 0:
+        for j in range(p + 1, nc):
+            if a[j][i]:
+                x, y, cp, cj = a[p][i], a[j][i], a[p], a[j]
+                g, s, t = _xgcd(x, y)
+                a[p] = [s * u + t * v for u, v in zip(cp, cj)]
+                a[j] = [(x // g) * v - (y // g) * u for u, v in zip(cp, cj)]
+        x = a[p][i]
+        if x == 0:
             continue  # zero row beyond the rank; no pivot consumed
-        if a[p][i] < 0:
-            a[p] = [-x for x in a[p]]
+        if x < 0:
+            x = -x
+            a[p] = [-u for u in a[p]]
         for j in range(p):
-            q = a[j][i] // a[p][i]
+            q = a[j][i] // x
             if q:
-                combine(j, q, p)
+                a[j] = [u - q * v for u, v in zip(a[j], a[p])]
         p += 1
 
     # every row took a pivot exactly when the rank is full; then the pivots
@@ -381,10 +382,6 @@ class SnfDecomposition:
     def diagonal(self) -> tuple[int, ...]:
         k = min(self.lam.nrows, self.lam.ncols)
         return tuple(self.lam.rows[i][i] for i in range(k))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal() if x != 0)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

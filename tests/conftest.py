@@ -15,6 +15,7 @@ from functools import reduce
 import pytest
 from hypothesis import strategies as st
 
+from mdcrt.drange import max_coprime_set
 from mdcrt.errors import SingularMatrix
 from mdcrt.exact_linalg import IntMatrix
 from mdcrt.lattice import FpdSampler
@@ -393,6 +394,20 @@ def error_tuples(bounds_sq, dim: int):
 def lcm_range(q: int) -> int:
     """Independent lcm(1..q) for cross-checking the prime-power construction."""
     return reduce(math.lcm, range(1, q + 1), 1)
+
+
+def diagonal_moduli_construction(q: int, d: int) -> list[IntMatrix]:
+    """Moduli achieving the maximum range: for each co-prime member m and
+    each position j, the identity with m at (j, j)."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    out = []
+    for m in max_coprime_set(q).members:
+        for j in range(d):
+            entries = [1] * d
+            entries[j] = m
+            out.append(IntMatrix.diag(*entries))
+    return out
 
 
 def hnf_lattice_matrix(i: int, p: int) -> IntMatrix:

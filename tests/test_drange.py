@@ -1,13 +1,9 @@
 import pytest
 
 from mdcrt.crt_core import is_coprime, lcrm_many
-from mdcrt.drange import (
-    diagonal_moduli_construction,
-    max_coprime_set,
-    max_dynamic_range,
-)
+from mdcrt.drange import max_coprime_set, max_dynamic_range
 from mdcrt.exact_linalg import IntMatrix
-from conftest import brute_intersection_det, lcm_range
+from conftest import brute_intersection_det, diagonal_moduli_construction, lcm_range
 
 
 class TestCoprimeSet:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from mdcrt.exact_linalg import (
     vec_sub,
 )
 from mdcrt.lattice import reduce_mod
-from conftest import random_matrix, random_unimodular
+from conftest import generated_lattice_det, random_matrix, random_unimodular
 
 M = IntMatrix.from_rows
 
@@ -217,17 +218,34 @@ class TestHnf:
         assert abs(u.det) == 1
 
     def test_convention(self, rng):
-        for _ in range(120):
-            dim = rng.choice([2, 3])
-            m = random_matrix(rng, dim)
-            h = hnf(m)
-            for i in range(dim):
-                assert h.rows[i][i] > 0
-                for j in range(dim):
-                    if j > i:
-                        assert h.rows[i][j] == 0
-                    elif j < i:
-                        assert 0 <= h.rows[i][j] < h.rows[i][i]
+        """H has the documented shape and spans the input's lattice, for
+        square, D x 2D and D x 3D input with small and 10^9-sized entries,
+        the first pivot-row entry zero or negative."""
+        for dim, width, bound in itertools.product((2, 3, 4), (1, 2, 3), (9, 10**9)):
+            checked = 0
+            while checked < 20:
+                cols = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim * width)]
+                for col in rng.sample(cols, len(cols) // 2):
+                    col[rng.randrange(dim)] = 0
+                cols[0][0] = rng.choice([0, -abs(cols[0][0]) or -1])
+                lattice_det = generated_lattice_det(cols, dim)
+                if lattice_det == 0:
+                    continue
+                checked += 1
+                block = IntMatrix.from_columns(cols)
+                h = hnf(block)
+                for i in range(dim):
+                    assert h.rows[i][i] > 0
+                    for j in range(dim):
+                        if j > i:
+                            assert h.rows[i][j] == 0
+                        elif j < i:
+                            assert 0 <= h.rows[i][j] < h.rows[i][i]
+                u = h.left_quotient(block)  # ValueError unless integral
+                if width == 1:
+                    assert abs(u.det) == 1
+                else:
+                    assert abs(h.det) == lattice_det
 
     def test_lattice_invariance(self, rng):
         for _ in range(60):
