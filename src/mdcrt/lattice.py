@@ -9,13 +9,14 @@ union of shifted parallelepipeds is stored as its anchor and quotient
 matrix, with closed-form size, centroid, membership test and i-th shift.
 SVP/CVP search a pairwise-reduced basis at every dimension up to the cap
 ``MAX_DIM``, so the reduced basis, not a skewed input basis such as a
-Hermite normal form, bounds their search. CVP stops at its first leaf,
-the nearest-plane point, when that point lies strictly within half the
-shortest Gram-Schmidt length of the target: by Babai's bound it is then the
-unique closest vector. The test is strict because at exactly half that
-length two lattice vectors can tie, and only the full search applies the
-lexicographic tie-break. The nearest-region-point search is bounded by the
-distance of a region point computed in closed form.
+Hermite normal form, bounds their search. CVP first rounds off on that
+basis and returns the rounded point when it lies strictly within
+lambda_1 / 2 of the target, half the lattice's shortest-vector length
+(cached per basis): it is then the unique closest vector. The test is
+strict because at exactly lambda_1 / 2 two lattice vectors can tie, and
+only the full search applies the lexicographic tie-break. The
+nearest-region-point search is bounded by the distance of a region point
+computed in closed form.
 """
 
 from __future__ import annotations
@@ -141,13 +142,11 @@ def _pairwise_reduce(columns: Sequence[IntVec]) -> list[IntVec]:
 @dataclass(frozen=True)
 class LatticeBasis:
     """Nonsingular integer basis with its cached pairwise-reduced basis
-    (sorted by norm, ``2 |<b_i, b_j>| <= ||b_i||^2`` for i < j) and the
-    cached integer form that SVP/CVP search on it. The form carries the
-    certificate threshold ``min_i weight[i] * delta[i + 1]^2``: P times the
-    shortest squared Gram-Schmidt length. A CVP leaf whose scaled distance
-    ``total`` has ``4 total < s^2 * threshold`` is strictly closer than half
-    that length, so it is the unique closest vector; the inequality is strict
-    so that no tie, which the lexicographic rule must break, can pass it.
+    (sorted by norm, ``2 |<b_i, b_j>| <= ||b_i||^2`` for i < j), the cached
+    integer form that SVP/CVP search on it, and its cached shortest vector.
+    CVP's round-off test compares against that vector's squared length
+    lambda_1^2: a rounded point strictly within lambda_1 / 2 of the target is
+    the unique closest vector.
 
     The shortest-vector witness is min(b, -b) of the first reduced column
     for D <= 2 and the lexicographically smallest shortest vector for
@@ -170,10 +169,9 @@ class LatticeBasis:
 
     @cached_property
     def _form(self) -> tuple:
-        """``(B, |det B| B^{-1}, |det B|, delta, m, weight, threshold)`` for
-        the search basis B, the reduced one: the fraction-free LDL of
-        ``B^T B`` (``bareiss``) and the certificate threshold that
-        ``_enum_best`` describes."""
+        """``(B, |det B| B^{-1}, |det B|, delta, m, weight)`` for the search
+        basis B, the reduced one: the fraction-free LDL of ``B^T B``
+        (``bareiss``) that ``_enum_best`` describes."""
         b = self.reduced
         n = b.dim
         a = [list(r) for r in (b.transpose() @ b).rows]
@@ -181,8 +179,18 @@ class LatticeBasis:
         delta = [1] + [a[k][k] for k in range(n)]
         p = math.lcm(*(delta[i] * delta[i + 1] for i in range(n)))
         weight = [p // (delta[i] * delta[i + 1]) for i in range(n)]
-        threshold = min(w * delta[i + 1] ** 2 for i, w in enumerate(weight))
-        return b, (b.adj if b.det > 0 else -b.adj), abs(b.det), delta, a, weight, threshold
+        return b, (b.adj if b.det > 0 else -b.adj), abs(b.det), delta, a, weight
+
+    @cached_property
+    def _shortest(self) -> tuple[int, IntVec]:
+        """``shortest_vector``'s result, computed once: lambda_1^2 and the
+        witness. ``closest_vector`` reads lambda_1^2 for its round-off test."""
+        n = self.dim
+        if n <= 2:
+            b1 = self.reduced.column(0)
+            return vec_norm_sq(b1), min(b1, vec_scale(-1, b1))
+        v = _enum_best(self._form, [0] * n, 1, skip_zero=True)
+        return vec_norm_sq(v), v
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +219,11 @@ def _enum_best(form: tuple, x: Sequence[int], s: int, skip_zero: bool) -> IntVec
     the search minimizes ``P s^2 ||B c - B x / s||^2``, which is
     ``sum_i weight[i] * (c_i den_i - N_i)^2``.
 
-    The LDL pivots are the squared Gram-Schmidt lengths, so ``threshold``,
-    the least ``weight[i] * delta[i + 1]^2``, is P times the shortest one.
-    A leaf with ``4 total < s^2 threshold`` lies strictly within half the
-    shortest Gram-Schmidt length of the target, and by Babai's bound
-    (Combinatorica 6, 1986) is then the unique closest vector, the
-    nearest-plane point that the first descent reaches: the search returns
-    it at once. The test is strict because a leaf at exactly half that
-    length can tie another vector, and only the full search breaks the tie
-    lexicographically. An SVP leaf never passes: a nonzero vector is no
-    shorter than the shortest Gram-Schmidt length.
-
     The search is one loop over explicit per-level state: level i holds its
     center numerator, the rounded center, the current direction (+1, then
     -1), and ``partial[i + 1]``, the scaled form summed over the levels above it.
     """
-    basis, _, _, delta, m, weight, threshold = form
-    certified = s * s * threshold
+    basis, _, _, delta, m, weight = form
     n = len(weight)
     den = [s * delta[i + 1] for i in range(n)]
     best_q: int | None = None
@@ -270,8 +266,6 @@ def _enum_best(form: tuple, x: Sequence[int], s: int, skip_zero: bool) -> IntVec
             continue
         if not (skip_zero and not any(c)):
             v = basis.apply(c)
-            if 4 * total < certified:
-                return v
             if best_q is None or total < best_q or (total == best_q and v < best_v):
                 best_q, best_v = total, v
         c[0] += direction[0]
@@ -281,7 +275,8 @@ def _enum_best(form: tuple, x: Sequence[int], s: int, skip_zero: bool) -> IntVec
 
 
 def shortest_vector(l: LatticeBasis) -> tuple[int, IntVec]:
-    """Exact squared minimum distance of the lattice and a witness vector.
+    """Exact squared minimum distance of the lattice and a witness vector,
+    computed once per basis.
 
     For D <= 2 the first reduced column is a shortest vector, and the
     witness is min(b, -b) of it (``(-|g|,)`` in D = 1). For D >= 3 it is
@@ -290,28 +285,41 @@ def shortest_vector(l: LatticeBasis) -> tuple[int, IntVec]:
     n = l.dim
     if n > MAX_DIM:
         raise DimensionUnsupported(f"shortest_vector supports dim <= {MAX_DIM}, got {n}")
-    if n <= 2:
-        b1 = l.reduced.column(0)
-        return vec_norm_sq(b1), min(b1, vec_scale(-1, b1))
-    v = _enum_best(l._form, [0] * n, 1, skip_zero=True)
-    return vec_norm_sq(v), v
+    return l._shortest
 
 
 def closest_vector(l: LatticeBasis, target: Sequence[Scalar]) -> IntVec:
     """Exact closest lattice vector to an integer or rational target.
 
     Ties are broken by the lexicographically smallest lattice vector.
+
+    First the round-off point ``v = B round(B^{-1} t)`` on the reduced basis
+    B (Babai, Combinatorica 6, 1986). If ``4 ||v - t||^2 < lambda_1^2``,
+    every other lattice vector w has ``||w - t|| >= lambda_1 - ||v - t||``,
+    which exceeds ``lambda_1 / 2 > ||v - t||``, so v is the unique closest
+    vector and is returned. The test is strict: at exactly half a shortest
+    vector two lattice vectors can tie, and only the full search applies the
+    lexicographic tie-break. Every other target takes that exact search,
+    ``_enum_best``. lambda_1^2 is the basis's cached ``shortest_vector``.
     """
     n = l.dim
     if n > MAX_DIM:
         raise DimensionUnsupported(f"closest_vector supports dim <= {MAX_DIM}, got {n}")
     if len(target) != n:
         raise DimensionMismatch(f"target has length {len(target)}, the lattice is {n}-dimensional")
-    _, inv, det, *_ = form = l._form
-    q = math.lcm(*(t.denominator for t in target))
-    if q > 1:
+    b, inv, det, *_ = form = l._form
+    # integer targets as given; others scaled to ints over their lcm q
+    if all([type(t) is int for t in target]):
+        q = 1
+    else:
+        q = math.lcm(*(t.denominator for t in target))
         target = [t.numerator * (q // t.denominator) for t in target]
-    return _enum_best(form, inv.apply(target), det * q, skip_zero=False)
+    x = inv.apply(target)  # B^{-1} t = x / s
+    s = det * q
+    v = b.apply([(2 * xi + s) // (2 * s) for xi in x])
+    if 4 * sum([(q * a - t) ** 2 for a, t in zip(v, target)]) < l._shortest[0] * q * q:
+        return v
+    return _enum_best(form, x, s, skip_zero=False)
 
 
 # ---------------------------------------------------------------------------

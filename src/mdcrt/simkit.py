@@ -186,6 +186,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigInvalid(f"'trials' must be a positive integer, got {self.trials}")
+        if not self.taus:
+            raise ConfigInvalid("'tau_grid' must list at least one tau for a sweep")
 
 
 @dataclass(frozen=True)

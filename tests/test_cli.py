@@ -194,6 +194,28 @@ class TestConfigs:
         assert out == ""
         assert f"error: {message}" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "robust", "multistage"])
+    @pytest.mark.parametrize("grid", ["", "tau_grid = []\n"], ids=["no-grid", "empty-grid"])
+    def test_sweep_without_taus_exits_2(self, tmp_path, capsys, command, grid):
+        """A sweep over no taus used to print a bare CSV header and exit 0."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            "moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\ngrouping = [[[0],[1]]]\n"
+            f"reconstructors = single,multistage\n{grid}trials = 2\n"
+        )
+        rc, out, err = run(capsys, command, str(bad))
+        assert rc == 2
+        assert out == ""
+        assert "error: 'tau_grid' must list at least one tau" in err
+
+    @pytest.mark.parametrize("command", ["robust", "multistage"])
+    def test_single_shot_needs_no_taus(self, tmp_path, capsys, command):
+        cfg = tmp_path / "shot.cfg"
+        cfg.write_text(f"moduli = {TestReconstructionCommands.MODULI}\ngrouping = [[[0,1,2]]]\n")
+        rc, out, _ = run(capsys, command, str(cfg), "--remainders", "[1,1]", "[1,1]", "[1,1]")
+        assert rc == 0
+        assert "estimate = (1,1)" in out
+
 
 class TestReconstructionCommands:
     MODULI = "[[[22,-17],[17,22]],[[335,-272],[294,352]],[[352,-250],[272,369]]]"

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from mdcrt import lattice
 from mdcrt.crt_core import gcld
 from mdcrt.errors import DimensionMismatch, DimensionUnsupported, SingularMatrix
 from mdcrt.exact_linalg import IntMatrix, hnf, snf, vec_add, vec_dot, vec_norm_sq, vec_sub
@@ -401,26 +402,35 @@ def gram_schmidt_sq(basis: IntMatrix) -> list[Fraction]:
 def certified_targets(draw):
     """A D = 2, 3 or 4 lattice, one of its points v, and a target v + o whose
     offset o has denominator 1..3 and lies strictly within half the shortest
-    Gram-Schmidt length g of the search basis: 4 |o|^2 < g."""
+    lattice vector: 4 |o|^2 < lambda_1^2. Offsets beyond half the shortest
+    Gram-Schmidt length are included: there round-off can miss v, and the
+    search must answer."""
     dim = draw(st.sampled_from([2, 3, 4]))
     m = draw(square_matrices(dim, 5 if dim == 2 else 3).filter(lambda m: m.det != 0))
     m = m.scale(draw(st.integers(1, 4)))
-    g = min(gram_schmidt_sq(LatticeBasis(m).reduced))
     den = draw(st.integers(1, 3))
-    r = math.isqrt(math.floor(g * den * den / 4))  # 4 r^2 <= g den^2: one axis at most reaches it
-    offset = tuple(Fraction(draw(st.integers(-r, r)), den) for _ in range(dim))
-    assume(4 * vec_norm_sq(offset) < g)
+    bound = shortest_vector(LatticeBasis(m))[0] * den * den  # 4 |numerators|^2 < bound
+    r = math.isqrt(bound // 4)  # 4 r^2 <= bound: one axis at most reaches it
+    nums = [draw(st.integers(-r, r)) for _ in range(dim)]
+    assume(4 * vec_norm_sq(nums) < bound)
+    if draw(st.booleans()):
+        # push the last numerator outward as far as it stays inside, toward
+        # the band between the two radii
+        k = math.isqrt((bound - 4 * vec_norm_sq(nums[:-1]) - 1) // 4)
+        nums[-1] = k if nums[-1] >= 0 else -k
     v = m.apply(draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)))
-    return m, v, vec_add(v, offset)
+    return m, v, vec_add(v, [Fraction(x, den) for x in nums])
 
 
 class TestCertificate:
-    """CVP returns its first leaf, the nearest-plane point, when that leaf is
-    strictly within half the shortest Gram-Schmidt length of the target.
-    Exactly at half, two vectors can tie and the first leaf need not be the
+    """CVP returns its round-off point when that point is strictly within
+    lambda_1 / 2 of the target, half the shortest lattice vector. Exactly at
+    half, two vectors can tie and the round-off point need not be the
     lexicographically smallest: the full search must run."""
 
     BOUNDARY_LATTICE = gcld(M([[5632, -4352], [4352, 5632]]), M([[12672, 9792], [-9792, 12672]]))
+    # shortest squared Gram-Schmidt length 6 < lambda^2 = 8
+    SKEWED = M([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
 
     @pytest.mark.parametrize(
         "basis, target, expected",
@@ -430,20 +440,27 @@ class TestCertificate:
             # tests/test_robust.py::TestGuaranteeBoundary's gcld lattice,
             # shortest vector (-64, 0), at half of it
             (BOUNDARY_LATTICE, (-32, 0), (-64, 0)),
+            # half of the shortest vector (0, 2, -2), whose round-off point
+            # (-2, 2, 0) is farther than either of the tied vectors
+            (SKEWED, (0, 1, -1), (0, 0, 0)),
         ],
-        ids=["Z2", "diag22", "guarantee-boundary"],
+        ids=["Z2", "diag22", "guarantee-boundary", "skewed-3d"],
     )
     def test_tie_at_half_the_shortest_gram_schmidt_length(self, basis, target, expected):
         l = LatticeBasis(basis)
         got = closest_vector(l, target)
         best, winners = brute_closest_vectors(basis, target)
-        # the target sits exactly at the certificate's threshold, on a tie
-        assert 4 * best == min(gram_schmidt_sq(l.reduced))
+        # the target sits exactly at the round-off test's threshold, on a tie
+        assert 4 * best == shortest_vector(l)[0]
         assert len(winners) >= 2
         assert got == min(winners) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(certified_targets())
+    # the skewed basis between the two radii: round-off lands on v, and
+    # round-off misses v, so the search answers
+    @example((SKEWED, (4, -2, 8), (3, Fraction(-3, 2), Fraction(17, 2))))
+    @example((SKEWED, (0, 0, 0), (Fraction(-2, 3), Fraction(-2, 3), 1)))
     def test_inside_the_threshold_returns_the_lattice_point(self, case):
         m, v, target = case
         assert closest_vector(LatticeBasis(m), target) == v
@@ -451,24 +468,42 @@ class TestCertificate:
         assume(oracle is not None)
         assert oracle[1] == [v]
 
+    def test_round_off_inside_lambda_skips_the_search(self, monkeypatch):
+        """An offset beyond half the shortest Gram-Schmidt length but within
+        lambda / 2, on which round-off lands: no search runs."""
+        l = LatticeBasis(self.SKEWED)
+        offset = (-1, Fraction(1, 2), Fraction(1, 2))
+        assert min(gram_schmidt_sq(l.reduced)) <= 4 * vec_norm_sq(offset) < shortest_vector(l)[0]
+        v = self.SKEWED.apply((1, -2, 3))
+        searches = []
+        search = lattice._enum_best
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "_enum_best", counted)
+        assert closest_vector(l, vec_add(v, offset)) == v
+        assert searches == []
+
     def test_skewed_basis_below_lambda(self, rng):
         """Here the shortest Gram-Schmidt length is below lambda, so targets
-        between half of each are unique-closest but not certified: the full
-        search must find them."""
-        m = M([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
+        between half of each are unique-closest, yet round-off on the reduced
+        basis can miss them: whatever it misses, the full search must find."""
+        m = self.SKEWED
         l = LatticeBasis(m)
         g = min(gram_schmidt_sq(l.reduced))
         lambda_sq = shortest_vector(l)[0]
         assert (g, lambda_sq) == (6, 8)
-        uncertified = 0
+        in_band = 0
         for _ in range(300):
             t = tuple(Fraction(rng.randint(-24, 24), rng.choice([1, 2, 3, 4])) for _ in range(3))
             best, winners = brute_closest_vectors(m, t)
             got = closest_vector(l, t)
             assert got == min(winners)
             assert vec_norm_sq(vec_sub(got, t)) == best
-            uncertified += g <= 4 * best < lambda_sq
-        assert uncertified > 0
+            in_band += g <= 4 * best < lambda_sq
+        assert in_band > 0
 
 
 class TestRegions:
