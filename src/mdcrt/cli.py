@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .config import ExperimentConfig, load_config
-from .crt_core import congruence_of, crt_solve, gcld, lcrm_many
+from .crt_core import congruence_of, crt_solve, gcld, lcrm
 from .drange import max_coprime_set, max_dynamic_range
 from .errors import ConfigInvalid, DimensionUnsupported, Inconsistent, MdcrtError
 from .exact_linalg import format_vector, hnf, parse_matrix, parse_vector, snf
@@ -68,7 +68,7 @@ def _cmd_gcld(args) -> int:
 
 
 def _cmd_lcrm(args) -> int:
-    r = lcrm_many([parse_matrix(m) for m in args.matrices])
+    r = lcrm(*[parse_matrix(m) for m in args.matrices])
     print(f"lcrm = {r}")
     print(f"det = {r.det}")
     return 0
@@ -194,6 +194,8 @@ def _cmd_svp_search(args) -> int:
     else:
         a, b = args.range
         primes = [p for p in primes_below(b) if p >= a]
+        if not primes:
+            raise ConfigInvalid(f"--range {a} {b} holds no prime p with {a} <= p < {b}")
     results = [search_max_svp(p) for p in primes]  # NotPrime before any output
     print("prime,d,sqrt_d_f,floor_sqrt_p,achiever_count,first_achiever")
     for p, res in zip(primes, results):

@@ -1,8 +1,10 @@
 """Matrix gcld / lcrm, coprimality, and the error-free vector CRT solver.
 
-gcld and lcrm outputs are HNF-normalized so equality is testable; the lcrm of
-two moduli is computed as a basis of the intersection lattice, obtained from
-the integer kernel of the stacked block ``(a  -b)``.
+gcld and lcrm are the sum and the intersection of lattices, each one HNF of
+a stacked block, so both are HNF-normalized and equality is testable: gcld
+stacks the moduli, and lcrm stacks their (scaled) duals L(M^{-T}), since the
+intersection of lattices is the dual of the sum of their duals (Micciancio
+and Goldwasser, Complexity of Lattice Problems, 2002).
 
 A congruence system depends on its moduli only through one Smith normal
 form: all L congruences become one stacked block system for the quotient
@@ -18,7 +20,8 @@ in N(modulus), so callers need not reduce before they build one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -27,60 +30,58 @@ from .exact_linalg import IntMatrix, IntVec, Scalar, hnf, snf
 from .lattice import reduce_mod
 
 
-def _check_pair(a: IntMatrix, b: IntMatrix) -> None:
-    if not (a.is_square and b.is_square) or a.dim != b.dim:
-        raise DimensionMismatch(f"matrices must be square of equal size, got {a.nrows}x{a.ncols} and {b.nrows}x{b.ncols}")
+def _check_square(ms: Sequence[IntMatrix]) -> None:
+    if any(not m.is_square or m.nrows != ms[0].nrows for m in ms):
+        shapes = ", ".join(f"{m.nrows}x{m.ncols}" for m in ms)
+        raise DimensionMismatch(f"matrices must be square of equal size, got {shapes}")
+
+
+def _check_moduli(ms: Sequence[IntMatrix], what: str) -> None:
+    """The operand check of gcld and lcrm: ValueError for no matrices,
+    DimensionMismatch unless all are square of one size, SingularMatrix
+    unless all are nonsingular."""
+    if not ms:
+        raise ValueError(f"{what} needs at least one matrix")
+    _check_square(ms)
+    if any(m.det == 0 for m in ms):
+        raise SingularMatrix(f"{what} requires nonsingular operands")
 
 
 def gcld(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Greatest common left divisor, HNF-normalized.
+    """Greatest common left divisor, HNF-normalized: a basis of the lattice
+    sum L(a) + L(b).
 
     Column-reduces the block ``(a b)`` to ``(G 0)``; both ``G^{-1} a`` and
     ``G^{-1} b`` are integer matrices and every common left divisor
     left-divides G.
     """
-    _check_pair(a, b)
-    if a.det == 0 or b.det == 0:
-        raise SingularMatrix("gcld requires nonsingular operands")
+    _check_moduli((a, b), "gcld")
     return hnf(a.hstack(b))
 
 
 def is_coprime(a: IntMatrix, b: IntMatrix) -> bool:
     """Left coprimality: the SNF of ``(a b)`` equals ``(I 0)``."""
-    _check_pair(a, b)
+    _check_square((a, b))
     return all(x == 1 for x in snf(a.hstack(b)).diagonal())
 
 
-def lcrm(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Least common right multiple, HNF-normalized.
+def lcrm(*moduli: IntMatrix) -> IntMatrix:
+    """Least common right multiple of one or more moduli, HNF-normalized: a
+    basis of the intersection of their lattices, so it does not depend on
+    their order.
 
-    A basis of L(a) intersected with L(b): kernel vectors (p; q) of the block
-    ``(a -b)`` satisfy ``a p = b q``, and the p-parts give the intersection
-    basis ``a @ P``.
+    The dual of L(M) is L(M^{-T}). With n the lcm of the |det M_k|, each
+    ``n M_k^{-T} = (n / det M_k) adj(M_k)^T`` is an integer matrix, and the
+    HNF G of their stack is n times a basis B of the sum of the duals. The
+    result is the HNF of ``n adj(G)^T / det G = B^{-T}``. That division is
+    exact entry by entry: B^{-T} is a basis of the dual of the sum, which is
+    the intersection lattice, and that lies in Z^D.
     """
-    _check_pair(a, b)
-    if a.det == 0 or b.det == 0:
-        raise SingularMatrix("lcrm requires nonsingular operands")
-    d = a.dim
-    block = a.hstack(-b)
-    dec = snf(block)
-    kernel_cols = [dec.v.column(j) for j in range(d, 2 * d)]
-    p = IntMatrix.from_columns([col[:d] for col in kernel_cols])
-    return hnf(a @ p)
-
-
-def lcrm_many(ms: Sequence[IntMatrix]) -> IntMatrix:
-    """Left fold of pairwise lcrm over the list, HNF-normalized.
-
-    The result is independent of fold order: all lcrms of the set share one
-    lattice, and HNF is canonical per lattice.
-    """
-    if not ms:
-        raise ValueError("lcrm_many needs at least one matrix")
-    acc = hnf(ms[0])
-    for m in ms[1:]:
-        acc = lcrm(acc, m)
-    return acc
+    _check_moduli(moduli, "lcrm")
+    n = lcm(*(m.det for m in moduli))
+    g = hnf(reduce(IntMatrix.hstack, [m.adj.transpose().scale(n // m.det) for m in moduli]))
+    q = g.det
+    return hnf(IntMatrix(tuple(tuple(n * x // q for x in row) for row in g.adj.transpose().rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +150,10 @@ class CrtPlan:
     """
 
     def __init__(self, moduli: Sequence[IntMatrix]):
-        if not moduli:
-            raise ValueError("need at least one congruence")
+        self.lcrm = lcrm(*moduli)  # checks the moduli
         m0 = moduli[0]
         d = m0.dim
-        if any(m.dim != d for m in moduli):
-            raise DimensionMismatch("congruences of mixed dimension")
         self.count, self.dim = len(moduli), d
-        self.lcrm = lcrm_many(moduli)
         self.checks, self.kernel, self.scale = (), ((),) * d, 1  # one congruence: f = r_0
         if self.count == 1:
             return
@@ -169,7 +166,7 @@ class CrtPlan:
                 row[k * d : (k + 1) * d] = [-x for x in rk]
                 block.append(row)
         dec = snf(IntMatrix.from_rows(block))
-        lam = dec.diagonal()  # no zero: lcrm_many has rejected singular moduli
+        lam = dec.diagonal()  # no zero: lcrm has rejected singular moduli
         self.scale = big = lam[-1]
         self.checks = tuple(
             (tuple(x % q for x in row), q) for row, q in zip(dec.u.rows, lam) if q > 1

@@ -13,7 +13,7 @@ Conventions, fixed once and used everywhere:
   with ``m = H @ u`` when ``m`` is square.
 * Smith normal form (SNF): ``u @ m @ v = lam`` with unimodular ``u``, ``v``
   and nonnegative diagonal ``lam`` whose entries divide their successors.
-  Rectangular input is supported (coprimality, lcrm and stacked congruence
+  Rectangular input is supported (coprimality and stacked congruence
   blocks).
 
 Both forms eliminate with one 2 x 2 unimodular extended-gcd (Bezout) step

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .crt_core import check_remainder_shape, lcrm_many
+from .crt_core import check_remainder_shape, lcrm
 from .errors import (
     CoverageIncomplete,
     DuplicateOutput,
@@ -57,7 +57,7 @@ def check_group_condition(moduli: Sequence[IntMatrix], anchor_index: int) -> Int
     """
     if not 0 <= anchor_index < len(moduli):
         raise ValueError("anchor index out of range")
-    return _rebased_lcrm(moduli[anchor_index], lcrm_many(moduli))
+    return _rebased_lcrm(moduli[anchor_index], lcrm(*moduli))
 
 
 def _rebased_lcrm(anchor: IntMatrix, total: IntMatrix) -> IntMatrix | None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .crt_core import Congruence, check_remainder_shape, crt_solve, gcld, lcrm_many
+from .crt_core import Congruence, check_remainder_shape, crt_solve, gcld, lcrm
 from .errors import DimensionMismatch, DimensionUnsupported, DuplicateModuli, NotAnLcrm
 from .exact_linalg import IntMatrix, IntVec, Scalar
 from .lattice import MAX_DIM, FpdUnionRegion, LatticeBasis, closest_vector, shortest_vector
@@ -111,7 +111,7 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
         moduli=moduli,
         anchor=anchor,
         tau_bound_sq=tau_bound_sq,
-        lcrm=lcrm_many(moduli),
+        lcrm=lcrm(*moduli),
         anchor_lattices=lattices,
         anchor_congruence=Congruence(moduli[anchor], (0,) * d),
     )

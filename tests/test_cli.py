@@ -42,6 +42,13 @@ class TestNormalFormCommands:
         assert rc == 0
         assert "lcrm = [[4,0],[0,4]]" in out
 
+    def test_lcrm_of_one_non_square_block_exits_2(self, capsys):
+        """A single 1x2 block used to print ``lcrm = [[2]]`` and exit 0."""
+        rc, out, err = run(capsys, "lcrm", "[[2,4]]")
+        assert rc == 2
+        assert out == ""
+        assert "error: matrices must be square of equal size, got 1x2" in err
+
 
 class TestCrtCommand:
     def test_worked_pair(self, capsys):
@@ -91,6 +98,14 @@ class TestSearchCommands:
         rc, out, _ = run(capsys, "svp-search", "--range", "2", "20")
         assert rc == 0
         assert len(out.strip().splitlines()) == 1 + 8  # primes 2..19
+
+    @pytest.mark.parametrize("bounds", [("10", "5"), ("24", "28")])
+    def test_svp_search_range_without_primes_exits_2(self, capsys, bounds):
+        """A range with no prime used to print a bare CSV header and exit 0."""
+        rc, out, err = run(capsys, "svp-search", "--range", *bounds)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: --range ") and "holds no prime" in err
 
     def test_drange(self, capsys):
         rc, out, _ = run(capsys, "drange", "--q", "10", "--dim", "2")

@@ -11,12 +11,13 @@ from mdcrt.crt_core import (
     gcld,
     is_coprime,
     lcrm,
-    lcrm_many,
 )
 from mdcrt.errors import DimensionMismatch, Inconsistent, SingularMatrix
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_add, vec_sub
 from mdcrt.lattice import reduce_mod
 from conftest import (
+    FIG2_NONDIAG_MODULI,
+    FIG3_MODULI,
     brute_common_left_divisors,
     brute_common_points,
     brute_fpd,
@@ -108,38 +109,43 @@ class TestLcrm:
     def test_motivating_pair(self):
         assert lcrm(R1, R2).det == 1780992**2
 
-    def test_membership(self, rng):
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_membership(self, rng, dim):
         for _ in range(30):
-            a = random_matrix(rng, 2, bound=6)
-            b = random_matrix(rng, 2, bound=6)
+            a = random_matrix(rng, dim, bound=6)
+            b = random_matrix(rng, dim, bound=6)
             r = lcrm(a, b)
-            for j in range(2):
+            for j in range(dim):
                 col = r.column(j)
                 assert in_lattice(a, col) and in_lattice(b, col)
 
     def test_minimality_oracle(self, rng):
-        checked = 0
-        for _ in range(40):
-            a = random_matrix(rng, 2, bound=4)
-            b = random_matrix(rng, 2, bound=4)
-            if abs(a.det) > 12 or abs(b.det) > 12:
-                continue
-            checked += 1
-            assert abs(lcrm(a, b).det) == brute_intersection_det(a, b)
-        assert checked >= 10
+        for dim, bound, det_cap in ((2, 4, 12), (3, 2, 6)):
+            checked = 0
+            for _ in range(40):
+                a = random_matrix(rng, dim, bound=bound)
+                b = random_matrix(rng, dim, bound=bound)
+                if abs(a.det) > det_cap or abs(b.det) > det_cap:
+                    continue
+                checked += 1
+                assert abs(lcrm(a, b).det) == brute_intersection_det(a, b)
+            assert checked >= 10
 
-    def test_determinant_identity(self, rng):
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_determinant_identity(self, rng, dim):
         for _ in range(30):
-            a = random_matrix(rng, 2, bound=6)
-            b = random_matrix(rng, 2, bound=6)
+            a = random_matrix(rng, dim, bound=6)
+            b = random_matrix(rng, dim, bound=6)
             assert abs(gcld(a, b).det) * abs(lcrm(a, b).det) == abs(a.det * b.det)
 
-    def test_fold_order_immaterial(self, rng):
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_fold_order_immaterial(self, rng, dim):
         for _ in range(10):
-            ms = [random_matrix(rng, 2, bound=5) for _ in range(3)]
-            base = lcrm_many(ms)
+            ms = [random_matrix(rng, dim, bound=5) for _ in range(4)]
+            base = lcrm(*ms)
+            assert lcrm(lcrm(*ms[:-1]), ms[-1]) == base
             for perm in itertools.permutations(ms):
-                assert lcrm_many(list(perm)) == base
+                assert lcrm(*perm) == base
 
     def test_theorem_construction(self):
         mods = [
@@ -148,17 +154,44 @@ class TestLcrm:
             IntMatrix.diag(4, 1),
             IntMatrix.diag(1, 4),
         ]
-        assert lcrm_many(mods) == IntMatrix.diag(12, 12)
+        assert lcrm(*mods) == IntMatrix.diag(12, 12)
 
     def test_group_of_three(self):
         e11 = M([[8, 1], [0, 8]])
         e12 = M([[8, 0], [1, 8]])
-        got = lcrm_many([G1, G1 @ e11, G1 @ e12])
+        got = lcrm(G1, G1 @ e11, G1 @ e12)
         assert got == hnf(G1 @ IntMatrix.diag(64, 64))
 
     def test_singleton(self, rng):
         m = random_matrix(rng, 2, bound=8)
-        assert lcrm_many([m]) == hnf(m)
+        assert lcrm(m) == hnf(m)
+
+    def test_shipped_groups(self):
+        # configs/fig3.cfg, configs/fig2_nondiag.cfg and configs/fig2_diag.cfg:
+        # all moduli and each declared group
+        fig2_diag = [IntMatrix.diag(870, 870), M([[2030, 0], [290, 2030]]),
+                     M([[3045, 435], [0, 3045]]), M([[13398, 1218], [0, 13398]])]
+        cases = [
+            (FIG3_MODULI, [[1780992, 0], [0, 1780992]]),
+            (FIG3_MODULI[:3], [[256, 0], [81152, 197888]]),
+            (FIG3_MODULI[3:], [[576, 0], [262656, 445248]]),
+            (FIG2_NONDIAG_MODULI, [[1470, 0], [14292810, 156703470]]),
+            (FIG2_NONDIAG_MODULI[:3], [[1470, 0], [47040, 1295070]]),
+            (FIG2_NONDIAG_MODULI[3:], [[42, 0], [408366, 4477242]]),
+            (fig2_diag, [[42630, 0], [468930, 5158230]]),
+        ]
+        for ms, expected in cases:
+            assert lcrm(*ms) == M(expected)
+
+    def test_operand_check(self):
+        with pytest.raises(ValueError):
+            lcrm()
+        with pytest.raises(DimensionMismatch):
+            lcrm(M([[2, 4]]))
+        with pytest.raises(DimensionMismatch):
+            lcrm(IntMatrix.diag(2, 3), IntMatrix.diag(2, 3, 5))
+        with pytest.raises(SingularMatrix):
+            lcrm(M([[1, 2], [2, 4]]))
 
 
 class TestCrtSolve:
@@ -241,7 +274,7 @@ def moduli_sets(draw):
     dim = draw(st.sampled_from((2, 3)))
     modulus = square_matrices(dim, 3 if dim == 2 else 2).filter(lambda m: 0 < abs(m.det) <= 6)
     ms = draw(st.lists(modulus, min_size=2, max_size=4))
-    assume(abs(lcrm_many(ms).det) <= 600)
+    assume(abs(lcrm(*ms).det) <= 600)
     return ms
 
 
@@ -256,7 +289,7 @@ class TestCompiledFold:
     @given(moduli_sets(), st.data())
     def test_solution_is_f_mod_lcrm_in_any_fold_order(self, ms, data):
         f = tuple(data.draw(st.integers(-60, 60)) for _ in range(ms[0].dim))
-        total = lcrm_many(ms)
+        total = lcrm(*ms)
         expected = reduce_mod(f, total)[1]
         congruences = [congruence_of(f, m) for m in ms]
         order = data.draw(st.permutations(range(len(ms))))
@@ -269,7 +302,7 @@ class TestCompiledFold:
     @given(moduli_sets(), st.data())
     def test_inconsistent_exactly_when_no_common_point(self, ms, data):
         rems = data.draw(remainder_tuples(ms))
-        total = lcrm_many(ms)
+        total = lcrm(*ms)
         common = brute_common_points(ms, rems, total)
         congruences = [Congruence(m, r) for m, r in zip(ms, rems)]
         if not common:
@@ -309,7 +342,7 @@ class TestCompiledFold:
                 return "inconsistent"
 
         rems = data.draw(remainder_tuples(ms))
-        total = lcrm_many(ms)
+        total = lcrm(*ms)
         into = total @ random_unimodular(data.draw(st.randoms(use_true_random=False)), total.dim)
         unreduced = [
             vec_add(r, m.apply([data.draw(st.integers(-20, 20)) for _ in r])) for m, r in zip(ms, rems)
@@ -328,7 +361,7 @@ class TestCompiledFold:
         g = M([[2, 1, 0, 1], [0, 3, 1, 0], [1, 0, 2, 1], [0, 1, 1, 3]])
         ms = [g @ random_matrix(rng, 4, bound=3) for _ in range(3)]
         assert all(hnf(m) != m for m in ms)
-        total = lcrm_many(ms)
+        total = lcrm(*ms)
         plan = CrtPlan(ms)
         for _ in range(20):
             f = tuple(rng.randint(-10**6, 10**6) for _ in range(4))

@@ -1,6 +1,6 @@
 import pytest
 
-from mdcrt.crt_core import is_coprime, lcrm_many
+from mdcrt.crt_core import is_coprime, lcrm
 from mdcrt.drange import max_coprime_set, max_dynamic_range
 from mdcrt.exact_linalg import IntMatrix
 from conftest import brute_intersection_det, diagonal_moduli_construction, lcm_range
@@ -55,7 +55,7 @@ class TestConstruction:
             "[[3,0],[0,1]]",
             "[[1,0],[0,3]]",
         }
-        assert lcrm_many(mods) == IntMatrix.diag(12, 12)
+        assert lcrm(*mods) == IntMatrix.diag(12, 12)
 
     def test_pairwise_coprime(self):
         mods = diagonal_moduli_construction(10, 2)
@@ -66,12 +66,10 @@ class TestConstruction:
     def test_achieves_range(self):
         for q in range(2, 13):
             mods = diagonal_moduli_construction(q, 2)
-            assert abs(lcrm_many(mods).det) == max_dynamic_range(q, 2)
+            assert abs(lcrm(*mods).det) == max_dynamic_range(q, 2)
 
     def test_pairwise_lcrm_matches_brute_intersection(self):
         mods = diagonal_moduli_construction(4, 2)
-        from mdcrt.crt_core import lcrm
-
         for i in range(len(mods)):
             for j in range(i + 1, len(mods)):
                 assert abs(lcrm(mods[i], mods[j]).det) == brute_intersection_det(

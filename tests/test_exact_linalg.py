@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdcrt.crt_core import gcld, is_coprime, lcrm, lcrm_many
+from mdcrt.crt_core import gcld, is_coprime, lcrm
 from mdcrt.errors import DimensionMismatch, RankDeficient, SingularMatrix
 from mdcrt.exact_linalg import (
     IntMatrix,
@@ -186,8 +186,9 @@ class TestSnfBoundedCoefficients:
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_pairs_agree_with_hnf_routes(self, dim):
-        # lcrm and is_coprime take the SNF of (a -b) and (a b) directly;
-        # lcrm_many and gcld go through hnf first
+        # the SNF routes: the p-parts of the kernel vectors (p; q) of (a -b)
+        # give the intersection basis a @ P, and coprimality reads the SNF of
+        # (a b); lcrm and gcld go through hnf
         rng = random.Random(dim)
         for k in range(6):
             a, b = _entries(rng, dim, dim), _entries(rng, dim, dim)
@@ -196,7 +197,9 @@ class TestSnfBoundedCoefficients:
                 a, b = g @ a, g @ b
             if a.det == 0 or b.det == 0:
                 continue
-            assert lcrm(a, b) == lcrm_many([a, b])
+            v = snf(a.hstack(-b)).v
+            p = IntMatrix.from_columns([v.column(j)[:dim] for j in range(dim, 2 * dim)])
+            assert lcrm(a, b) == hnf(a @ p)
             assert is_coprime(a, b) == (abs(gcld(a, b).det) == 1)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mdcrt.config import load_config
-from mdcrt.crt_core import congruence_of, crt_solve, lcrm_many
+from mdcrt.crt_core import congruence_of, crt_solve
 from mdcrt.errors import CoverageIncomplete, DuplicateOutput, GroupConditionFailed, Inconsistent
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_add, vec_norm_sq, vec_sub
 from mdcrt.lattice import LatticeBasis, reduce_mod, shortest_vector
