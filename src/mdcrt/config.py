@@ -128,6 +128,9 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         shape = "'centroid', 'per-trial', or an integer vector"
         f_mode, f_value = "explicit", _int_array("f", _literal("f", f_text), 1, shape)
+        d = moduli[0].dim
+        if len(f_value) != d:
+            raise ConfigInvalid(f"'f' must have length {d}, the moduli's dimension, found {list(f_value)}")
 
     return ExperimentConfig(
         moduli=moduli,

@@ -13,8 +13,11 @@ vectors, and a ``CrtPlan`` takes its SNF once per ordered tuple of moduli
 most recently used plans, so solving one more set of remainders costs a few
 divisibility checks, one integer matrix-vector product and one reduction
 into N(``into``), any basis of the lcrm lattice (the HNF lcrm R by default).
-A ``Congruence`` accepts any representative of its class and stores the one
-in N(modulus), so callers need not reduce before they build one.
+``crt_solve`` reads each congruence as a ``(modulus, remainder)`` pair and
+accepts any representative of each class, so a caller that only solves
+passes its remainders unreduced. A ``Congruence`` is the normalized pair:
+it stores the representative in N(modulus), for callers that compare or
+print congruences.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch, Inconsistent, SingularMatrix
 from .exact_linalg import IntMatrix, IntVec, Scalar, hnf, snf
@@ -100,17 +103,21 @@ def check_remainder_shape(remainders: Sequence[Sequence[Scalar]], count: int, di
 
 @dataclass(frozen=True)
 class Congruence:
-    """``f = modulus @ n + remainder``. Any representative of the class may
-    be given; the stored remainder is its reduction into N(modulus), so two
-    representatives of one class give equal congruences. Raises
-    SingularMatrix for a singular modulus and DimensionMismatch for a
-    remainder of the wrong length."""
+    """``f = modulus @ n + remainder`` as a normalized pair. Any
+    representative of the class may be given; the stored remainder is its
+    reduction into N(modulus), so two representatives of one class give
+    equal congruences. It unpacks as ``modulus, remainder``, the pair that
+    ``crt_solve`` reads. Raises SingularMatrix for a singular modulus and
+    DimensionMismatch for a remainder of the wrong length."""
 
     modulus: IntMatrix
     remainder: IntVec
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "remainder", reduce_mod(self.remainder, self.modulus)[1])
+
+    def __iter__(self) -> Iterator[IntMatrix | IntVec]:
+        return iter((self.modulus, self.remainder))
 
 
 def congruence_of(f: Sequence[int], modulus: IntMatrix) -> Congruence:
@@ -206,11 +213,17 @@ def _plan(moduli: tuple[IntMatrix, ...]) -> CrtPlan:
     return CrtPlan(moduli)
 
 
-def crt_solve(congruences: Sequence[Congruence], into: IntMatrix | None = None) -> CrtSolution:
+def crt_solve(
+    congruences: Sequence[tuple[IntMatrix, Sequence[int]] | Congruence], into: IntMatrix | None = None
+) -> CrtSolution:
     """Unique representative in N(R) congruent to every remainder, R the
     HNF-normalized lcrm of all moduli; with ``into``, a basis of the same
     lattice (an lcrm representative such as a designated lcrm), the unique
     representative in N(into) instead, from the same single reduction.
+
+    Each congruence is a ``(modulus, remainder)`` pair, a ``Congruence``
+    included. The remainder may be any representative of its class: the
+    solution is reduced once, at the end, so no remainder is reduced first.
 
     The system is solved by the ``CrtPlan`` of the moduli in input order,
     built on first use and kept for the ``_PLANS_KEPT`` most recently used
@@ -221,5 +234,7 @@ def crt_solve(congruences: Sequence[Congruence], into: IntMatrix | None = None) 
     mixed dimension, and Inconsistent when the system has no integer
     solution.
     """
-    plan = _plan(tuple([c.modulus for c in congruences]))
-    return plan.solve([c.remainder for c in congruences], into)
+    if not congruences:
+        raise ValueError("crt_solve needs at least one congruence")
+    moduli, remainders = zip(*congruences)
+    return _plan(moduli).solve(remainders, into)

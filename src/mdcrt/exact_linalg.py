@@ -258,8 +258,13 @@ def det(m: IntMatrix) -> int:
     ``adjugate``'s 2 x 2 case) raised benchmark setup time 9-15%."""
     if not m.is_square:
         raise DimensionMismatch("determinant of a non-square matrix")
-    r = m.rows
-    n = m.nrows
+    return _det_rows(m.rows)
+
+
+def _det_rows(r: Sequence[Sequence[int]]) -> int:
+    """``det`` of a square matrix given as plain rows, unchecked; the
+    cofactors of ``adjugate`` call it without building a matrix each."""
+    n = len(r)
     if n == 1:
         return r[0][0]
     if n == 2:
@@ -314,8 +319,7 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = [[r[a][b] for b in range(n) if b != j] for a in range(n) if a != i]
-            c = det(IntMatrix.from_rows(minor))
+            c = _det_rows([[x for b, x in enumerate(row) if b != j] for a, row in enumerate(r) if a != i])
             out[j][i] = -c if (i + j) % 2 else c
     return IntMatrix.from_rows(out)
 

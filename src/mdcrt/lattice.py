@@ -288,8 +288,14 @@ def shortest_vector(l: LatticeBasis) -> tuple[int, IntVec]:
     return l._shortest
 
 
-def closest_vector(l: LatticeBasis, target: Sequence[Scalar]) -> IntVec:
-    """Exact closest lattice vector to an integer or rational target.
+def closest_vector(l: LatticeBasis, target: Sequence[Scalar], den: int = 1) -> IntVec:
+    """Exact closest lattice vector to the integer or rational target
+    ``target / den``.
+
+    A caller holding integers over one denominator passes them with
+    ``den`` and builds no ``Fraction``. Rational entries are scaled to
+    integers over their lcm, which multiplies ``den``. Raises ValueError
+    for ``den`` below 1.
 
     Ties are broken by the lexicographically smallest lattice vector.
 
@@ -307,13 +313,17 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar]) -> IntVec:
         raise DimensionUnsupported(f"closest_vector supports dim <= {MAX_DIM}, got {n}")
     if len(target) != n:
         raise DimensionMismatch(f"target has length {len(target)}, the lattice is {n}-dimensional")
+    if den < 1:
+        raise ValueError(f"closest_vector needs a denominator of at least 1, got {den}")
     b, inv, det, *_ = form = l._form
-    # integer targets as given; others scaled to ints over their lcm q
+    # the target as ints over q: integer entries over den as given, others
+    # scaled to ints over their lcm, which multiplies den
     if all([type(t) is int for t in target]):
-        q = 1
+        q = den
     else:
         q = math.lcm(*(t.denominator for t in target))
         target = [t.numerator * (q // t.denominator) for t in target]
+        q *= den
     x = inv.apply(target)  # B^{-1} t = x / s
     s = det * q
     v = b.apply([(2 * xi + s) // (2 * s) for xi in x])

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .crt_core import Congruence, check_remainder_shape, crt_solve, gcld, lcrm
+from .crt_core import check_remainder_shape, crt_solve, gcld, lcrm
 from .errors import DimensionMismatch, DimensionUnsupported, DuplicateModuli, NotAnLcrm
 from .exact_linalg import IntMatrix, IntVec, Scalar
 from .lattice import MAX_DIM, FpdUnionRegion, LatticeBasis, closest_vector, shortest_vector
 
-# Reconstruction reduces only inside ``Congruence`` and ``crt_solve``. The
+# Reconstruction reduces only inside ``crt_solve``, once per solve. The
 # name stays bound here because tools that count or time ``reduce_mod``
 # (bench/tracer.py) rebind it in every module that holds it, and its
 # harness test asserts this module is one of them.
@@ -46,9 +46,6 @@ class RobustInstance:
     can break. A one-modulus instance has no pairs, so its bound is the
     minimum over an empty set, +infinity, written ``None``: its estimate is
     its remainder.
-
-    ``anchor_congruence`` is the anchor's constant congruence
-    ``f = M_anchor n + 0``, built once for every reconstruction.
     """
 
     moduli: tuple[IntMatrix, ...]
@@ -56,7 +53,6 @@ class RobustInstance:
     tau_bound_sq: Fraction | None  # None means +infinity (one modulus)
     lcrm: IntMatrix
     anchor_lattices: dict[int, LatticeBasis]
-    anchor_congruence: Congruence
 
     @property
     def count(self) -> int:
@@ -113,7 +109,6 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
         tau_bound_sq=tau_bound_sq,
         lcrm=lcrm(*moduli),
         anchor_lattices=lattices,
-        anchor_congruence=Congruence(moduli[anchor], (0,) * d),
     )
 
 
@@ -137,11 +132,13 @@ def robust_reconstruct(
     folds, and average: the estimate is ``(T * sum of folds + sum of the
     T * remainders) / (n T)`` for the remainders' common denominator T.
     ``designated_lcrm`` picks which lcrm representative R the anchor fold is
-    reduced into, ``instance.lcrm`` (the HNF-normalized lcrm) by default;
-    ``crt_solve`` reduces straight into it, once. Each snapped difference
-    is its congruence's remainder as it stands: ``Congruence`` reduces it.
-    Raises Inconsistent when the snapped values are incompatible, which
-    callers treat as a failed trial.
+    reduced into, ``instance.lcrm`` (the HNF-normalized lcrm) by default.
+    ``crt_solve`` gets one ``(modulus, remainder)`` pair per member, the
+    anchor's ``(M_anchor, 0)`` and each snapped difference unreduced, and
+    reduces straight into that lcrm, once. Each difference is snapped as
+    integers over T (``closest_vector``'s ``den``), with no ``Fraction``
+    per coordinate. Raises Inconsistent when the snapped values are
+    incompatible, which callers treat as a failed trial.
     """
     l0 = instance.anchor
     n = instance.count
@@ -157,16 +154,12 @@ def robust_reconstruct(
     base = rems[l0]
     lattices = instance.anchor_lattices
     snapped = [
-        None if j == l0
-        else closest_vector(lattices[j], [x - y for x, y in zip(r, base)]) if t == 1
-        else closest_vector(lattices[j], [Fraction(x - y, t) for x, y in zip(r, base)])
+        None if j == l0 else closest_vector(lattices[j], [x - y for x, y in zip(r, base)], t)
         for j, r in enumerate(rems)
     ]
-    congruences = [
-        instance.anchor_congruence if v is None else Congruence(m, v)
-        for m, v in zip(instance.moduli, snapped)
-    ]
-    anchor_fold = crt_solve(congruences, into=designated_lcrm).value
+    zero = (0,) * len(base)
+    pairs = [(m, zero if v is None else v) for m, v in zip(instance.moduli, snapped)]
+    anchor_fold = crt_solve(pairs, into=designated_lcrm).value
 
     folds = tuple(
         [anchor_fold if v is None else tuple([a - b for a, b in zip(anchor_fold, v)]) for v in snapped]

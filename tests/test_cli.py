@@ -174,6 +174,16 @@ class TestConfigs:
         assert out == ""
         assert f"error: '{key}' must be" in err
 
+    @pytest.mark.parametrize("value", ["[1,2,3]", "[5]"], ids=["too-long", "too-short"])
+    def test_explicit_f_of_wrong_length_exits_2(self, tmp_path, capsys, value):
+        """It used to fail later as a 2x2 modulus applied to the vector."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\ntau_grid = [1]\ntrials = 2\nf = {value}\n")
+        rc, out, err = run(capsys, "simulate", str(bad))
+        assert rc == 2
+        assert out == ""
+        assert f"error: 'f' must have length 2, the moduli's dimension, found {value.replace(',', ', ')}" in err
+
     @pytest.mark.parametrize(
         "line, key",
         [("trials = 2.5", "trials"), ("trials = x", "trials"), ("seed = x", "seed"), ("seed = 1.0", "seed")],

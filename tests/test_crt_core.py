@@ -387,5 +387,25 @@ class TestCompiledFold:
             crt_solve(congruences[::-1])
 
     def test_no_congruences_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one congruence"):
             crt_solve([])
+
+    @settings(max_examples=60, deadline=None)
+    @given(moduli_sets(), st.data())
+    def test_pairs_of_any_representatives_solve_as_congruences(self, ms, data):
+        """Plain ``(modulus, r + M k)`` pairs give the value and lcrm that
+        the normalized ``Congruence``s give, and Inconsistent on the same
+        inputs."""
+
+        def outcome(congruences):
+            try:
+                sol = crt_solve(congruences)
+            except Inconsistent:
+                return "inconsistent"
+            return sol.value, sol.lcrm
+
+        rems = data.draw(remainder_tuples(ms))
+        pairs = [
+            (m, vec_add(r, m.apply([data.draw(st.integers(-20, 20)) for _ in r]))) for m, r in zip(ms, rems)
+        ]
+        assert outcome(pairs) == outcome([Congruence(m, r) for m, r in zip(ms, rems)])

@@ -110,12 +110,14 @@ class TestAdjugate:
     def test_hand_value(self):
         assert adjugate(M([[3, 1], [2, 2]])) == M([[2, -1], [-2, 3]])
 
+    @pytest.mark.parametrize("dim", [3, 4])
     @settings(max_examples=60, deadline=None)
-    @given(small_square(3))
-    def test_defining_identity(self, m):
+    @given(data=st.data())
+    def test_defining_identity(self, dim, data):
+        m = data.draw(small_square(dim))
         d = det(m)
         prod = m @ adjugate(m)
-        assert prod == IntMatrix.diag(d, d, d)
+        assert prod == IntMatrix.diag(*[d] * dim)
 
 
 class TestSnf:

@@ -50,6 +50,22 @@ def bases_and_targets(draw):
 
 
 @st.composite
+def integer_targets_over_den(draw):
+    """A nonsingular D = 1..4 basis, integer numerators and a denominator.
+    Half the time the target is a lattice point plus half a lattice vector,
+    ``(2v + w) / 2`` written over ``2k``: there two lattice vectors can tie
+    and only the exact search, with its lexicographic tie-break, answers."""
+    dim = draw(st.integers(1, 4))
+    m = draw(square_matrices(dim, 5 if dim <= 2 else 3).filter(lambda m: m.det != 0))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        v = m.apply(draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)))
+        w = m.apply(draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)))
+        return m, [k * (2 * a + b) for a, b in zip(v, w)], 2 * k
+    return m, draw(st.lists(st.integers(-60, 60), min_size=dim, max_size=dim)), draw(st.integers(1, 6))
+
+
+@st.composite
 def moduli_and_vectors(draw):
     """A nonsingular D = 1..4 modulus (either sign of determinant) and a
     vector with entries up to 10^6 in absolute value."""
@@ -372,6 +388,26 @@ class TestClosestVector:
         got = closest_vector(LatticeBasis(m), t)
         assert vec_norm_sq(vec_sub(got, t)) == best
         assert got == min(winners)
+
+    @settings(max_examples=120, deadline=None)
+    @given(integer_targets_over_den())
+    @example((IntMatrix.diag(2, 2), [2, 0], 2))
+    @example((IntMatrix.identity(3), [1, 1, 1], 2))
+    def test_integers_over_den_match_fractions(self, case):
+        # integers over den are the target of their Fractions; Fraction
+        # entries over den are scaled by both denominators
+        m, nums, den = case
+        l = LatticeBasis(m)
+        expected = closest_vector(l, [Fraction(x, den) for x in nums])
+        assert closest_vector(l, nums, den) == expected
+        assert closest_vector(l, [Fraction(x, 3) for x in nums], den) == closest_vector(
+            l, [Fraction(x, 3 * den) for x in nums]
+        )
+
+    @pytest.mark.parametrize("den", [0, -2])
+    def test_denominator_below_one_rejected(self, den):
+        with pytest.raises(ValueError, match="denominator of at least 1"):
+            closest_vector(LatticeBasis(M1), (1, 2), den)
 
     def test_target_length_mismatch(self):
         with pytest.raises(DimensionMismatch, match="2-dimensional"):

@@ -308,11 +308,11 @@ class TestAveraging:
 
 
 class TestReductionCount:
-    """One decode of an n-member group reduces exactly n times: once per
-    non-anchor congruence and once in the CRT solve, straight into the
-    designated lcrm. Every module that holds ``reduce_mod`` on that path
-    is counted. Each count follows a first decode, which compiles and
-    caches the group's ``CrtPlan``."""
+    """One decode of a group reduces exactly once, whatever its size: in the
+    CRT solve, straight into the designated lcrm. The snapped differences go
+    to the solver unreduced, and no ``Congruence`` is built. Every module
+    that holds ``reduce_mod`` on that path is counted. Each count follows a
+    first decode, which compiles and caches the group's ``CrtPlan``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -345,7 +345,7 @@ class TestReductionCount:
         for grp in groups:
             self.decode_group(grp, gen, calls)
             for _ in range(20):
-                assert self.decode_group(grp, gen, calls) == grp.instance.count
+                assert self.decode_group(grp, gen, calls) == 1
 
     def test_fig3_trial(self, calls):
         plan = build_plan(FIG3_MODULI, FIG3_GROUPING)
@@ -355,11 +355,28 @@ class TestReductionCount:
         calls.clear()
         out = multistage_reconstruct(plan, noisy)
         assert out.estimate == tuple(Fraction(x) for x in f)
-        assert len(calls) == 3 + 3 + 2
+        assert len(calls) == 3  # one per group: two stage groups and the final group
+
+    def test_fig3_trial_builds_no_congruence(self, monkeypatch):
+        plan = build_plan(FIG3_MODULI, FIG3_GROUPING)
+        f = final_region(plan).sample(trial_rng(3, 0, 0))
+        noisy = [reduce_mod(f, m)[1] for m in FIG3_MODULI]
+        multistage_reconstruct(plan, noisy)
+        built = []
+        normalize = crt_core.Congruence.__post_init__
+
+        def counted(self):
+            built.append(self)
+            normalize(self)
+
+        monkeypatch.setattr(crt_core.Congruence, "__post_init__", counted)
+        out = multistage_reconstruct(plan, noisy)
+        assert out.estimate == tuple(Fraction(x) for x in f)
+        assert built == []
 
     def test_fig2_nondiag_trial(self, calls):
-        # the singleton stage-1 group {3} is a one-modulus instance: it
-        # reduces once, in its CRT solve
+        # every group reduces once, in its CRT solve, the singleton stage-1
+        # group {3} (a one-modulus instance) included
         plan = build_plan(FIG2_NONDIAG_MODULI, FIG2_NONDIAG_GROUPING)
         assert [grp.instance.count for grp in [*plan.stages[0], plan.final]] == [3, 1, 2]
         f = final_region(plan).sample(trial_rng(3, 0, 0))
@@ -368,7 +385,7 @@ class TestReductionCount:
         calls.clear()
         out = multistage_reconstruct(plan, noisy)
         assert out.estimate == tuple(Fraction(x) for x in f)
-        assert len(calls) == 3 + 1 + 2
+        assert len(calls) == 1 + 1 + 1
 
 
 class TestRegion:
