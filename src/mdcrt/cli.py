@@ -6,7 +6,9 @@ simulate. Exit codes: 0 success, 2 parse or configuration error (including
 4 dimension above ``lattice.MAX_DIM`` (the exact SVP/CVP cap).
 
 Decision-bearing numbers are printed exactly (integers, fractions); float
-columns are display-only and suffixed ``_f``.
+columns are display-only and suffixed ``_f``. Every command formats all of
+its output before it writes any of it, so a command that fails, even while
+formatting (Python's limit on int-to-str digits), writes nothing to stdout.
 
 ``robust`` and ``multistage`` both run ``build_plan`` ->
 ``multistage_reconstruct`` -> ``final_region``: ``robust`` on the zero-stage
@@ -47,30 +49,25 @@ def _sqrt_str(sq: Fraction) -> str:
 def _cmd_hnf(args) -> int:
     m = parse_matrix(args.matrix)
     h = hnf(m)
-    print(f"h = {h}")
-    print(f"u = {h.left_quotient(m)}")
+    print(f"h = {h}\nu = {h.left_quotient(m)}")
     return 0
 
 
 def _cmd_snf(args) -> int:
     dec = snf(parse_matrix(args.matrix))
-    print(f"lambda = {dec.lam}")
-    print(f"u = {dec.u}")
-    print(f"v = {dec.v}")
+    print(f"lambda = {dec.lam}\nu = {dec.u}\nv = {dec.v}")
     return 0
 
 
 def _cmd_gcld(args) -> int:
     g = gcld(parse_matrix(args.a), parse_matrix(args.b))
-    print(f"gcld = {g}")
-    print(f"det = {g.det}")
+    print(f"gcld = {g}\ndet = {g.det}")
     return 0
 
 
 def _cmd_lcrm(args) -> int:
     r = lcrm(*[parse_matrix(m) for m in args.matrices])
-    print(f"lcrm = {r}")
-    print(f"det = {r.det}")
+    print(f"lcrm = {r}\ndet = {r.det}")
     return 0
 
 
@@ -80,8 +77,7 @@ def _cmd_crt(args) -> int:
     sol = crt_solve(
         [congruence_of(parse_vector(r), parse_matrix(m)) for m, r in args.congruence]
     )
-    print(f"value = {format_vector(sol.value)}")
-    print(f"lcrm = {sol.lcrm}")
+    print(f"value = {format_vector(sol.value)}\nlcrm = {sol.lcrm}")
     return 0
 
 
@@ -197,20 +193,17 @@ def _cmd_svp_search(args) -> int:
         if not primes:
             raise ConfigInvalid(f"--range {a} {b} holds no prime p with {a} <= p < {b}")
     results = [search_max_svp(p) for p in primes]  # NotPrime before any output
-    print("prime,d,sqrt_d_f,floor_sqrt_p,achiever_count,first_achiever")
-    for p, res in zip(primes, results):
-        first = min(res.achievers)
-        print(f"{p},{res.d},{res.sqrt_d:.6g},{best_diagonal_svp(p)},{len(res.achievers)},{first}")
+    print("\n".join(["prime,d,sqrt_d_f,floor_sqrt_p,achiever_count,first_achiever"] + [
+        f"{p},{res.d},{res.sqrt_d:.6g},{best_diagonal_svp(p)},{len(res.achievers)},{min(res.achievers)}"
+        for p, res in zip(primes, results)
+    ]))
     return 0
 
 
 def _cmd_drange(args) -> int:
     dynamic_range = max_dynamic_range(args.q, args.dim)  # validates q and dim before any output
     cs = max_coprime_set(args.q)
-    print(f"q = {cs.cap}")
-    print(f"members = {list(cs.members)}")
-    print(f"product = {cs.product}")
-    print(f"range = {dynamic_range}")
+    print(f"q = {cs.cap}\nmembers = {list(cs.members)}\nproduct = {cs.product}\nrange = {dynamic_range}")
     return 0
 
 

@@ -14,7 +14,9 @@ basis and returns the rounded point when it lies strictly within
 lambda_1 / 2 of the target, half the lattice's shortest-vector length
 (cached per basis): it is then the unique closest vector. The test is
 strict because at exactly lambda_1 / 2 two lattice vectors can tie, and
-only the full search applies the lexicographic tie-break. The
+only the full search applies the lexicographic tie-break. That search is
+a recursive Schnorr-Euchner enumeration, one call per level; the cap is
+checked once, when a ``LatticeBasis`` is built. The
 nearest-region-point search is bounded by the distance of a region point
 computed in closed form.
 """
@@ -148,6 +150,10 @@ class LatticeBasis:
     lambda_1^2: a rounded point strictly within lambda_1 / 2 of the target is
     the unique closest vector.
 
+    Building one raises DimensionUnsupported above ``MAX_DIM``, the limit of
+    the exact search, and SingularMatrix for a singular basis; SVP and CVP
+    check neither again.
+
     The shortest-vector witness is min(b, -b) of the first reduced column
     for D <= 2 and the lexicographically smallest shortest vector for
     D >= 3.
@@ -156,6 +162,8 @@ class LatticeBasis:
     basis: IntMatrix
 
     def __post_init__(self) -> None:
+        if self.basis.dim > MAX_DIM:
+            raise DimensionUnsupported(f"exact SVP/CVP supports dim <= {MAX_DIM}, got {self.basis.dim}")
         if self.basis.det == 0:
             raise SingularMatrix("lattice basis must be nonsingular")
 
@@ -196,17 +204,61 @@ class LatticeBasis:
 # ---------------------------------------------------------------------------
 # exact SVP / CVP by depth-first enumeration of the LDL quadratic form
 
+
+class _Search:
+    """One exact search: the coefficients ``c``, the offsets
+    ``z[j] = s c[j] - x[j]`` of the levels above the current one, and the
+    best leaf so far (scaled form ``best_q`` and vector ``best_v``)."""
+
+    __slots__ = ("form", "x", "s", "skip_zero", "c", "z", "best_q", "best_v")
+
+    def __init__(self, form: tuple, x: Sequence[int], s: int, skip_zero: bool):
+        self.form, self.x, self.s, self.skip_zero = form, x, s, skip_zero
+        self.c = [0] * len(x)
+        self.z = [0] * len(x)
+        self.best_q: int | None = None
+        self.best_v: IntVec | None = None
+
+    def level(self, i: int, partial: int) -> None:
+        """Search level i and below, given ``partial``, the scaled form
+        summed over the levels above."""
+        basis, _, _, delta, m, weight = self.form
+        x, s, c, z = self.x, self.s, self.c, self.z
+        den = s * delta[i + 1]
+        row = m[i]
+        t = delta[i + 1] * x[i] - sum([row[j] * z[j] for j in range(i + 1, len(c))])
+        base = (2 * t + den) // (2 * den)
+        for step, ci in ((1, base), (-1, base - 1)):
+            while True:
+                e = ci * den - t
+                total = partial + weight[i] * e * e
+                if self.best_q is not None and total > self.best_q:
+                    break
+                c[i] = ci
+                if i > 0:
+                    z[i] = s * ci - x[i]
+                    self.level(i - 1, total)
+                elif not (self.skip_zero and not any(c)):
+                    # not pruned, so total <= best_q: a tie goes to the smaller vector
+                    v = basis.apply(c)
+                    if self.best_q is None or total < self.best_q or v < self.best_v:
+                        self.best_q, self.best_v = total, v
+                ci += step
+
+
 def _enum_best(form: tuple, x: Sequence[int], s: int, skip_zero: bool) -> IntVec:
     """Minimize ||B c - B x / s||^2 over integer c (c != 0 when skip_zero),
     for an integer vector x and s > 0.
 
-    Schnorr-Euchner depth-first search from level n - 1 down to level 0.
-    Each level tries coefficients from the rounded center upward, then from
-    one below it downward, so the first descent is the Babai point and sets
-    the bound (when that leaf is the skipped zero, the level-0 loop moves on
-    to the next coefficient). Pruning is strict, so every vector tying the
-    minimum is visited. Returns B @ c for the minimum, ties broken by the
-    lexicographically smallest resulting vector.
+    Schnorr-Euchner depth-first search (Schnorr and Euchner, Math.
+    Programming 66, 1994), one recursive call per level from level n - 1
+    down to level 0, so the recursion depth is D <= ``MAX_DIM``. Each level
+    computes its center once, tries coefficients from the rounded center
+    upward, then from one below it downward, so the first descent is the
+    Babai point and sets the bound (when that leaf is the skipped zero, the
+    level-0 loop moves on to the next coefficient). Pruning is strict, so
+    every vector tying the minimum is visited. Returns B @ c for the
+    minimum, ties broken by the lexicographically smallest resulting vector.
 
     Everything is an integer. With ``delta[k]`` the k-th leading principal
     minor of ``G = B^T B`` (``delta[0] = 1``), the LDL pivots of G are
@@ -218,73 +270,22 @@ def _enum_best(form: tuple, x: Sequence[int], s: int, skip_zero: bool) -> IntVec
     ``delta[i] * delta[i + 1]`` and ``weight[i] = P / (delta[i] delta[i + 1])``,
     the search minimizes ``P s^2 ||B c - B x / s||^2``, which is
     ``sum_i weight[i] * (c_i den_i - N_i)^2``.
-
-    The search is one loop over explicit per-level state: level i holds its
-    center numerator, the rounded center, the current direction (+1, then
-    -1), and ``partial[i + 1]``, the scaled form summed over the levels above it.
     """
-    basis, _, _, delta, m, weight = form
-    n = len(weight)
-    den = [s * delta[i + 1] for i in range(n)]
-    best_q: int | None = None
-    best_v: IntVec | None = None
-    c = [0] * n
-    z = [0] * n  # z[i] = s c[i] - x[i] for the levels above the current one
-    center = [0] * n
-    base = [0] * n
-    direction = [1] * n
-    partial = [0] * (n + 1)
-
-    i = n - 1
-    entering = True
-    while i < n:
-        if entering:
-            t = delta[i + 1] * x[i]
-            row = m[i]
-            for j in range(i + 1, n):
-                t -= row[j] * z[j]
-            center[i] = t
-            base[i] = c[i] = (2 * t + den[i]) // (2 * den[i])
-            direction[i] = 1
-        e = c[i] * den[i] - center[i]
-        total = partial[i + 1] + weight[i] * e * e
-        if best_q is not None and total > best_q:
-            entering = False
-            if direction[i] == 1:
-                direction[i] = -1
-                c[i] = base[i] - 1
-            else:
-                i += 1
-                if i < n:
-                    c[i] += direction[i]
-            continue
-        if i > 0:
-            z[i] = s * c[i] - x[i]
-            partial[i] = total
-            i -= 1
-            entering = True
-            continue
-        if not (skip_zero and not any(c)):
-            v = basis.apply(c)
-            if best_q is None or total < best_q or (total == best_q and v < best_v):
-                best_q, best_v = total, v
-        c[0] += direction[0]
-        entering = False
-    assert best_v is not None
-    return best_v
+    search = _Search(form, x, s, skip_zero)
+    search.level(len(x) - 1, 0)
+    assert search.best_v is not None
+    return search.best_v
 
 
 def shortest_vector(l: LatticeBasis) -> tuple[int, IntVec]:
     """Exact squared minimum distance of the lattice and a witness vector,
-    computed once per basis.
+    computed once per basis. The dimension cap was checked when the basis
+    was built.
 
     For D <= 2 the first reduced column is a shortest vector, and the
     witness is min(b, -b) of it (``(-|g|,)`` in D = 1). For D >= 3 it is
     the lexicographically smallest shortest vector.
     """
-    n = l.dim
-    if n > MAX_DIM:
-        raise DimensionUnsupported(f"shortest_vector supports dim <= {MAX_DIM}, got {n}")
     return l._shortest
 
 
@@ -295,7 +296,8 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar], den: int = 1) -> I
     A caller holding integers over one denominator passes them with
     ``den`` and builds no ``Fraction``. Rational entries are scaled to
     integers over their lcm, which multiplies ``den``. Raises ValueError
-    for ``den`` below 1.
+    for ``den`` below 1 and DimensionMismatch for a target of the wrong
+    length; the dimension cap was checked when the basis was built.
 
     Ties are broken by the lexicographically smallest lattice vector.
 
@@ -309,8 +311,6 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar], den: int = 1) -> I
     ``_enum_best``. lambda_1^2 is the basis's cached ``shortest_vector``.
     """
     n = l.dim
-    if n > MAX_DIM:
-        raise DimensionUnsupported(f"closest_vector supports dim <= {MAX_DIM}, got {n}")
     if len(target) != n:
         raise DimensionMismatch(f"target has length {len(target)}, the lattice is {n}-dimensional")
     if den < 1:

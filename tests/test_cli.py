@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from mdcrt.cli import main
@@ -124,6 +126,21 @@ class TestSearchCommands:
     )
     def test_bad_input_prints_nothing(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_failure_while_formatting_prints_nothing(self, capsys):
+        """The product of the coprime set below 2000 has more than 640
+        digits: formatting it fails after ``q`` and ``members`` are
+        formatted, and neither line may reach stdout."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            rc, out, err = run(capsys, "drange", "--q", "2000")
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert rc == 2
         assert out == ""
         assert err.startswith("error: ")

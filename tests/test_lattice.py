@@ -41,10 +41,10 @@ M1 = M([[3, 1], [2, 2]])
 
 @st.composite
 def bases_and_targets(draw):
-    """A nonsingular D = 2, 3 or 4 basis and a target whose entries share a
-    denominator in {1, 2, 3, 9}."""
-    dim = draw(st.sampled_from([2, 3, 4]))
-    m = draw(square_matrices(dim, 5 if dim == 2 else 3).filter(lambda m: m.det != 0))
+    """A nonsingular D = 1, 2, 3 or 4 basis and a target whose entries share
+    a denominator in {1, 2, 3, 9}."""
+    dim = draw(st.sampled_from([1, 2, 3, 4]))
+    m = draw(square_matrices(dim, 5 if dim <= 2 else 3).filter(lambda m: m.det != 0))
     den = draw(st.sampled_from([1, 2, 3, 9]))
     return m, tuple(Fraction(draw(st.integers(-60, 60)), den) for _ in range(dim))
 
@@ -246,9 +246,15 @@ class TestShortestVector:
             assert shortest_vector(LatticeBasis(m)) == (lsq, witness)
             assert brute_shortest_sq_sound(m) == lsq
 
-    def test_dim_cap(self):
+    @pytest.mark.parametrize(
+        "entry",
+        [shortest_vector, lambda l: closest_vector(l, (0,) * 5)],
+        ids=["shortest_vector", "closest_vector"],
+    )
+    def test_dim_cap(self, entry):
+        # the cap is raised when the basis is built, before either search
         with pytest.raises(DimensionUnsupported):
-            shortest_vector(LatticeBasis(IntMatrix.identity(5)))
+            entry(LatticeBasis(IntMatrix.identity(5)))
 
     def test_witness_rule(self):
         # D <= 2: min(b, -b) of the first reduced column; D >= 3: the
@@ -340,7 +346,8 @@ class TestClosestVector:
                 assert vec_norm_sq(vec_sub(got, t)) == best
 
     def test_no_reference_cycles(self):
-        # the search keeps its state in plain lists and caches its integer form
+        # the search keeps its state on one object per call, which no closure
+        # or method of its own refers back to, and caches its integer form
         # on the basis object, so a call leaves nothing that only the cyclic
         # collector can free: CVP on thirds, SVP in D = 3 on fresh bases, and
         # a whole reconstruction on stage-2-style (thirds) remainders
@@ -373,8 +380,10 @@ class TestClosestVector:
 
     @settings(max_examples=80, deadline=None)
     @given(bases_and_targets())
-    # ties: (1, 0) is equidistant from (0, 0) and (2, 0), the cube center from
-    # eight corners, and the D = 4 target from four lattice vectors
+    # ties: 3/2 is equidistant from 0 and 3 (a one-level search), (1, 0)
+    # from (0, 0) and (2, 0), the cube center from eight corners, and the
+    # D = 4 target from four lattice vectors
+    @example((M([[-3]]), (Fraction(3, 2),)))
     @example((IntMatrix.diag(2, 2), (1, 0)))
     @example((IntMatrix.identity(3), (Fraction(1, 2),) * 3))
     @example((M([[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [1, 1, 1, 9]]), (Fraction(3, 2),) * 4))
