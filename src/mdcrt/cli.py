@@ -6,9 +6,11 @@ simulate. Exit codes: 0 success, 2 parse or configuration error (including
 4 dimension above ``lattice.MAX_DIM`` (the exact SVP/CVP cap).
 
 Decision-bearing numbers are printed exactly (integers, fractions); float
-columns are display-only and suffixed ``_f``. Every command formats all of
-its output before it writes any of it, so a command that fails, even while
-formatting (Python's limit on int-to-str digits), writes nothing to stdout.
+columns are display-only and suffixed ``_f``, and integers print in full:
+``main`` lifts Python's default limit on int-to-str digits (3.11+) for the
+call, keeping a limit set explicitly. Every command formats all of its
+output before it writes any of it, so a command that fails, even while
+formatting (under such an explicit limit), writes nothing to stdout.
 
 ``robust`` and ``multistage`` both run ``build_plan`` ->
 ``multistage_reconstruct`` -> ``final_region``: ``robust`` on the zero-stage
@@ -277,8 +279,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Exact output has no length limit: where Python caps int-to-str
+    # conversion (3.11+), its default cap is lifted for the call, and a cap
+    # set explicitly (PYTHONINTMAXSTRDIGITS, sys.set_int_max_str_digits) stays.
+    default = getattr(sys.int_info, "default_max_str_digits", None)
+    lift = default is not None and sys.get_int_max_str_digits() == default
+    if lift:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(default)
+
+
+def _run(args) -> int:
+    """Run the parsed command and map its errors to exit codes."""
     try:
         return args.func(args)
     except (ValueError, ConfigInvalid, OSError) as e:

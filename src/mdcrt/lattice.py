@@ -9,8 +9,10 @@ union of shifted parallelepipeds is stored as its anchor and quotient
 matrix, with closed-form size, centroid, membership test and i-th shift.
 SVP/CVP search a pairwise-reduced basis at every dimension up to the cap
 ``MAX_DIM``, so the reduced basis, not a skewed input basis such as a
-Hermite normal form, bounds their search. CVP first rounds off on that
-basis and returns the rounded point when it lies strictly within
+Hermite normal form, bounds their search. On a basis of |det| 1, a basis of
+Z^D, CVP rounds each target coordinate in closed form, a half down. On any
+other basis it first rounds off, on plain row tuples cached on the basis,
+and returns the rounded point when it lies strictly within
 lambda_1 / 2 of the target, half the lattice's shortest-vector length
 (cached per basis): it is then the unique closest vector. The test is
 strict because at exactly lambda_1 / 2 two lattice vectors can tie, and
@@ -145,10 +147,11 @@ def _pairwise_reduce(columns: Sequence[IntVec]) -> list[IntVec]:
 class LatticeBasis:
     """Nonsingular integer basis with its cached pairwise-reduced basis
     (sorted by norm, ``2 |<b_i, b_j>| <= ||b_i||^2`` for i < j), the cached
-    integer form that SVP/CVP search on it, and its cached shortest vector.
-    CVP's round-off test compares against that vector's squared length
-    lambda_1^2: a rounded point strictly within lambda_1 / 2 of the target is
-    the unique closest vector.
+    integer form that SVP/CVP search on it, its cached shortest vector, and
+    the rows CVP's round-off reads, cached as plain tuples. CVP's round-off
+    test compares against that vector's squared length lambda_1^2: a
+    rounded point strictly within lambda_1 / 2 of the target is the unique
+    closest vector.
 
     Building one raises DimensionUnsupported above ``MAX_DIM``, the limit of
     the exact search, and SingularMatrix for a singular basis; SVP and CVP
@@ -188,6 +191,14 @@ class LatticeBasis:
         p = math.lcm(*(delta[i] * delta[i + 1] for i in range(n)))
         weight = [p // (delta[i] * delta[i + 1]) for i in range(n)]
         return b, (b.adj if b.det > 0 else -b.adj), abs(b.det), delta, a, weight
+
+    @cached_property
+    def _round_off(self) -> tuple:
+        """``(rows of B, rows of |det B| B^{-1}, |det B|, lambda_1^2)`` for
+        the search basis B, as plain row tuples: what ``closest_vector``
+        reads before any search."""
+        b, inv, det, *_ = self._form
+        return b.rows, inv.rows, det, self._shortest[0]
 
     @cached_property
     def _shortest(self) -> tuple[int, IntVec]:
@@ -301,21 +312,28 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar], den: int = 1) -> I
 
     Ties are broken by the lexicographically smallest lattice vector.
 
-    First the round-off point ``v = B round(B^{-1} t)`` on the reduced basis
+    A basis of |det| 1 spans Z^D: the closest vector to ``t / q`` rounds
+    each coordinate, ``(2 t + q - 1) // (2 q)``. That is exact, and at a
+    half it takes the lower integer, the lexicographic tie-break, since
+    every coordinate ties independently. No search runs.
+
+    On every other basis, first the round-off point ``v = B round(B^{-1} t)`` on the reduced basis
     B (Babai, Combinatorica 6, 1986). If ``4 ||v - t||^2 < lambda_1^2``,
     every other lattice vector w has ``||w - t|| >= lambda_1 - ||v - t||``,
     which exceeds ``lambda_1 / 2 > ||v - t||``, so v is the unique closest
     vector and is returned. The test is strict: at exactly half a shortest
     vector two lattice vectors can tie, and only the full search applies the
     lexicographic tie-break. Every other target takes that exact search,
-    ``_enum_best``. lambda_1^2 is the basis's cached ``shortest_vector``.
+    ``_enum_best``. The round-off reads B's rows, the rows of
+    ``|det B| B^{-1}``, |det B| and lambda_1^2 (the basis's cached
+    ``shortest_vector``) as plain tuples cached once per basis.
     """
     n = l.dim
     if len(target) != n:
         raise DimensionMismatch(f"target has length {len(target)}, the lattice is {n}-dimensional")
     if den < 1:
         raise ValueError(f"closest_vector needs a denominator of at least 1, got {den}")
-    b, inv, det, *_ = form = l._form
+    b, inv, det, lambda_sq = l._round_off
     # the target as ints over q: integer entries over den as given, others
     # scaled to ints over their lcm, which multiplies den
     if all([type(t) is int for t in target]):
@@ -324,12 +342,16 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar], den: int = 1) -> I
         q = math.lcm(*(t.denominator for t in target))
         target = [t.numerator * (q // t.denominator) for t in target]
         q *= den
-    x = inv.apply(target)  # B^{-1} t = x / s
+    if det == 1:
+        # the lattice is Z^D: round each coordinate, a half down
+        return tuple([(2 * t + q - 1) // (2 * q) for t in target])
+    x = [sum(map(mul, row, target)) for row in inv]  # B^{-1} t = x / s
     s = det * q
-    v = b.apply([(2 * xi + s) // (2 * s) for xi in x])
-    if 4 * sum([(q * a - t) ** 2 for a, t in zip(v, target)]) < l._shortest[0] * q * q:
+    c = [(2 * xi + s) // (2 * s) for xi in x]
+    v = tuple([sum(map(mul, row, c)) for row in b])
+    if 4 * sum([(q * a - t) ** 2 for a, t in zip(v, target)]) < lambda_sq * q * q:
         return v
-    return _enum_best(form, x, s, skip_zero=False)
+    return _enum_best(l._form, x, s, skip_zero=False)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ rebased so that the group's robustly determinable range is exactly one FPD.
 That rebasing is possible precisely when the Hermite normal form of
 ``anchor^{-1} lcrm(group)`` is diagonal, which is the admission test for a
 group. Group estimates (exact rationals, never rounded) become the next
-stage's remainders. The last stage of every plan is one final group that
+stage's remainders, handed on as integer numerators over one denominator. The last stage of every plan is one final group that
 combines the surviving lcrms with a free anchor choice. With no declared
 stages the final group takes the moduli themselves, so single-stage
 reconstruction is the zero-stage plan.
@@ -25,6 +25,7 @@ can be lost to a CVP tie.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -185,20 +186,30 @@ def multistage_reconstruct(
 ) -> RobustOutput:
     """Run every stage and return the final group's output.
 
-    Group estimates stay exact rationals between stages; a singleton
-    group's estimate is its remainder as a ``Fraction`` vector, with one
-    zero fold. Raises DimensionMismatch for a remainder whose length is not
+    Group estimates stay exact rationals between stages, as integers over
+    one denominator: each stage's outputs are brought to the lcm of their
+    ``den`` and passed to the next stage with that ``den``, so no
+    ``Fraction`` is built before the final estimate is read. A singleton
+    group's estimate is its remainder, with one zero fold. Raises DimensionMismatch for a remainder whose length is not
     the moduli's size; Inconsistent propagates from the congruence solver
     and marks a failed trial.
     """
     check_remainder_shape(noisy_remainders, len(plan.moduli), plan.moduli[0].dim)
     current: Sequence[Sequence[Scalar]] = noisy_remainders
+    den = 1
     for stage in plan.stages:
-        outputs = []
-        for grp in stage:
-            rems = [current[i] for i in grp.member_indices]
-            outputs.append(robust_reconstruct(grp.instance, rems, designated_lcrm=grp.designated_lcrm))
-        current = [out.estimate for out in outputs]
+        outputs = [
+            robust_reconstruct(
+                grp.instance, [current[i] for i in grp.member_indices], grp.designated_lcrm, den
+            )
+            for grp in stage
+        ]
+        # the next stage's remainders: every estimate over one denominator
+        den = math.lcm(*[out.den for out in outputs])
+        current = [
+            out.numerators if out.den == den else [x * (den // out.den) for x in out.numerators]
+            for out in outputs
+        ]
     return outputs[0]
 
 

@@ -5,12 +5,14 @@ shortest-vector length among the gcld lattices paired with it. Reconstruction
 snaps remainder differences onto those gcld lattices by exact closest-vector
 computation, solves the resulting error-free congruence system, and averages.
 
-Remainders may carry exact rational entries: later stages of the multi-stage
-scheme feed averaged estimates back in without rounding. Reconstruction
-scales them once to integer vectors over their common denominator T
-(remainders of type int are used as given, with T = 1), so the differences,
-folds and sums are integers and each estimate coordinate is one ``Fraction``
-built at the end.
+Remainders are integers over one denominator T: later stages of the
+multi-stage scheme feed averaged estimates back in without rounding, as the
+integer numerators of the earlier stage's output with its denominator
+passed as ``den`` (T = ``den``). Remainders with rational entries are
+scaled once to integers over the lcm of their denominators, times ``den``.
+The differences, folds and sums are integers, and so is the output: the
+estimate is held as integer numerators over one denominator ``n T``. Its
+``Fraction`` coordinates, and the folds, are built only when read.
 """
 
 from __future__ import annotations
@@ -112,62 +114,100 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobustOutput:
-    """Averaged estimate (exact rational) and the recovered fold terms M_i n_i."""
+    """Averaged estimate ``numerators / den`` (integers, ``den`` not
+    reduced) and the recovered fold terms M_i n_i, which are
+    ``anchor_fold - snapped[i]`` (the anchor's snapped difference is zero).
 
-    estimate: tuple[Fraction, ...]
-    folds: tuple[IntVec, ...]
+    ``estimate``, the exact rationals, and ``folds`` are built on each
+    read; a later stage reads ``numerators`` and ``den`` instead. Two
+    outputs are equal when their estimates and folds are.
+    """
+
+    numerators: IntVec
+    den: int
+    anchor_fold: IntVec
+    snapped: tuple[IntVec, ...]
+
+    @property
+    def estimate(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.numerators])
+
+    @property
+    def folds(self) -> tuple[IntVec, ...]:
+        a = self.anchor_fold
+        return tuple([tuple([x - y for x, y in zip(a, v)]) for v in self.snapped])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RobustOutput):
+            return NotImplemented
+        return self.estimate == other.estimate and self.folds == other.folds
+
+    def __hash__(self) -> int:
+        return hash((self.estimate, self.folds))
 
 
 def robust_reconstruct(
     instance: RobustInstance,
     noisy_remainders: Sequence[Sequence[Scalar]],
     designated_lcrm: IntMatrix | None = None,
+    den: int = 1,
 ) -> RobustOutput:
-    """Five-step robust reconstruction.
+    """Five-step robust reconstruction of the remainders
+    ``noisy_remainders / den``.
 
     Snap each remainder difference onto its gcld lattice (exact CVP), solve
     the congruence system for the anchor fold inside N(R), recover the other
     folds, and average: the estimate is ``(T * sum of folds + sum of the
     T * remainders) / (n T)`` for the remainders' common denominator T.
-    ``designated_lcrm`` picks which lcrm representative R the anchor fold is
-    reduced into, ``instance.lcrm`` (the HNF-normalized lcrm) by default.
-    ``crt_solve`` gets one ``(modulus, remainder)`` pair per member, the
-    anchor's ``(M_anchor, 0)`` and each snapped difference unreduced, and
-    reduces straight into that lcrm, once. Each difference is snapped as
-    integers over T (``closest_vector``'s ``den``), with no ``Fraction``
-    per coordinate. Raises Inconsistent when the snapped values are
-    incompatible, which callers treat as a failed trial.
+    Integer remainders are used as given, with T = ``den``; rational ones
+    are scaled once to integers over the lcm of their denominators, and T
+    is that lcm times ``den``. ``den`` need not be reduced against the
+    remainders. ``designated_lcrm`` picks which lcrm representative R the
+    anchor fold is reduced into, ``instance.lcrm`` (the HNF-normalized
+    lcrm) by default. ``crt_solve`` gets one ``(modulus, remainder)`` pair
+    per member, the anchor's ``(M_anchor, 0)`` and each snapped difference
+    unreduced, and reduces straight into that lcrm, once. Each difference
+    is snapped as integers over T (``closest_vector``'s ``den``), with no
+    ``Fraction`` per coordinate, and the output holds the estimate as
+    integers over ``n T``. Raises ValueError for ``den`` below 1, and
+    Inconsistent when the snapped values are incompatible, which callers
+    treat as a failed trial.
     """
+    if den < 1:
+        raise ValueError(f"robust_reconstruct needs a denominator of at least 1, got {den}")
     l0 = instance.anchor
     n = instance.count
     check_remainder_shape(noisy_remainders, n, instance.dim)
     # every remainder as an int vector over one denominator t: int
-    # remainders as given, any others scaled once (integral ones to t = 1)
-    if all(type(x) is int for r in noisy_remainders for x in r):
-        t, rems = 1, noisy_remainders
+    # remainders as given over den, any others scaled once
+    if all([type(x) is int for r in noisy_remainders for x in r]):
+        t, rems = den, noisy_remainders
     else:
         t = math.lcm(*(x.denominator for r in noisy_remainders for x in r))
         rems = [[x.numerator * (t // x.denominator) for x in r] for r in noisy_remainders]
+        t *= den
 
     base = rems[l0]
     lattices = instance.anchor_lattices
-    snapped = [
-        None if j == l0 else closest_vector(lattices[j], [x - y for x, y in zip(r, base)], t)
-        for j, r in enumerate(rems)
-    ]
     zero = (0,) * len(base)
-    pairs = [(m, zero if v is None else v) for m, v in zip(instance.moduli, snapped)]
-    anchor_fold = crt_solve(pairs, into=designated_lcrm).value
-
-    folds = tuple(
-        [anchor_fold if v is None else tuple([a - b for a, b in zip(anchor_fold, v)]) for v in snapped]
+    snapped = tuple(
+        [
+            zero if j == l0 else closest_vector(lattices[j], [x - y for x, y in zip(r, base)], t)
+            for j, r in enumerate(rems)
+        ]
     )
-    estimate = tuple(
-        [Fraction(t * sum(fk) + sum(rk), n * t) for fk, rk in zip(zip(*folds), zip(*rems))]
+    anchor_fold = crt_solve(list(zip(instance.moduli, snapped)), into=designated_lcrm).value
+    # the folds sum to n * anchor_fold - sum(snapped)
+    numerators = tuple(
+        [
+            t * (n * a - sum(vs)) + sum(rs)
+            for a, vs, rs in zip(anchor_fold, zip(*snapped), zip(*rems))
+        ]
     )
-    return RobustOutput(estimate=estimate, folds=folds)
+    return RobustOutput(numerators, n * t, anchor_fold, snapped)
 
 
 def verify_lcrm(instance: RobustInstance, candidate: IntMatrix) -> None:

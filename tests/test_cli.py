@@ -130,6 +130,26 @@ class TestSearchCommands:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_drange_prints_past_the_default_digit_limit(self, capsys):
+        """The range for q = 9000 has more digits than Python's default
+        int-to-str limit (4300); the call prints it and leaves the limit as
+        it found it."""
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        rc, out, _ = run(capsys, "drange", "--q", "9000")
+        assert rc == 0
+        assert len(out.splitlines()[-1].removeprefix("range = ")) > 4300
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+
+    def test_lcrm_prints_past_the_default_digit_limit(self, capsys):
+        # 10^2500 + 1 and 10^2500 + 3: coprime, 2501 digits each; their
+        # product, the lcrm's entry and det, has 5001
+        a, b = ("1" + "0" * 2499 + d for d in "13")
+        product = "1" + "0" * 2499 + "4" + "0" * 2499 + "3"
+        rc, out, _ = run(capsys, "lcrm", f"[[{a},0],[0,1]]", f"[[{b},0],[0,1]]")
+        assert rc == 0
+        assert out.splitlines() == [f"lcrm = [[{product},0],[0,1]]", f"det = {product}"]
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
     def test_failure_while_formatting_prints_nothing(self, capsys):
         """The product of the coprime set below 2000 has more than 640

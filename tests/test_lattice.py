@@ -430,6 +430,82 @@ class TestClosestVector:
         assert got == min(winners)
 
 
+def elementary(dim: int, i: int, j: int, k: int) -> IntMatrix:
+    """The identity plus k at (i, j) for i != j, or with row i negated for
+    i == j: an integer matrix of determinant +-1."""
+    rows = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    rows[i][j] = -1 if i == j else k
+    return M(rows)
+
+
+@st.composite
+def unimodular_targets(draw):
+    """A D = 1..4 basis of Z^D, a product of up to eight elementary
+    matrices, with integer numerators over a denominator in 1..6. At an
+    even denominator, half the time each coordinate is a half-integer with
+    even chance, so exact ties at the midpoint between two integers come
+    up in one or several coordinates."""
+    dim = draw(st.integers(1, 4))
+    index = st.integers(0, dim - 1)
+    m = IntMatrix.identity(dim)
+    for _ in range(draw(st.integers(0, 8))):
+        m = m @ elementary(dim, draw(index), draw(index), draw(st.integers(-3, 3)))
+    den = draw(st.integers(1, 6))
+    halves = den % 2 == 0 and draw(st.booleans())
+    nums = [
+        den // 2 * (2 * draw(st.integers(-20, 20)) + 1)
+        if halves and draw(st.booleans())
+        else draw(st.integers(-60, 60))
+        for _ in range(dim)
+    ]
+    return m, nums, den
+
+
+class TestUnimodular:
+    """A basis of |det| 1 spans Z^D, and CVP rounds each coordinate of the
+    target, a half down, which is the search's lexicographic tie-break."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(unimodular_targets())
+    @example((IntMatrix.identity(1), [1], 2))
+    @example((M([[1, 1], [0, 1]]), [3, -3], 6))
+    @example((M([[2, 1, 0], [1, 1, 0], [0, 0, -1]]), [2, -2, 6], 4))
+    @example((M([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, -3], [0, 0, 0, 1]]), [1, 3, -5, 7], 2))
+    def test_matches_the_search(self, case):
+        m, nums, den = case
+        l = LatticeBasis(m)
+        assert abs(m.det) == 1
+        b, inv, det, _, _, _ = form = l._form
+        x = inv.apply(nums)  # B^{-1} t = x / (det * den), det = 1
+        assert closest_vector(l, nums, den) == lattice._enum_best(form, x, det * den, skip_zero=False)
+
+    def test_never_searches(self, monkeypatch):
+        bases = [
+            IntMatrix.identity(1),
+            M([[-1]]),
+            M([[2, 1], [1, 1]]),
+            M([[1, 3, 0], [0, 1, 0], [2, 6, -1]]),
+            IntMatrix.identity(4) @ elementary(4, 0, 3, 5) @ elementary(4, 2, 1, -2),
+        ]
+        lattices = [LatticeBasis(m) for m in bases]
+        for l in lattices:
+            shortest_vector(l)  # an SVP at D >= 3 searches, once per basis
+        searches = []
+        search = lattice._enum_best
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "_enum_best", counted)
+        half = Fraction(1, 2)
+        for l in lattices:
+            n = l.dim
+            for t in ((0,) * n, (half,) * n, (-half,) * n, (Fraction(7, 3),) * n, (5,) * n):
+                assert closest_vector(l, t) == tuple(math.ceil(x - half) for x in t)  # a half down
+        assert searches == []
+
+
 def gram_schmidt_sq(basis: IntMatrix) -> list[Fraction]:
     """Squared Gram-Schmidt lengths of the columns, in order, by exact
     rational projection."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdcrt import crt_core, lattice, robust
+from mdcrt import crt_core, lattice, multistage, robust
 from mdcrt.errors import (
     DimensionMismatch,
     DimensionUnsupported,
@@ -305,6 +305,76 @@ class TestAveraging:
         inst = build_instance([G1, G1 @ A1, G1 @ A2])
         with pytest.raises(DimensionMismatch, match="length 2"):
             robust_reconstruct(inst, [(1, 2), (1,), (1, 2)])
+
+
+PLANS = [(FIG3_MODULI, FIG3_GROUPING), (FIG2_NONDIAG_MODULI, FIG2_NONDIAG_GROUPING)]
+
+
+class TestIntegerHandoff:
+    """Stages hand estimates on as integers over one denominator, which
+    ``robust_reconstruct`` reads with ``den`` as the Fractions they stand for."""
+
+    @pytest.mark.parametrize("den", [2, 4, 6])
+    def test_ints_over_den_match_fractions(self, den):
+        # numerators den * r + e with |e| <= den: the Fractions reduce
+        # coordinate by coordinate, den is passed as it is
+        gen = random.Random(den)
+        checked = 0
+        for moduli, grouping in PLANS:
+            plan = build_plan(moduli, grouping)
+            # every group of the plan, and the single-stage instance
+            groups = [(grp.instance, grp.designated_lcrm) for stage in plan.stages for grp in stage]
+            for inst, designated in groups + [(build_instance(moduli), None)]:
+                region = robustly_determinable_region(inst, inst.lcrm)
+                for _ in range(15):
+                    f = region.sample(gen)
+                    ints = [
+                        tuple(den * x + gen.randint(-den, den) for x in reduce_mod(f, m)[1])
+                        for m in inst.moduli
+                    ]
+                    fractions = [tuple(Fraction(x, den) for x in r) for r in ints]
+                    try:
+                        want = robust_reconstruct(inst, fractions, designated)
+                    except Inconsistent:
+                        with pytest.raises(Inconsistent):
+                            robust_reconstruct(inst, ints, designated, den=den)
+                        continue
+                    got = robust_reconstruct(inst, ints, designated, den=den)
+                    assert got.estimate == want.estimate
+                    assert got.folds == want.folds
+                    checked += 1
+        assert checked >= 40
+
+    @pytest.mark.parametrize("plan_spec", PLANS, ids=["fig3", "fig2_nondiag"])
+    def test_stage_outputs_are_ints_over_one_den(self, plan_spec, monkeypatch):
+        moduli, grouping = plan_spec
+        plan = build_plan(moduli, grouping)
+        outputs = []
+        reconstruct = robust.robust_reconstruct
+
+        def recorded(*args, **kwargs):
+            outputs.append(reconstruct(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(multistage, "robust_reconstruct", recorded)
+        region = final_region(plan)
+        gen = random.Random(5)
+        ball = disk(1)
+        for _ in range(10):
+            f = region.sample(gen)
+            noisy = [vec_add(reduce_mod(f, m)[1], ball[gen.randrange(len(ball))]) for m in moduli]
+            multistage_reconstruct(plan, noisy)
+        assert len(outputs) == 10 * sum(len(stage) for stage in plan.stages)
+        for out in outputs:
+            assert type(out.den) is int and out.den >= 1
+            assert type(out.numerators) is tuple
+            assert all(type(x) is int for x in out.numerators)
+
+    @pytest.mark.parametrize("den", [0, -3])
+    def test_denominator_below_one_rejected(self, den):
+        inst = build_instance([G1, G1 @ A1, G1 @ A2])
+        with pytest.raises(ValueError, match="denominator of at least 1"):
+            robust_reconstruct(inst, [(1, 2)] * 3, den=den)
 
 
 class TestReductionCount:
