@@ -20,12 +20,11 @@ plan, ``multistage`` on the config's grouping.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
 from .config import ExperimentConfig, load_config
-from .crt_core import congruence_of, crt_solve, gcld, lcrm
+from .crt_core import crt_solve, gcld, lcrm
 from .drange import max_coprime_set, max_dynamic_range
 from .errors import ConfigInvalid, DimensionUnsupported, Inconsistent, MdcrtError
 from .exact_linalg import format_vector, hnf, parse_matrix, parse_vector, snf
@@ -35,6 +34,7 @@ from .simkit import (
     raw_csv_lines,
     resolve_f,
     run_sweep,
+    sqrt_float,
     summary_csv_lines,
 )
 from .svp_search import best_diagonal_svp, primes_below, search_max_svp
@@ -44,8 +44,12 @@ EXIT_INCONSISTENT = 3
 EXIT_CAPABILITY = 4
 
 
-def _sqrt_str(sq: Fraction) -> str:
-    return f"{math.sqrt(sq):.6g}"
+def _float_str(x: Fraction) -> str:
+    """Display float of ``x``; ``inf`` or ``-inf`` past the float range."""
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:
+        return "inf" if x > 0 else "-inf"
 
 
 def _cmd_hnf(args) -> int:
@@ -76,9 +80,7 @@ def _cmd_lcrm(args) -> int:
 def _cmd_crt(args) -> int:
     if len(args.congruence) < 1:
         raise ConfigInvalid("need at least one --congruence MODULUS REMAINDER")
-    sol = crt_solve(
-        [congruence_of(parse_vector(r), parse_matrix(m)) for m, r in args.congruence]
-    )
+    sol = crt_solve([(parse_matrix(m), parse_vector(r)) for m, r in args.congruence])
     print(f"value = {format_vector(sol.value)}\nlcrm = {sol.lcrm}")
     return 0
 
@@ -143,7 +145,7 @@ def _single_shot(plan: GroupingPlan, remainders: list[str], header: list[str]) -
     est = multistage_reconstruct(plan, [parse_vector(r) for r in remainders]).estimate
     print("\n".join(header + [
         f"estimate = ({','.join(str(x) for x in est)})",
-        f"estimate_f = ({','.join(f'{float(x):.6g}' for x in est)})",
+        f"estimate_f = ({','.join(_float_str(x) for x in est)})",
         f"region_size = {final_region(plan).size}",
     ]))
     return 0
@@ -155,10 +157,11 @@ def _cmd_robust(args) -> int:
         return _emit_sweeps(_sweep_configs(cfg, args.trials, only="single"), args)
     plan = build_plan(cfg.moduli, ())
     inst = plan.final.instance
+    bound = inst.tau_bound_sq  # finite: the plan has two or more moduli
     return _single_shot(plan, args.remainders, [
         f"anchor = {inst.anchor}",
-        f"tau_bound_sq = {inst.tau_bound_sq}",
-        f"tau_bound_f = {_sqrt_str(inst.tau_bound_sq)}",
+        f"tau_bound_sq = {bound}",
+        f"tau_bound_f = {sqrt_float(bound.numerator, bound.denominator):.6g}",
     ])
 
 

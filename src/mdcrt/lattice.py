@@ -2,25 +2,24 @@
 shortest/closest vector computation, and unions of shifted parallelepipeds.
 
 All lengths are handled as exact squared norms; SVP/CVP search a quadratic
-form scaled to integers, so neither builds a Fraction, and square roots
-appear only in display code elsewhere. Nothing here lists the
-points of a parallelepiped: ``FpdSampler`` addresses them by index, and a
-union of shifted parallelepipeds is stored as its anchor and quotient
-matrix, with closed-form size, centroid, membership test and i-th shift.
-SVP/CVP search a pairwise-reduced basis at every dimension up to the cap
-``MAX_DIM``, so the reduced basis, not a skewed input basis such as a
+form scaled to integers, so neither builds a Fraction for an integer
+target, and square roots appear only in display code elsewhere. Nothing
+here lists the points of a parallelepiped: ``FpdSampler`` addresses them by
+index, and a union of shifted parallelepipeds is stored as its anchor and
+quotient matrix, with closed-form size, centroid, membership test and i-th
+shift. SVP/CVP search a pairwise-reduced basis at every dimension up to the
+cap ``MAX_DIM``, so the reduced basis, not a skewed input basis such as a
 Hermite normal form, bounds their search. On a basis of |det| 1, a basis of
 Z^D, CVP rounds each target coordinate in closed form, a half down. On any
 other basis it first rounds off, on plain row tuples cached on the basis,
-and returns the rounded point when it lies strictly within
-lambda_1 / 2 of the target, half the lattice's shortest-vector length
-(cached per basis): it is then the unique closest vector. The test is
-strict because at exactly lambda_1 / 2 two lattice vectors can tie, and
-only the full search applies the lexicographic tie-break. That search is
-a recursive Schnorr-Euchner enumeration, one call per level; the cap is
-checked once, when a ``LatticeBasis`` is built. The
-nearest-region-point search is bounded by the distance of a region point
-computed in closed form.
+and returns the rounded point when it lies strictly within lambda_1 / 2 of
+the target, half the lattice's shortest-vector length (cached per basis):
+it is then the unique closest vector. The test is strict because at exactly
+lambda_1 / 2 two lattice vectors can tie, and only the full search applies
+the lexicographic tie-break. That search is a recursive Schnorr-Euchner
+enumeration, one call per level; the cap is checked once, when a
+``LatticeBasis`` is built. The nearest-region-point search is bounded by
+the distance of a region point computed in closed form.
 """
 
 from __future__ import annotations
@@ -223,7 +222,7 @@ class _Search:
 
     __slots__ = ("form", "x", "s", "skip_zero", "c", "z", "best_q", "best_v")
 
-    def __init__(self, form: tuple, x: Sequence[int], s: int, skip_zero: bool):
+    def __init__(self, form: tuple, x: Sequence[Scalar], s: int, skip_zero: bool):
         self.form, self.x, self.s, self.skip_zero = form, x, s, skip_zero
         self.c = [0] * len(x)
         self.z = [0] * len(x)
@@ -257,9 +256,9 @@ class _Search:
                 ci += step
 
 
-def _enum_best(form: tuple, x: Sequence[int], s: int, skip_zero: bool) -> IntVec:
+def _enum_best(form: tuple, x: Sequence[Scalar], s: int, skip_zero: bool) -> IntVec:
     """Minimize ||B c - B x / s||^2 over integer c (c != 0 when skip_zero),
-    for an integer vector x and s > 0.
+    for an integer or rational vector x (the trial path passes integers) and s > 0.
 
     Schnorr-Euchner depth-first search (Schnorr and Euchner, Math.
     Programming 66, 1994), one recursive call per level from level n - 1
@@ -271,8 +270,9 @@ def _enum_best(form: tuple, x: Sequence[int], s: int, skip_zero: bool) -> IntVec
     every vector tying the minimum is visited. Returns B @ c for the
     minimum, ties broken by the lexicographically smallest resulting vector.
 
-    Everything is an integer. With ``delta[k]`` the k-th leading principal
-    minor of ``G = B^T B`` (``delta[0] = 1``), the LDL pivots of G are
+    For integer x everything is an integer (a rational x takes the same exact
+    steps). With ``delta[k]`` the k-th leading principal minor of
+    ``G = B^T B`` (``delta[0] = 1``), the LDL pivots of G are
     ``delta[i + 1] / delta[i]`` and ``m[i][j] = mu_ij * delta[i + 1]`` is an
     integer. Level i's center is ``N_i / den_i`` with
     ``den_i = s * delta[i + 1]`` and
@@ -305,16 +305,16 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar], den: int = 1) -> I
     ``target / den``.
 
     A caller holding integers over one denominator passes them with
-    ``den`` and builds no ``Fraction``. Rational entries are scaled to
-    integers over their lcm, which multiplies ``den``. Raises ValueError
-    for ``den`` below 1 and DimensionMismatch for a target of the wrong
-    length; the dimension cap was checked when the basis was built.
+    ``den`` and builds no ``Fraction``; rational entries take the same exact
+    steps. Raises ValueError for ``den`` below 1 and DimensionMismatch for
+    a target of the wrong length; the dimension cap was checked when the
+    basis was built.
 
     Ties are broken by the lexicographically smallest lattice vector.
 
     A basis of |det| 1 spans Z^D: the closest vector to ``t / q`` rounds
-    each coordinate, ``(2 t + q - 1) // (2 q)``. That is exact, and at a
-    half it takes the lower integer, the lexicographic tie-break, since
+    each coordinate to ``ceil(t / q - 1/2)``, exact for rational t too. At
+    a half it takes the lower integer, the lexicographic tie-break, since
     every coordinate ties independently. No search runs.
 
     On every other basis, first the round-off point ``v = B round(B^{-1} t)`` on the reduced basis
@@ -334,22 +334,14 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar], den: int = 1) -> I
     if den < 1:
         raise ValueError(f"closest_vector needs a denominator of at least 1, got {den}")
     b, inv, det, lambda_sq = l._round_off
-    # the target as ints over q: integer entries over den as given, others
-    # scaled to ints over their lcm, which multiplies den
-    if all([type(t) is int for t in target]):
-        q = den
-    else:
-        q = math.lcm(*(t.denominator for t in target))
-        target = [t.numerator * (q // t.denominator) for t in target]
-        q *= den
     if det == 1:
         # the lattice is Z^D: round each coordinate, a half down
-        return tuple([(2 * t + q - 1) // (2 * q) for t in target])
+        return tuple([-((den - 2 * t) // (2 * den)) for t in target])
     x = [sum(map(mul, row, target)) for row in inv]  # B^{-1} t = x / s
-    s = det * q
+    s = det * den
     c = [(2 * xi + s) // (2 * s) for xi in x]
     v = tuple([sum(map(mul, row, c)) for row in b])
-    if 4 * sum([(q * a - t) ** 2 for a, t in zip(v, target)]) < lambda_sq * q * q:
+    if 4 * sum([(den * a - t) ** 2 for a, t in zip(v, target)]) < lambda_sq * den * den:
         return v
     return _enum_best(l._form, x, s, skip_zero=False)
 

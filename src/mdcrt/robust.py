@@ -5,19 +5,18 @@ shortest-vector length among the gcld lattices paired with it. Reconstruction
 snaps remainder differences onto those gcld lattices by exact closest-vector
 computation, solves the resulting error-free congruence system, and averages.
 
-Remainders are integers over one denominator T: later stages of the
+Remainders are read over one denominator T = ``den``: later stages of the
 multi-stage scheme feed averaged estimates back in without rounding, as the
 integer numerators of the earlier stage's output with its denominator
-passed as ``den`` (T = ``den``). Remainders with rational entries are
-scaled once to integers over the lcm of their denominators, times ``den``.
-The differences, folds and sums are integers, and so is the output: the
-estimate is held as integer numerators over one denominator ``n T``. Its
-``Fraction`` coordinates, and the folds, are built only when read.
+passed as ``den``. The differences, folds and sums are then integers, and
+so is the output: the estimate is held as integer numerators over one
+denominator ``n T``. Its ``Fraction`` coordinates, and the folds, are built
+only when read. Rational remainders take the same steps, each exact on
+rationals, and give rational numerators over ``n T``, read the same way.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -116,16 +115,17 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
 
 @dataclass(frozen=True, eq=False)
 class RobustOutput:
-    """Averaged estimate ``numerators / den`` (integers, ``den`` not
-    reduced) and the recovered fold terms M_i n_i, which are
-    ``anchor_fold - snapped[i]`` (the anchor's snapped difference is zero).
+    """Averaged estimate ``numerators / den`` (integers for integer
+    remainders, rationals for rational ones; ``den`` not reduced) and the
+    recovered fold terms M_i n_i, which are ``anchor_fold - snapped[i]``
+    (the anchor's snapped difference is zero).
 
     ``estimate``, the exact rationals, and ``folds`` are built on each
     read; a later stage reads ``numerators`` and ``den`` instead. Two
     outputs are equal when their estimates and folds are.
     """
 
-    numerators: IntVec
+    numerators: tuple[Scalar, ...]
     den: int
     anchor_fold: IntVec
     snapped: tuple[IntVec, ...]
@@ -160,54 +160,43 @@ def robust_reconstruct(
 
     Snap each remainder difference onto its gcld lattice (exact CVP), solve
     the congruence system for the anchor fold inside N(R), recover the other
-    folds, and average: the estimate is ``(T * sum of folds + sum of the
-    T * remainders) / (n T)`` for the remainders' common denominator T.
-    Integer remainders are used as given, with T = ``den``; rational ones
-    are scaled once to integers over the lcm of their denominators, and T
-    is that lcm times ``den``. ``den`` need not be reduced against the
-    remainders. ``designated_lcrm`` picks which lcrm representative R the
-    anchor fold is reduced into, ``instance.lcrm`` (the HNF-normalized
-    lcrm) by default. ``crt_solve`` gets one ``(modulus, remainder)`` pair
-    per member, the anchor's ``(M_anchor, 0)`` and each snapped difference
-    unreduced, and reduces straight into that lcrm, once. Each difference
-    is snapped as integers over T (``closest_vector``'s ``den``), with no
-    ``Fraction`` per coordinate, and the output holds the estimate as
-    integers over ``n T``. Raises ValueError for ``den`` below 1, and
-    Inconsistent when the snapped values are incompatible, which callers
-    treat as a failed trial.
+    folds, and average: with T = ``den``, the estimate is
+    ``(T * sum of folds + sum of the remainders) / (n T)``. ``den`` need
+    not be reduced against the remainders. ``designated_lcrm`` picks which
+    lcrm representative R the anchor fold is reduced into, ``instance.lcrm``
+    (the HNF-normalized lcrm) by default. ``crt_solve`` gets one
+    ``(modulus, remainder)`` pair per member, the anchor's ``(M_anchor, 0)``
+    and each snapped difference unreduced, and reduces straight into that
+    lcrm, once. Each difference is snapped over T (``closest_vector``'s
+    ``den``), with no ``Fraction`` per coordinate for integer remainders,
+    and the output holds the estimate as numerators over ``n T``: integers
+    for integer remainders, rationals for rational ones. Raises ValueError
+    for ``den`` below 1, and Inconsistent when the snapped values are
+    incompatible, which callers treat as a failed trial.
     """
     if den < 1:
         raise ValueError(f"robust_reconstruct needs a denominator of at least 1, got {den}")
     l0 = instance.anchor
     n = instance.count
     check_remainder_shape(noisy_remainders, n, instance.dim)
-    # every remainder as an int vector over one denominator t: int
-    # remainders as given over den, any others scaled once
-    if all([type(x) is int for r in noisy_remainders for x in r]):
-        t, rems = den, noisy_remainders
-    else:
-        t = math.lcm(*(x.denominator for r in noisy_remainders for x in r))
-        rems = [[x.numerator * (t // x.denominator) for x in r] for r in noisy_remainders]
-        t *= den
-
-    base = rems[l0]
+    base = noisy_remainders[l0]
     lattices = instance.anchor_lattices
     zero = (0,) * len(base)
     snapped = tuple(
         [
-            zero if j == l0 else closest_vector(lattices[j], [x - y for x, y in zip(r, base)], t)
-            for j, r in enumerate(rems)
+            zero if j == l0 else closest_vector(lattices[j], [x - y for x, y in zip(r, base)], den)
+            for j, r in enumerate(noisy_remainders)
         ]
     )
     anchor_fold = crt_solve(list(zip(instance.moduli, snapped)), into=designated_lcrm).value
     # the folds sum to n * anchor_fold - sum(snapped)
     numerators = tuple(
         [
-            t * (n * a - sum(vs)) + sum(rs)
-            for a, vs, rs in zip(anchor_fold, zip(*snapped), zip(*rems))
+            den * (n * a - sum(vs)) + sum(rs)
+            for a, vs, rs in zip(anchor_fold, zip(*snapped), zip(*noisy_remainders))
         ]
     )
-    return RobustOutput(numerators, n * t, anchor_fold, snapped)
+    return RobustOutput(numerators, n * den, anchor_fold, snapped)
 
 
 def verify_lcrm(instance: RobustInstance, candidate: IntMatrix) -> None:

@@ -266,16 +266,28 @@ def resolve_f(cfg: SweepConfig) -> IntVec | None:
     return _machinery(cfg).f
 
 
-def _score(estimate: tuple[Fraction, ...], f: IntVec, tau_sq: Fraction) -> tuple[float, bool]:
+def sqrt_float(num: int, den: int) -> float:
+    """``sqrt(num / den)`` from the correctly rounded quotient, which is the
+    float the exact Fraction converts to; past the float range, from the
+    integer ``isqrt(num // den)``, and inf where the root is past it too."""
+    try:
+        return math.sqrt(num / den)
+    except OverflowError:
+        pass
+    try:
+        return float(math.isqrt(num // den))
+    except OverflowError:
+        return math.inf
+
+
+def _score(numerators: IntVec, den: int, f: IntVec, tau_sq: Fraction) -> tuple[float, bool]:
     """``(sqrt of ||estimate - f||^2, ||estimate - f||^2 <= tau_sq)`` in
-    integers: over ``den``, the lcm of the estimate's denominators, the
-    squared error is ``num / den^2``. ``num / (den * den)`` is one correctly
-    rounded int division, the float that the exact Fraction converts to, and
-    the comparison is cross-multiplied exactly."""
-    den = math.lcm(*(x.denominator for x in estimate))
-    num = sum([(x.numerator * (den // x.denominator) - den * y) ** 2 for x, y in zip(estimate, f)])
+    integers for a ``RobustOutput``'s estimate ``numerators / den``, ``den``
+    reduced or not: the squared error is ``num / den^2``, its root is
+    ``sqrt_float(num, den^2)``, and the comparison is cross-multiplied exactly."""
+    num = sum([(x - den * y) ** 2 for x, y in zip(numerators, f)])
     den_sq = den * den
-    return math.sqrt(num / den_sq), num * tau_sq.denominator <= tau_sq.numerator * den_sq
+    return sqrt_float(num, den_sq), num * tau_sq.denominator <= tau_sq.numerator * den_sq
 
 
 def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow, tuple | None]:
@@ -295,16 +307,16 @@ def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow
             f, rems = mach.f, mach.rems
         noisy = [[a + b for a, b in zip(r, ball.sample(rng))] for r in rems]
         try:
-            estimate = multistage_reconstruct(mach.plan, noisy).estimate
+            out = multistage_reconstruct(mach.plan, noisy)
         except Inconsistent:
-            estimate, norm, success = None, float("nan"), False
+            out, norm, success = None, float("nan"), False
         else:
-            norm, success = _score(estimate, f, tau_sq)
+            norm, success = _score(out.numerators, out.den, f, tau_sq)
             total += norm
             estimates += 1
             successes += success
         if keep_raw:
-            records.append(TrialRecord(t, f, estimate, norm, success))
+            records.append(TrialRecord(t, f, None if out is None else out.estimate, norm, success))
     row = SweepRow(
         tau=tau,
         mean_error=total / estimates if estimates else float("nan"),

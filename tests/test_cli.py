@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -85,6 +86,23 @@ class TestCrtCommand:
         assert rc == 2
         assert message in err
         assert "ast." not in err
+
+
+    @pytest.mark.parametrize(
+        "modulus, remainder, message",
+        [
+            ("[[2,0],[0,2]]", "[1,2,3]", "length"),
+            ("[[2,4],[1,2]]", "[1,1]", "nonsingular"),
+        ],
+        ids=["wrong-length-remainder", "singular-modulus"],
+    )
+    def test_bad_congruence_exits_2(self, capsys, modulus, remainder, message):
+        rc, out, err = run(
+            capsys, "crt", "--congruence", modulus, remainder, "--congruence", "[[3,0],[0,3]]", "[1,1]"
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
 
 class TestSearchCommands:
@@ -483,3 +501,51 @@ class TestCountValidation:
             main(["simulate", self.write_cfg(tmp_path), flag, "0"])
         assert exc.value.code == 2
         assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+
+
+class TestBeyondFloatRange:
+    """Float columns are display-only: a value beyond the float range prints
+    as ``inf``, and the exact columns and the exit code do not change."""
+
+    @staticmethod
+    def diag_pair(tmp_path, a, b, extra=""):
+        cfg = tmp_path / "big.cfg"
+        moduli = f"[[[{a[0]},0],[0,{a[1]}]],[[{b[0]},0],[0,{b[1]}]]]"
+        cfg.write_text(f"moduli = {moduli}\ntau_grid = [1,2]\n{extra}")
+        return str(cfg)
+
+    def test_simulate_error_square_beyond_float_range(self, tmp_path, capsys):
+        # a wrong decode misses f by up to ~10^200: its squared norm
+        # overflows a float, the norm does not
+        g = 10**100
+        extra = "reconstructors = single\ntrials = 20\nseed = 1\nf = per-trial\n"
+        path = self.diag_pair(tmp_path, (1, g + 1), (1, g + 3), extra)
+        rc, out, err = run(capsys, "simulate", path, "--raw")
+        assert rc == 0 and err == ""
+        summary, raw = out.split("tau,trial,err_norm,success\n")
+        means = [float(line.split(",")[1]) for line in summary.splitlines()[1:]]
+        assert len(means) == 2 and all(math.isfinite(x) for x in means)
+        assert max(float(line.split(",")[2]) for line in raw.splitlines()) > 1e155
+
+    def test_simulate_norm_beyond_float_range(self, tmp_path, capsys):
+        # here a wrong decode misses f by ~10^320, past the float range
+        g = 10**160
+        extra = "reconstructors = single\ntrials = 20\nseed = 1\nf = per-trial\n"
+        rc, out, err = run(capsys, "simulate", self.diag_pair(tmp_path, (1, g + 1), (1, g + 3), extra))
+        assert rc == 0 and err == ""
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["inf", "inf"]
+
+    def test_robust_estimate_beyond_float_range(self, tmp_path, capsys):
+        g = 10**400
+        path = self.diag_pair(tmp_path, (1, g + 1), (1, g + 3))
+        rc, out, err = run(capsys, "robust", path, "--remainders", f"[0,{g}]", f"[0,{g}]")
+        assert rc == 0 and err == ""
+        assert f"estimate = (0,{g})\nestimate_f = (0,inf)\n" in out
+
+    def test_robust_bound_beyond_float_range(self, tmp_path, capsys):
+        # lambda^2 / 16 = 10^320 / 16 overflows a float, its root does not
+        g = 10**160
+        path = self.diag_pair(tmp_path, (2 * g, 2 * g), (3 * g, 3 * g))
+        rc, out, err = run(capsys, "robust", path, "--remainders", "[0,0]", "[0,0]")
+        assert rc == 0 and err == ""
+        assert f"tau_bound_sq = {g * g // 16}\ntau_bound_f = 2.5e+159\n" in out

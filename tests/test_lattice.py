@@ -463,11 +463,13 @@ def unimodular_targets(draw):
 
 class TestUnimodular:
     """A basis of |det| 1 spans Z^D, and CVP rounds each coordinate of the
-    target, a half down, which is the search's lexicographic tie-break."""
+    target, a half down, which is the search's lexicographic tie-break. The
+    target is given as integers over ``den`` and as the same Fractions."""
 
     @settings(max_examples=300, deadline=None)
     @given(unimodular_targets())
     @example((IntMatrix.identity(1), [1], 2))
+    @example((IntMatrix.identity(1), [-1], 3))
     @example((M([[1, 1], [0, 1]]), [3, -3], 6))
     @example((M([[2, 1, 0], [1, 1, 0], [0, 0, -1]]), [2, -2, 6], 4))
     @example((M([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, -3], [0, 0, 0, 1]]), [1, 3, -5, 7], 2))
@@ -477,7 +479,9 @@ class TestUnimodular:
         assert abs(m.det) == 1
         b, inv, det, _, _, _ = form = l._form
         x = inv.apply(nums)  # B^{-1} t = x / (det * den), det = 1
-        assert closest_vector(l, nums, den) == lattice._enum_best(form, x, det * den, skip_zero=False)
+        expected = lattice._enum_best(form, x, det * den, skip_zero=False)
+        assert closest_vector(l, nums, den) == expected
+        assert closest_vector(l, [Fraction(t, den) for t in nums]) == expected
 
     def test_never_searches(self, monkeypatch):
         bases = [

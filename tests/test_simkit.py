@@ -185,10 +185,17 @@ def fraction_score(estimate, f, tau):
     return math.sqrt(err_sq), err_sq <= tau * tau
 
 
+def over_one_den(estimate, scale=1):
+    """The estimate as a ``RobustOutput`` holds it: integer numerators over
+    ``scale`` times the lcm of its denominators, so unreduced for scale > 1."""
+    den = math.lcm(*(x.denominator for x in estimate)) * scale
+    return tuple(int(x * den) for x in estimate), den
+
+
 class TestScore:
-    """Trials are scored in integers over the lcm of the estimate's
-    denominators; the norm and the success flag match the Fraction formula
-    bit for bit."""
+    """Trials are scored in integers from a ``RobustOutput``'s numerators
+    over its denominator, reduced or not; the norm and the success flag
+    match the Fraction formula bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -198,8 +205,9 @@ class TestScore:
         f = tuple(data.draw(st.integers(-big, big)) for _ in range(dim))
         error = st.fractions(-big, big, max_denominator=data.draw(st.sampled_from((1, 7, 10**9))))
         estimate = tuple(Fraction(x) + data.draw(error) for x in f)
+        numerators, den = over_one_den(estimate, data.draw(st.sampled_from((1, 2, 6, 35))))
         tau = data.draw(st.fractions(0, 2 * big, max_denominator=1000))
-        assert _score(estimate, f, tau * tau) == fraction_score(estimate, f, tau)
+        assert _score(numerators, den, f, tau * tau) == fraction_score(estimate, f, tau)
 
     @pytest.mark.parametrize(
         "error, tau",
@@ -213,11 +221,26 @@ class TestScore:
         f = (10**9, -17)
         estimate = tuple(Fraction(x) + e for x, e in zip(f, error))
         assert vec_norm_sq(vec_sub(estimate, f)) == Fraction(tau) ** 2
-        norm, success = _score(estimate, f, Fraction(tau) ** 2)
-        assert success and norm == float(tau)
-        assert (norm, success) == fraction_score(estimate, f, Fraction(tau))
-        below = Fraction(tau) ** 2 - Fraction(1, 10**12)
-        assert _score(estimate, f, below)[1] is False
+        for scale in (1, 4):
+            numerators, den = over_one_den(estimate, scale)
+            norm, success = _score(numerators, den, f, Fraction(tau) ** 2)
+            assert success and norm == float(tau)
+            assert (norm, success) == fraction_score(estimate, f, Fraction(tau))
+            below = Fraction(tau) ** 2 - Fraction(1, 10**12)
+            assert _score(numerators, den, f, below)[1] is False
+
+    @pytest.mark.parametrize("den", [1, 3, 12])
+    def test_square_beyond_float_range(self, den):
+        # ||error||^2 ~ 10^400 overflows a float, its root ~ 10^200 does not
+        f = (5, -7)
+        numerators = (den * 5 + 10**200, den * -7 - 3 * 10**199)
+        norm, success = _score(numerators, den, f, Fraction(10**400))
+        assert math.isclose(norm, math.sqrt(1.09) * 1e200 / den, rel_tol=1e-15)
+        assert success is (den > 1)  # 1.09 * 10^400 / den^2 <= 10^400
+
+    def test_norm_beyond_float_range(self):
+        norm, success = _score((10**400, 1), 1, (0, 0), Fraction(1))
+        assert norm == math.inf and success is False
 
 
 class TestSweep:
@@ -243,6 +266,19 @@ class TestSweep:
     def test_explicit_f_validated(self):
         with pytest.raises(ConfigInvalid):
             resolve_f(small_config(f_mode="explicit", f_value=(10**9, 10**9)))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(reconstructor="double"), "unknown reconstructor 'double'"),
+            (dict(reconstructor="multistage"), "multistage reconstructor requires a grouping"),
+            (dict(f_mode="explicit"), "explicit f mode without a vector"),
+            (dict(f_mode="origin"), "unknown f mode 'origin'"),
+        ],
+    )
+    def test_machinery_rejects_config(self, overrides, message):
+        with pytest.raises(ConfigInvalid, match=message):
+            resolve_f(small_config(**overrides))
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_nonpositive_trials_rejected(self, trials):
