@@ -1,5 +1,9 @@
 """Flat key-value experiment configuration with bracketed integer literals.
 
+``moduli``, ``grouping``, ``tau_grid`` and an explicit ``f`` are read by
+``exact_linalg.parse_int_array``, as command-line literals are; every bad
+value raises ConfigInvalid.
+
 Example::
 
     # configs/fig2_nondiag.cfg: group {0, 1, 2} and singleton {3}, then the final group
@@ -17,12 +21,11 @@ vector literal like ``[12,34]``. The output path is ``--out``, not a key.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigInvalid
-from .exact_linalg import IntMatrix, IntVec
+from .exact_linalg import IntMatrix, IntVec, parse_int_array
 
 _KNOWN_KEYS = ("moduli", "grouping", "reconstructors", "tau_grid", "trials", "seed", "f")
 _RECONSTRUCTORS = ("single", "multistage")
@@ -40,23 +43,12 @@ class ExperimentConfig:
     f_value: IntVec | None
 
 
-def _literal(key: str, text: str):
+def _array(key: str, text: str, depth: int, shape: str):
+    """``text`` read by ``parse_int_array``; ConfigInvalid names ``key``."""
     try:
-        return ast.literal_eval(text)
-    except (SyntaxError, ValueError, TypeError) as e:
-        offset = getattr(e, "offset", 0)
-        raise ConfigInvalid(f"key {key!r}: malformed literal at offset {offset}: {text!r}") from None
-
-
-def _int_array(key: str, obj, depth: int, shape: str):
-    """``obj`` as tuples nested exactly ``depth`` lists deep around ints
-    (bools excluded); anything else raises ConfigInvalid naming ``key``."""
-    if depth == 0:
-        if isinstance(obj, int) and not isinstance(obj, bool):
-            return obj
-    elif isinstance(obj, (list, tuple)):
-        return tuple(_int_array(key, x, depth - 1, shape) for x in obj)
-    raise ConfigInvalid(f"{key!r} must be {shape}, found {obj!r}")
+        return parse_int_array(text, depth, repr(key), shape)
+    except ValueError as e:
+        raise ConfigInvalid(str(e)) from None
 
 
 def _int_value(raw: dict[str, str], key: str, default: str) -> int:
@@ -86,7 +78,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "moduli" not in raw:
         raise ConfigInvalid("missing required key 'moduli'")
-    moduli_obj = _int_array("moduli", _literal("moduli", raw["moduli"]), 3, "a list of integer matrices")
+    moduli_obj = _array("moduli", raw["moduli"], 3, "a list of integer matrices")
     if not moduli_obj:
         raise ConfigInvalid("'moduli' must be a non-empty list of matrices")
     moduli = tuple(IntMatrix(m) for m in moduli_obj)
@@ -95,10 +87,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     grouping = None
     if "grouping" in raw:
-        grouping = _int_array(
-            "grouping", _literal("grouping", raw["grouping"]), 3,
-            "a list of stages, each a list of groups of modulus indices",
-        )
+        shape = "a list of stages, each a list of groups of modulus indices"
+        grouping = _array("grouping", raw["grouping"], 3, shape)
 
     recon_text = raw.get("reconstructors", "single")
     reconstructors = tuple(s.strip() for s in recon_text.split(",") if s.strip())
@@ -112,8 +102,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if "multistage" in reconstructors and grouping is None:
         raise ConfigInvalid("reconstructor 'multistage' requires a 'grouping'")
 
-    taus_obj = _literal("tau_grid", raw["tau_grid"]) if "tau_grid" in raw else []
-    taus = tuple(Fraction(t) for t in _int_array("tau_grid", taus_obj, 1, "a list of nonnegative integers"))
+    taus_obj = _array("tau_grid", raw.get("tau_grid", "[]"), 1, "a list of nonnegative integers")
+    taus = tuple(Fraction(t) for t in taus_obj)
     if any(t < 0 for t in taus):
         raise ConfigInvalid("'tau_grid' entries must be nonnegative")
 
@@ -127,7 +117,7 @@ def parse_config(text: str) -> ExperimentConfig:
         f_mode, f_value = f_text, None
     else:
         shape = "'centroid', 'per-trial', or an integer vector"
-        f_mode, f_value = "explicit", _int_array("f", _literal("f", f_text), 1, shape)
+        f_mode, f_value = "explicit", _array("f", f_text, 1, shape)
         d = moduli[0].dim
         if len(f_value) != d:
             raise ConfigInvalid(f"'f' must have length {d}, the moduli's dimension, found {list(f_value)}")

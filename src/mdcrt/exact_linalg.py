@@ -23,6 +23,9 @@ never grows, and its coefficients are at most ``max(1, |x|/g)`` and
 ``max(1, |y|/g)``, so a step scales the other entries by no more than the
 two it combines. HNF also reduces each finished row modulo its pivot, which
 keeps the entries left of H's diagonal below it as it goes.
+
+Every integer input, from the command line or a config, is a bracketed
+literal read by ``parse_int_array`` alone.
 """
 
 from __future__ import annotations
@@ -214,34 +217,37 @@ class IntMatrix:
         return "[" + ",".join("[" + ",".join(str(x) for x in r) + "]" for r in self.rows) + "]"
 
 
-def _parse_literal(text: str, what: str):
+def _nested_ints(x, depth: int, what: str, shape: str):
+    if depth == 0:
+        if isinstance(x, int) and not isinstance(x, bool):
+            return x
+    elif isinstance(x, (list, tuple)):
+        return tuple([_nested_ints(y, depth - 1, what, shape) for y in x])
+    raise ValueError(f"{what} must be {shape}, found {x!r}")
+
+
+def parse_int_array(text: str, depth: int, what: str, shape: str):
+    """``text`` as tuples nested exactly ``depth`` lists deep around ints
+    (not bools). ValueError "malformed {what} literal at offset N" for a
+    syntax error, "... (offset 0)" for any other parser failure (a literal
+    nested too deep included), "{what} must be {shape}, found X" otherwise."""
     try:
-        return ast.literal_eval(text.strip())
+        obj = ast.literal_eval(text.strip())
     except SyntaxError as e:
         raise ValueError(f"malformed {what} literal at offset {e.offset}: {text!r}") from None
-    except (ValueError, TypeError):  # a non-literal, or an unhashable set or dict key
+    except (ValueError, TypeError, RecursionError, MemoryError):
         raise ValueError(f"malformed {what} literal (offset 0): {text!r}") from None
+    return _nested_ints(obj, depth, what, shape)
 
 
 def parse_matrix(text: str) -> IntMatrix:
-    """Parse the row-major bracketed form, e.g. ``[[3,1],[2,2]]``.
-
-    Raises ValueError with a character offset for malformed input, and for
-    any entry that is not an int (floats and bools are not truncated).
-    """
-    obj = _parse_literal(text, "matrix")
-    if not isinstance(obj, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in obj):
-        raise ValueError(f"matrix literal must be a list of rows: {text!r}")
-    return IntMatrix.from_rows(obj)
+    """Rows such as ``[[3,1],[2,2]]``; ValueError unless each entry is an int (not a bool)."""
+    return IntMatrix(parse_int_array(text, 2, "matrix", "a list of integer rows"))
 
 
 def parse_vector(text: str) -> IntVec:
-    obj = _parse_literal(text, "vector")
-    if not isinstance(obj, (list, tuple)) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in obj
-    ):
-        raise ValueError(f"vector literal must be a flat integer list: {text!r}")
-    return tuple(obj)
+    """A flat integer list such as ``[5,-3]``; ValueError for anything else."""
+    return parse_int_array(text, 1, "vector", "a flat integer list")
 
 
 def format_vector(v: Sequence[Scalar]) -> str:

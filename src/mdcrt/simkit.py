@@ -330,13 +330,14 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, keep_raw: bool = False) -> SweepS
     """Execute the full tau grid; identical output for any jobs value.
 
     A sweep keeps one ``SweepRow`` per tau, and the per-trial records only
-    when ``keep_raw`` is set; with ``jobs > 1`` each worker sends back just
-    that. A row's mean error adds the finite error norms one by one in trial
-    order (``total += norm``): this order is part of the CSV contract, and
-    it is what ``sum`` did before Python 3.12 began compensating float sums.
+    when ``keep_raw`` is set; with ``jobs > 1``, at most one worker per tau
+    sends back just that. A row's mean error adds the finite error norms in
+    trial order (``total += norm``), as ``sum`` did before Python 3.12 began
+    compensating float sums: this order is part of the CSV contract.
     """
     _machinery(cfg)  # validate configuration before spawning workers
     n = len(cfg.taus)
+    jobs = min(jobs, n)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_tau = list(pool.map(_run_tau, [cfg] * n, range(n), [keep_raw] * n))

@@ -33,7 +33,7 @@ class TestNormalFormCommands:
         rc, out, err = run(capsys, "hnf", literal)
         assert rc == 2
         assert out == ""
-        assert "non-integer entry" in err
+        assert "matrix must be a list of integer rows, found " in err
 
     def test_gcld(self, capsys):
         rc, out, _ = run(capsys, "gcld", "[[22,-17],[17,22]]", "[[22,17],[-17,22]]")
@@ -78,7 +78,7 @@ class TestCrtCommand:
         "remainder, message",
         [
             ("foo", "malformed vector literal (offset 0): 'foo'"),
-            ("[True,0]", "vector literal must be a flat integer list"),
+            ("[True,0]", "vector must be a flat integer list, found True"),
         ],
     )
     def test_bad_remainder_exits_2(self, capsys, remainder, message):
@@ -190,7 +190,7 @@ class TestConfigs:
         bad.write_text("moduli = {[1]}\n")
         rc, _, err = run(capsys, "robust", str(bad))
         assert rc == 2
-        assert "key 'moduli': malformed literal" in err
+        assert "malformed 'moduli' literal (offset 0)" in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -288,6 +288,40 @@ class TestConfigs:
         assert out == ""
         assert "error: 'tau_grid' must list at least one tau" in err
 
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            (
+                "moduli = [[[2,0],[0,2]],[[3,0,0],[0,3,0],[0,0,3]]]\ntau_grid = [1]\n",
+                ["simulate"],
+                "'moduli' must all be square matrices of one dimension",
+            ),
+            (
+                "moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\nreconstructors = multistage\ntau_grid = [1]\n",
+                ["simulate"],
+                "reconstructor 'multistage' requires a 'grouping'",
+            ),
+            (
+                "moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\ntau_grid = [1]\n",
+                ["multistage"],
+                "config does not enable reconstructor 'multistage'",
+            ),
+            (
+                "moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\n",
+                ["multistage", "--remainders", "[1,1]", "[1,1]"],
+                "multistage needs a 'grouping' in the config",
+            ),
+        ],
+        ids=["mixed-dimension", "multistage-without-grouping", "multistage-not-enabled", "shot-without-grouping"],
+    )
+    def test_config_errors_exit_2(self, tmp_path, capsys, text, argv, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        rc, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command", ["robust", "multistage"])
     def test_single_shot_needs_no_taus(self, tmp_path, capsys, command):
         cfg = tmp_path / "shot.cfg"
@@ -295,6 +329,32 @@ class TestConfigs:
         rc, out, _ = run(capsys, command, str(cfg), "--remainders", "[1,1]", "[1,1]", "[1,1]")
         assert rc == 0
         assert "estimate = (1,1)" in out
+
+
+class TestTooDeepLiterals:
+    """Literals nested too deep for Python's parser (RecursionError or
+    MemoryError inside ``ast.literal_eval`` on CPython 3.11) exit 2 with a
+    malformed-literal error, from an argument and from a config file alike."""
+
+    def test_crt_remainder(self, capsys):
+        rc, out, err = run(capsys, "crt", "--congruence", "[[2]]", "[" + "-" * 5000 + "1]")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: malformed vector literal ")
+
+    def test_hnf_matrix(self, capsys):
+        rc, out, err = run(capsys, "hnf", "[[" + "-" * 100000 + "1]]")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: malformed matrix literal ")
+
+    def test_config_moduli(self, tmp_path, capsys):
+        bad = tmp_path / "deep.cfg"
+        bad.write_text("moduli = [[[" + "-" * 100000 + "1]]]\ntau_grid = [1]\n")
+        rc, out, err = run(capsys, "simulate", str(bad))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: malformed 'moduli' literal ")
 
 
 class TestReconstructionCommands:

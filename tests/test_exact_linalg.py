@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from mdcrt.exact_linalg import (
     bareiss,
     det,
     hnf,
+    parse_int_array,
     parse_matrix,
     parse_vector,
     snf,
@@ -327,7 +329,7 @@ class TestTextForm:
 
     @pytest.mark.parametrize("text", ["[[1.5,0],[0,1]]", "[[False,0],[0,1]]"])
     def test_non_integer_matrix_literal_rejected(self, text):
-        with pytest.raises(ValueError, match="non-integer entry"):
+        with pytest.raises(ValueError, match="^matrix must be a list of integer rows, found "):
             parse_matrix(text)
 
     @pytest.mark.parametrize("text", ["[True,0]", "[1.5,0]", "[[1],[2]]", "7"])
@@ -335,7 +337,32 @@ class TestTextForm:
         with pytest.raises(ValueError, match="flat integer list"):
             parse_vector(text)
 
-    @pytest.mark.parametrize("text", ["foo", "{[1]}"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "foo",
+            "{[1]}",
+            # too deep for Python's parser: on CPython 3.11 ast.literal_eval
+            # raises RecursionError on the first and MemoryError on the others
+            pytest.param("[" + "-" * 5000 + "1]", id="5000-minus"),
+            pytest.param("[" + "-" * 20000 + "1]", id="20000-minus"),
+            pytest.param("[" + "not " * 100000 + "1]", id="100000-not"),
+        ],
+    )
     def test_vector_non_literal_names_text(self, text):
         with pytest.raises(ValueError, match=r"^malformed vector literal \(offset 0\): "):
             parse_vector(text)
+
+    @pytest.mark.parametrize(
+        "text, depth, expected",
+        [("7", 0, 7), ("[]", 1, ()), ("[[1,-2],(3,4)]", 2, ((1, -2), (3, 4))), ("[[[0]]]", 3, (((0,),),))],
+    )
+    def test_int_array_depths(self, text, depth, expected):
+        assert parse_int_array(text, depth, "value", "ints") == expected
+
+    @pytest.mark.parametrize(
+        "text, found", [("[[1],[[2]]]", "[2]"), ("[1,[2]]", "1"), ("[[1],2]", "2"), ("[[False]]", "False")]
+    )
+    def test_int_array_names_the_misplaced_value(self, text, found):
+        with pytest.raises(ValueError, match=rf"^'x' must be a matrix, found {re.escape(found)}$"):
+            parse_int_array(text, 2, "'x'", "a matrix")

@@ -8,6 +8,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdcrt import simkit
 from mdcrt.config import load_config
 from mdcrt.errors import ConfigInvalid
 from mdcrt.exact_linalg import IntMatrix, vec_norm_sq, vec_sub
@@ -318,6 +319,33 @@ class TestSweep:
         serial = summary_csv_lines(run_sweep(cfg))
         parallel = summary_csv_lines(run_sweep(cfg, jobs=3))
         assert serial == parallel
+
+    def test_workers_capped_at_tau_count(self, monkeypatch):
+        """Each tau is one task: a pool gets at most one worker per tau, and
+        a one-tau sweep opens none. The stand-in pool records its size and
+        maps serially, so no process is started."""
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simkit, "ProcessPoolExecutor", SerialPool)
+        cfg = small_config(trials=4)
+        serial = summary_csv_lines(run_sweep(cfg))
+        assert summary_csv_lines(run_sweep(cfg, jobs=5000)) == serial
+        assert opened == [3]
+        run_sweep(small_config(taus=(Fraction(1),), trials=4), jobs=5000)
+        assert opened == [3]
 
     def test_rows_do_not_depend_on_keep_raw(self):
         cfg = small_config(trials=12)
