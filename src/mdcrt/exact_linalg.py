@@ -217,26 +217,39 @@ class IntMatrix:
         return "[" + ",".join("[" + ",".join(str(x) for x in r) + "]" for r in self.rows) + "]"
 
 
+_QUOTED_CHARS = 60  # an error message quotes at most this much of an input
+
+
+def _quoted(x) -> str:
+    """``repr(x)`` for an error message: whole up to ``_QUOTED_CHARS``
+    characters, else its first ``_QUOTED_CHARS`` and its length, since
+    one argument or config value can be megabytes long."""
+    r = repr(x)
+    return r if len(r) <= _QUOTED_CHARS else f"{r[:_QUOTED_CHARS]}... ({len(r)} characters)"
+
+
 def _nested_ints(x, depth: int, what: str, shape: str):
     if depth == 0:
         if isinstance(x, int) and not isinstance(x, bool):
             return x
     elif isinstance(x, (list, tuple)):
         return tuple([_nested_ints(y, depth - 1, what, shape) for y in x])
-    raise ValueError(f"{what} must be {shape}, found {x!r}")
+    raise ValueError(f"{what} must be {shape}, found {_quoted(x)}")
 
 
 def parse_int_array(text: str, depth: int, what: str, shape: str):
     """``text`` as tuples nested exactly ``depth`` lists deep around ints
     (not bools). ValueError "malformed {what} literal at offset N" for a
     syntax error, "... (offset 0)" for any other parser failure (a literal
-    nested too deep included), "{what} must be {shape}, found X" otherwise."""
+    nested too deep included), "{what} must be {shape}, found X" otherwise.
+    Each message quotes at most ``_QUOTED_CHARS`` characters of the repr of
+    ``text`` or X, and the repr's length when it is longer."""
     try:
         obj = ast.literal_eval(text.strip())
     except SyntaxError as e:
-        raise ValueError(f"malformed {what} literal at offset {e.offset}: {text!r}") from None
+        raise ValueError(f"malformed {what} literal at offset {e.offset}: {_quoted(text)}") from None
     except (ValueError, TypeError, RecursionError, MemoryError):
-        raise ValueError(f"malformed {what} literal (offset 0): {text!r}") from None
+        raise ValueError(f"malformed {what} literal (offset 0): {_quoted(text)}") from None
     return _nested_ints(obj, depth, what, shape)
 
 

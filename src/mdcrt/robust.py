@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .crt_core import check_remainder_shape, crt_solve, gcld, lcrm
-from .errors import DimensionMismatch, DimensionUnsupported, DuplicateModuli, NotAnLcrm
+from .errors import DimensionMismatch, DimensionUnsupported, DuplicateModuli, NotAnLcrm, SingularMatrix
 from .exact_linalg import IntMatrix, IntVec, Scalar
 from .lattice import MAX_DIM, FpdUnionRegion, LatticeBasis, closest_vector, shortest_vector
 
@@ -170,9 +170,14 @@ def robust_reconstruct(
     lcrm, once. Each difference is snapped over T (``closest_vector``'s
     ``den``), with no ``Fraction`` per coordinate for integer remainders,
     and the output holds the estimate as numerators over ``n T``: integers
-    for integer remainders, rationals for rational ones. Raises ValueError
-    for ``den`` below 1, and Inconsistent when the snapped values are
-    incompatible, which callers treat as a failed trial.
+    for integer remainders, rationals for rational ones. A one-modulus
+    instance solves nothing: its estimate is its remainder over ``den``,
+    and its one fold is zero, the reduction of zero into any lcrm basis;
+    ``designated_lcrm`` is still checked as that reduction would check it.
+    Raises ValueError for ``den`` below 1, SingularMatrix or
+    DimensionMismatch for a singular or wrong-size ``designated_lcrm``, and
+    Inconsistent when the snapped values are incompatible, which callers
+    treat as a failed trial.
     """
     if den < 1:
         raise ValueError(f"robust_reconstruct needs a denominator of at least 1, got {den}")
@@ -180,8 +185,15 @@ def robust_reconstruct(
     n = instance.count
     check_remainder_shape(noisy_remainders, n, instance.dim)
     base = noisy_remainders[l0]
-    lattices = instance.anchor_lattices
     zero = (0,) * len(base)
+    if n == 1:
+        if designated_lcrm is not None:
+            if designated_lcrm.det == 0:
+                raise SingularMatrix("modulus must be nonsingular")
+            if designated_lcrm.nrows != len(base):
+                raise DimensionMismatch(f"{designated_lcrm.nrows}-row lcrm for length-{len(base)} remainders")
+        return RobustOutput(tuple(base), den, zero, (zero,))
+    lattices = instance.anchor_lattices
     snapped = tuple(
         [
             zero if j == l0 else closest_vector(lattices[j], [x - y for x, y in zip(r, base)], den)

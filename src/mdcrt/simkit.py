@@ -3,7 +3,9 @@ over the error bound tau, and per-tau statistics.
 
 Randomness is fully pinned: every trial draws from an xorshift64* generator
 whose state is derived with splitmix64 from (seed, tau index, trial index),
-so serial and parallel runs produce identical output byte for byte. Within a
+so serial and parallel runs produce identical output byte for byte. The
+mixing folds its indices left to right, so a sweep mixes (seed, tau index)
+once per tau and each trial only mixes its index into that prefix. Within a
 trial the draw order is: the true vector f (when re-sampled per trial), then
 one error vector per modulus in modulus order.
 
@@ -14,6 +16,9 @@ the config's declared grouping.
 
 Each tau is reduced to its summary row where it runs, so a sweep holds one
 trial at a time unless its per-trial records are asked for (``keep_raw``).
+A record keeps the decoder's estimate as integer numerators over one
+denominator and builds its ``Fraction``s only when ``estimate`` is read; the
+raw CSV never reads it.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import ConfigInvalid, Inconsistent
-from .exact_linalg import IntMatrix, IntVec
+from .exact_linalg import IntMatrix, IntVec, Scalar
 from .lattice import nearest_region_point, reduce_mod
 from .multistage import build_plan, final_region, multistage_reconstruct
 
-_MASK = (1 << 64) - 1
+_SPAN = 1 << 64
+_MASK = _SPAN - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -42,7 +48,8 @@ def _mix64(z: int) -> int:
 
 
 def stream_seed(seed: int, *indices: int) -> int:
-    """splitmix64-style mixing of a base seed with stream indices."""
+    """splitmix64-style mixing of a base seed with stream indices, folded
+    left to right: ``stream_seed(stream_seed(s, a), b) == stream_seed(s, a, b)``."""
     x = seed & _MASK
     for idx in indices:
         x = _mix64((x + _GOLDEN + (idx & _MASK)) & _MASK)
@@ -67,10 +74,16 @@ class XorShift64Star:
         """Uniform in [0, n). Each attempt joins w = max(1, ceil(bitlen(n - 1) / 64))
         draws, first draw most significant, into v < 2^(64w) and keeps v mod n
         unless v falls in the top 2^(64w) mod n values. For n <= 2^64 that is
-        one draw per attempt."""
+        one draw per attempt, taken without the general word count."""
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
-        words = max(1, -(-(n - 1).bit_length() // 64))
+        if n <= _SPAN:
+            limit = _SPAN - _SPAN % n
+            while True:
+                v = self.next_u64()
+                if v < limit:
+                    return v % n
+        words = -(-(n - 1).bit_length() // 64)
         span = 1 << (64 * words)
         limit = span - span % n
         while True:
@@ -193,13 +206,23 @@ class SweepConfig:
 @dataclass(frozen=True)
 class TrialRecord:
     """One trial as the raw CSV and the checks on it read it. The error
-    vectors are not kept: they follow from the seed and the indices."""
+    vectors are not kept: they follow from the seed and the indices. The
+    estimate is kept as the decoder returned it, ``numerators / den``, and
+    ``estimate`` builds its ``Fraction``s on each read."""
 
     trial_index: int
     f_true: IntVec
-    estimate: tuple[Fraction, ...] | None  # None when the solver reported Inconsistent
+    numerators: tuple[Scalar, ...] | None  # None when the solver reported Inconsistent
+    den: int
     error_norm: float  # sqrt of the exact squared error; nan when no estimate
     exact_success: bool  # ||estimate - f||^2 <= tau^2, compared exactly
+
+    @property
+    def estimate(self) -> tuple[Fraction, ...] | None:
+        if self.numerators is None:
+            return None
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.numerators])
 
 
 @dataclass(frozen=True)
@@ -296,10 +319,11 @@ def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow
     tau = cfg.taus[tau_index]
     ball = ErrorBallSampler(tau, dim=cfg.moduli[0].dim)
     tau_sq = tau * tau
+    prefix = stream_seed(cfg.seed, tau_index)  # trial t's stream is stream_seed(prefix, t)
     total, estimates, successes = 0.0, 0, 0
     records = []
     for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, tau_index, t)
+        rng = XorShift64Star(stream_seed(prefix, t))
         if mach.f is None:
             f = mach.region.sample(rng)
             rems = tuple(reduce_mod(f, m)[1] for m in cfg.moduli)
@@ -309,14 +333,15 @@ def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow
         try:
             out = multistage_reconstruct(mach.plan, noisy)
         except Inconsistent:
-            out, norm, success = None, float("nan"), False
+            nums, den, norm, success = None, 1, float("nan"), False
         else:
-            norm, success = _score(out.numerators, out.den, f, tau_sq)
+            nums, den = out.numerators, out.den
+            norm, success = _score(nums, den, f, tau_sq)
             total += norm
             estimates += 1
             successes += success
         if keep_raw:
-            records.append(TrialRecord(t, f, None if out is None else out.estimate, norm, success))
+            records.append(TrialRecord(t, f, nums, den, norm, success))
     row = SweepRow(
         tau=tau,
         mean_error=total / estimates if estimates else float("nan"),

@@ -35,6 +35,13 @@ class TestNormalFormCommands:
         assert out == ""
         assert "matrix must be a list of integer rows, found " in err
 
+    def test_long_misplaced_value_quoted_in_part(self, capsys):
+        rc, out, err = run(capsys, "hnf", "[[[" + "1," * 20000 + "1]]]")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: matrix must be a list of integer rows, found [1, 1, ")
+        assert err.endswith("... (60003 characters)\n")
+
     def test_gcld(self, capsys):
         rc, out, _ = run(capsys, "gcld", "[[22,-17],[17,22]]", "[[22,17],[-17,22]]")
         assert rc == 0
@@ -347,6 +354,9 @@ class TestTooDeepLiterals:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: malformed matrix literal ")
+        # the message quotes a prefix of the argument's repr and its length
+        assert len(err) < 200
+        assert err.endswith("... (100007 characters)\n")
 
     def test_config_moduli(self, tmp_path, capsys):
         bad = tmp_path / "deep.cfg"

@@ -146,6 +146,42 @@ class TestOneModulus:
             assert all(type(x) is Fraction for x in out.estimate)
             assert out.folds == ((0,) * dim,)
 
+    def test_solves_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-modulus instance reached the CRT solver")
+
+        monkeypatch.setattr(robust, "crt_solve", forbidden)
+        monkeypatch.setattr(robust, "reduce_mod", forbidden)
+        m = self.MODULI[2]
+        out = robust_reconstruct(build_instance([m]), [(7, -3)], designated_lcrm=m)
+        assert out.estimate == (7, -3) and out.folds == ((0, 0),)
+
+    @pytest.mark.parametrize("den", [1, 6], ids=["integer", "sixths"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_output_is_the_solves(self, dim, den):
+        # what the five steps give a one-modulus instance: a CRT solve of
+        # (M, 0) into the lcrm basis, and the averaging formula with n = 1
+        m = self.MODULI[dim]
+        inst = build_instance([m])
+        gen = random.Random(100 * dim + den)
+        zero = (0,) * dim
+        for designated in (None, m, m @ IntMatrix.diag(*[-1] * dim)):
+            r = tuple(gen.randint(-50, 50) for _ in range(dim))
+            if den > 1:
+                r = tuple(Fraction(x, den) for x in r)
+            fold = crt_core.crt_solve([(m, zero)], into=designated).value
+            out = robust_reconstruct(inst, [r], designated, den)
+            assert out.numerators == tuple(den * (a - v) + x for a, v, x in zip(fold, zero, r))
+            assert list(map(type, out.numerators)) == list(map(type, r))
+            assert (out.den, out.anchor_fold, out.snapped) == (den, fold, (zero,))
+
+    def test_designated_lcrm_checked(self):
+        inst = build_instance([self.MODULI[2]])
+        with pytest.raises(SingularMatrix):
+            robust_reconstruct(inst, [(1, 2)], designated_lcrm=M([[2, 4], [1, 2]]))
+        with pytest.raises(DimensionMismatch):
+            robust_reconstruct(inst, [(1, 2)], designated_lcrm=self.MODULI[3])
+
     def test_rejected_moduli(self):
         with pytest.raises(ValueError, match="at least one modulus"):
             build_instance([])
@@ -445,8 +481,9 @@ class TestReductionCount:
         assert built == []
 
     def test_fig2_nondiag_trial(self, calls):
-        # every group reduces once, in its CRT solve, the singleton stage-1
-        # group {3} (a one-modulus instance) included
+        # every group of two or more moduli reduces once, in its CRT solve;
+        # the singleton stage-1 group {3} (a one-modulus instance) returns
+        # its remainder and reduces nothing
         plan = build_plan(FIG2_NONDIAG_MODULI, FIG2_NONDIAG_GROUPING)
         assert [grp.instance.count for grp in [*plan.stages[0], plan.final]] == [3, 1, 2]
         f = final_region(plan).sample(trial_rng(3, 0, 0))
@@ -455,7 +492,7 @@ class TestReductionCount:
         calls.clear()
         out = multistage_reconstruct(plan, noisy)
         assert out.estimate == tuple(Fraction(x) for x in f)
-        assert len(calls) == 1 + 1 + 1
+        assert len(calls) == 1 + 0 + 1
 
 
 class TestRegion:

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from mdcrt import simkit
 from mdcrt.config import load_config
-from mdcrt.errors import ConfigInvalid
-from mdcrt.exact_linalg import IntMatrix, vec_norm_sq, vec_sub
+from mdcrt.errors import ConfigInvalid, Inconsistent
+from mdcrt.exact_linalg import IntMatrix, vec_add, vec_norm_sq, vec_sub
+from mdcrt.lattice import reduce_mod
+from mdcrt.multistage import build_plan, multistage_reconstruct
 from mdcrt.simkit import (
     ErrorBallSampler,
     _score,
@@ -73,6 +75,35 @@ class TestRng:
             while v >= limit:
                 v = b.next_u64()
             assert a.randrange(n) == v % n
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 2**64 - 1, 2**64, 2**64 + 1, 2**130 + 7], ids=["1", "2", "2^64-1", "2^64", "2^64+1", "2^130+7"]
+    )
+    def test_randrange_matches_general_formula(self, n):
+        # the one-word path for n <= 2^64 draws exactly what the w-word
+        # formula draws with w = max(1, ceil(bitlen(n - 1) / 64))
+        def general(gen, n):
+            words = max(1, -(-(n - 1).bit_length() // 64))
+            span = 1 << (64 * words)
+            limit = span - span % n
+            while True:
+                v = gen.next_u64()
+                for _ in range(words - 1):
+                    v = (v << 64) | gen.next_u64()
+                if v < limit:
+                    return v % n
+
+        for seed in range(20):
+            a, b = trial_rng(seed, 1, 2), trial_rng(seed, 1, 2)
+            assert [a.randrange(n) for _ in range(30)] == [general(b, n) for _ in range(30)]
+
+    @given(
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.integers(min_value=-(2**70), max_value=2**70),
+    )
+    def test_stream_seed_folds_left_to_right(self, s, a, b):
+        assert stream_seed(stream_seed(s, a), b) == stream_seed(s, a, b)
 
     @pytest.mark.parametrize("n", [2**64 + 1, 2**200], ids=["2^64+1", "2^200"])
     def test_randrange_beyond_one_word(self, n):
@@ -346,6 +377,38 @@ class TestSweep:
         assert opened == [3]
         run_sweep(small_config(taus=(Fraction(1),), trials=4), jobs=5000)
         assert opened == [3]
+
+    @pytest.mark.parametrize(
+        "path, reconstructor, taus",
+        [("configs/fig2_nondiag.cfg", "multistage", (0, 3, 40)), ("configs/fig3.cfg", "single", (0, 1, 2))],
+        ids=["fig2_nondiag-multistage", "fig3-single"],
+    )
+    def test_record_estimate_is_the_decoders(self, path, reconstructor, taus):
+        # each record's estimate, built when read, equals the estimate of the
+        # trial replayed from its stream (None where the decoder reported
+        # Inconsistent, which fig3's single-stage bound 1/4 makes common)
+        exp = load_config(path)
+        cfg = small_config(
+            moduli=exp.moduli, reconstructor=reconstructor, grouping=exp.grouping,
+            taus=tuple(Fraction(t) for t in taus), trials=8,
+        )
+        plan = build_plan(cfg.moduli, cfg.grouping if reconstructor == "multistage" else ())
+        summary = run_sweep(cfg, keep_raw=True)
+        estimates = []
+        for ti, (tau, records) in enumerate(zip(cfg.taus, summary.raw)):
+            ball = ErrorBallSampler(tau, dim=2)
+            for rec in records:
+                rng = trial_rng(cfg.seed, ti, rec.trial_index)
+                noisy = [vec_add(reduce_mod(rec.f_true, m)[1], ball.sample(rng)) for m in cfg.moduli]
+                try:
+                    want = multistage_reconstruct(plan, noisy).estimate
+                except Inconsistent:
+                    want = None
+                assert rec.estimate == want
+                estimates.append(rec.estimate)
+        assert any(e is not None for e in estimates)
+        if reconstructor == "single":
+            assert None in estimates
 
     def test_rows_do_not_depend_on_keep_raw(self):
         cfg = small_config(trials=12)
