@@ -2,8 +2,9 @@
 
 Commands: hnf, snf, gcld, lcrm, crt, robust, multistage, svp-search, drange,
 simulate. Exit codes: 0 success, 2 parse or configuration error (including
-``--trials`` or ``--jobs`` below 1), 3 mathematical inconsistency,
-4 dimension above ``lattice.MAX_DIM`` (the exact SVP/CVP cap).
+``--trials`` or ``--jobs`` below 1) or an input too large to allocate for
+(``MemoryError``), 3 mathematical inconsistency, 4 dimension above
+``lattice.MAX_DIM`` (the exact SVP/CVP cap).
 
 Decision-bearing numbers are printed exactly (integers, fractions); float
 columns are display-only and suffixed ``_f``, and integers print in full:
@@ -187,9 +188,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_svp_search(args) -> int:
-    if args.prime is None and args.range is None:
-        raise ConfigInvalid("need --prime P or --range A B")
-    primes: list[int]
     if args.prime is not None:
         primes = [args.prime]
     else:
@@ -269,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
 
     p = sub.add_parser("svp-search", help="max shortest-vector search over prime HNF lattices")
-    p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--range", type=int, nargs=2, default=None, metavar=("A", "B"))
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--prime", type=int)
+    which.add_argument("--range", type=int, nargs=2, metavar=("A", "B"))
     p.set_defaults(func=_cmd_svp_search)
 
     p = sub.add_parser("drange", help="max dynamic range table under a determinant cap")
@@ -300,8 +299,8 @@ def _run(args) -> int:
     """Run the parsed command and map its errors to exit codes."""
     try:
         return args.func(args)
-    except (ValueError, ConfigInvalid, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, ConfigInvalid, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_PARSE
     except Inconsistent as e:
         print(f"inconsistent: {e}", file=sys.stderr)

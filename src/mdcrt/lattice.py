@@ -423,7 +423,10 @@ def nearest_region_point(region: FpdUnionRegion, target: Sequence[Scalar]) -> In
     into N(quotient) lies in the region. Ring r holds the points at
     Chebyshev distance r from g; every point outside rings 0..r lies more
     than r from the target, so the search stops after the first ring r with
-    best squared distance <= r^2. The seed's distance bounds that r.
+    best squared distance <= r^2. The seed's distance bounds that r; the
+    time grows with the square of the target's distance from the region
+    (D = 2, a 900-point region: 0.06 s at (60,60), 8.3 s at (400,400),
+    CPython 3.11 on a 2-core x86-64 host). Only centroid targets reach it.
     """
     n = region.anchor.dim
     target = tuple(Fraction(t) for t in target)

@@ -6,10 +6,10 @@ rebased so that the group's robustly determinable range is exactly one FPD.
 That rebasing is possible precisely when the Hermite normal form of
 ``anchor^{-1} lcrm(group)`` is diagonal, which is the admission test for a
 group. Group estimates (exact rationals, never rounded) become the next
-stage's remainders, handed on as integer numerators over one denominator. The last stage of every plan is one final group that
-combines the surviving lcrms with a free anchor choice. With no declared
-stages the final group takes the moduli themselves, so single-stage
-reconstruction is the zero-stage plan.
+stage's remainders, handed on as integer numerators over one denominator.
+The last stage of every plan is one final group that combines the surviving
+lcrms with a free anchor choice; with no declared stages it takes the moduli
+themselves, so single-stage reconstruction is the zero-stage plan.
 
 Every group, a singleton included, is one ``RobustInstance``. A singleton
 group is the one-modulus instance: its bound is +infinity (``None``), its
@@ -81,10 +81,9 @@ class StageGroup:
 
 @dataclass(frozen=True)
 class PerGroupBound:
-    """Reconstruction succeeds when every error of initial group
-    ``group_index`` has squared norm strictly below ``tau_max_sq``."""
+    """Errors of the initial group at this index of ``per_group_bounds`` are
+    corrected while their squared norms are strictly below ``tau_max_sq``."""
 
-    group_index: int
     tau_max_sq: Fraction | None  # None means +infinity
 
 
@@ -171,7 +170,7 @@ def build_plan(moduli: Sequence[IntMatrix], grouping: Grouping) -> GroupingPlan:
     for i, grp in enumerate(stages[0]):
         path = [grp] + [stages[s][k] for s, step in enumerate(phi, start=1) for k in step[i]]
         finite = [g.instance.tau_bound_sq for g in path if g.instance.tau_bound_sq is not None]
-        bounds.append(PerGroupBound(group_index=i, tau_max_sq=min(finite, default=None)))
+        bounds.append(PerGroupBound(min(finite, default=None)))
 
     return GroupingPlan(
         moduli=moduli,
@@ -190,9 +189,9 @@ def multistage_reconstruct(
     one denominator: each stage's outputs are brought to the lcm of their
     ``den`` and passed to the next stage with that ``den``, so no
     ``Fraction`` is built before the final estimate is read. A singleton
-    group's estimate is its remainder, with one zero fold. Raises DimensionMismatch for a remainder whose length is not
-    the moduli's size; Inconsistent propagates from the congruence solver
-    and marks a failed trial.
+    group's estimate is its remainder, with one zero fold. Raises
+    DimensionMismatch for a remainder of the wrong length; Inconsistent
+    propagates from the congruence solver and marks a failed trial.
     """
     check_remainder_shape(noisy_remainders, len(plan.moduli), plan.moduli[0].dim)
     current: Sequence[Sequence[Scalar]] = noisy_remainders

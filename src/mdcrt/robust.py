@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .crt_core import check_remainder_shape, crt_solve, gcld, lcrm
@@ -26,10 +27,9 @@ from .errors import DimensionMismatch, DimensionUnsupported, DuplicateModuli, No
 from .exact_linalg import IntMatrix, IntVec, Scalar
 from .lattice import MAX_DIM, FpdUnionRegion, LatticeBasis, closest_vector, shortest_vector
 
-# Reconstruction reduces only inside ``crt_solve``, once per solve. The
-# name stays bound here because tools that count or time ``reduce_mod``
-# (bench/tracer.py) rebind it in every module that holds it, and its
-# harness test asserts this module is one of them.
+# Unused: reconstruction reduces only inside ``crt_solve``. Tools that count
+# ``reduce_mod`` (bench/tracer.py) rebind it in every module holding it, and
+# their harness test asserts that this module is one of them.
 from .lattice import reduce_mod  # noqa: F401
 
 
@@ -65,10 +65,12 @@ class RobustInstance:
 
 
 def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> RobustInstance:
-    """Compute the gcld table, select the anchor, and fix the error bound.
+    """Select the anchor, build its gcld lattices, and fix the error bound.
 
     The anchor maximizes min_{j != i} lambda(L(G_{i,j})), smallest index on
-    ties; pass ``anchor`` explicitly to pin it (multi-stage groups do).
+    ties, which reads all k(k-1)/2 pair lattices, each built once; pass
+    ``anchor`` explicitly to pin it (multi-stage groups do) and build only
+    its k - 1.
     One modulus M gives the degenerate instance: anchor 0, bound ``None``,
     lcrm hnf(M) and no lattices. Raises ValueError for no moduli,
     DimensionMismatch for moduli of mixed dimension and
@@ -85,31 +87,30 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
     if len(set(moduli)) != len(moduli):
         raise DuplicateModuli("moduli must be distinct")
 
-    pair_lattice: dict[tuple[int, int], LatticeBasis] = {}
-    pair_lambda_sq: dict[tuple[int, int], int] = {}
     n = len(moduli)
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = pair_lattice[(i, j)] = LatticeBasis(gcld(moduli[i], moduli[j]))
-            pair_lambda_sq[(i, j)] = shortest_vector(g)[0]
+    if anchor is not None and not 0 <= anchor < n:
+        raise ValueError(f"anchor index {anchor} out of range")
+
+    @cache
+    def pair(i: int, j: int) -> LatticeBasis:
+        return LatticeBasis(gcld(moduli[i], moduli[j]))
+
+    def row(i: int) -> dict[int, LatticeBasis]:
+        return {j: pair(min(i, j), max(i, j)) for j in range(n) if j != i}
 
     def row_min(i: int) -> int | None:
-        return min((pair_lambda_sq[(min(i, j), max(i, j))] for j in range(n) if j != i), default=None)
+        return min((shortest_vector(g)[0] for g in row(i).values()), default=None)
 
     if anchor is None:
         anchor = max(range(n), key=lambda i: (row_min(i), -i))
-    elif not 0 <= anchor < n:
-        raise ValueError(f"anchor index {anchor} out of range")
-
     lambda_sq = row_min(anchor)
     tau_bound_sq = None if lambda_sq is None else Fraction(lambda_sq, 16)
-    lattices = {j: pair_lattice[(min(anchor, j), max(anchor, j))] for j in range(n) if j != anchor}
     return RobustInstance(
         moduli=moduli,
         anchor=anchor,
         tau_bound_sq=tau_bound_sq,
         lcrm=lcrm(*moduli),
-        anchor_lattices=lattices,
+        anchor_lattices=row(anchor),
     )
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -364,6 +363,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1, keep_raw: bool = False) -> SweepS
     n = len(cfg.taus)
     jobs = min(jobs, n)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_tau = list(pool.map(_run_tau, [cfg] * n, range(n), [keep_raw] * n))
     else:

@@ -96,9 +96,9 @@ def best_diagonal_svp(p: int) -> int:
 def primes_below(limit: int) -> list[int]:
     if limit <= 2:
         return []
-    sieve = bytearray([1]) * limit
-    sieve[0] = sieve[1] = 0
+    sieve = bytearray(limit)  # 1 marks a composite; a repeat failing to allocate prints a SystemError
+    sieve[0] = sieve[1] = 1
     for i in range(2, math.isqrt(limit - 1) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(limit) if sieve[i]]
+        if not sieve[i]:
+            sieve[i * i :: i] = b"\x01" * len(range(i * i, limit, i))
+    return [i for i in range(limit) if not sieve[i]]

@@ -195,21 +195,6 @@ def brute_closest_vectors(
     return best, winners
 
 
-def brute_shortest_sq(basis: IntMatrix, coeff_bound: int = 40) -> int:
-    import itertools
-
-    best = None
-    d = basis.dim
-    for coeff in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=d):
-        if all(c == 0 for c in coeff):
-            continue
-        v = basis.apply(coeff)
-        n = sum(x * x for x in v)
-        if best is None or n < best:
-            best = n
-    return best
-
-
 def brute_shortest_sq_sound(basis: IntMatrix, skip_above: int = 500_000) -> int | None:
     """Exhaustive SVP with a provably sufficient coefficient box.
 

@@ -1,9 +1,20 @@
 import math
+import os
+import subprocess
 import sys
 
 import pytest
 
 from mdcrt.cli import main
+
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
+
+# environment of a child interpreter that imports this checkout's package
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
 
 
 def run(capsys, *argv):
@@ -133,6 +144,47 @@ class TestSearchCommands:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: --range ") and "holds no prime" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ((), "one of the arguments --prime --range is required"),
+            (("--prime", "7", "--range", "2", "20"), "argument --range: not allowed with argument --prime"),
+        ],
+        ids=["neither", "both"],
+    )
+    def test_svp_search_needs_exactly_one_of_prime_and_range(self, capsys, flags, message):
+        """Both flags used to print prime 7's row and ignore ``--range``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["svp-search", *flags])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+    @pytest.mark.parametrize(
+        "argv",
+        [("drange", "--q", "10000000000"), ("svp-search", "--range", "2", "10000000000")],
+        ids=["drange", "svp-search"],
+    )
+    def test_sieve_too_large_to_allocate_exits_2(self, argv):
+        """A 10^10-entry prime sieve cannot be allocated in a 400 MB address
+        space: the command exits 2 with one error line instead of a
+        MemoryError traceback. The limit caps only the child process."""
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdcrt.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: MemoryError\n")
 
     def test_drange(self, capsys):
         rc, out, _ = run(capsys, "drange", "--q", "10", "--dim", "2")
@@ -619,3 +671,14 @@ class TestBeyondFloatRange:
         rc, out, err = run(capsys, "robust", path, "--remainders", "[0,0]", "[0,0]")
         assert rc == 0 and err == ""
         assert f"tau_bound_sq = {g * g // 16}\ntau_bound_f = 2.5e+159\n" in out
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only a sweep with ``--jobs`` above 1 opens a process pool, so importing
+    the CLI loads neither ``concurrent.futures`` nor ``multiprocessing``."""
+    code = (
+        "import sys, mdcrt.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")

@@ -1,10 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mdcrt import crt_core, lattice, multistage, robust
+from mdcrt.config import load_config
 from mdcrt.errors import (
     DimensionMismatch,
     DimensionUnsupported,
@@ -33,6 +35,8 @@ from conftest import (
     error_tuples,
     random_matrix,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 M = IntMatrix.from_rows
 G1 = M([[22, -17], [17, 22]])
@@ -111,6 +115,72 @@ class TestBuildInstance:
     def test_forced_anchor(self):
         inst = build_instance([G1 @ A1, G1, G1 @ A2], anchor=1)
         assert inst.anchor == 1
+
+
+class TestLatticeTable:
+    """``build_instance`` builds each pair's gcld lattice once, when first
+    read: a free anchor reads all k(k-1)/2 pairs, a pinned one its k - 1."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        pairs = []
+
+        def counted(a, b):
+            pairs.append((a, b))
+            return gcld(a, b)
+
+        monkeypatch.setattr(robust, "gcld", counted)
+        return pairs
+
+    @pytest.mark.parametrize("anchor", range(6))
+    def test_pinned_anchor_builds_its_lattices_only(self, built, anchor):
+        inst = build_instance(FIG3_MODULI, anchor=anchor)
+        others = [m for j, m in enumerate(FIG3_MODULI) if j != anchor]
+        assert len(built) == 5
+        assert set(map(frozenset, built)) == {frozenset([FIG3_MODULI[anchor], m]) for m in others}
+        assert [lat.basis for lat in inst.anchor_lattices.values()] == [
+            gcld(FIG3_MODULI[anchor], m) for m in others
+        ]
+
+    def test_free_anchor_builds_each_pair_once(self, built):
+        build_instance(FIG3_MODULI)
+        assert len(built) == len(set(map(frozenset, built))) == 15
+
+    def test_anchor_out_of_range_builds_nothing(self, built):
+        with pytest.raises(ValueError, match="anchor index 6 out of range"):
+            build_instance(FIG3_MODULI, anchor=6)
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "moduli, grouping, count",
+        [
+            (FIG3_MODULI, (), 15),
+            (FIG3_MODULI, FIG3_GROUPING, 2 + 2 + 1),
+            (FIG2_NONDIAG_MODULI, (), 6),
+            (FIG2_NONDIAG_MODULI, FIG2_NONDIAG_GROUPING, 2 + 0 + 1),
+        ],
+        ids=["fig3-single", "fig3-two-stage", "fig2_nondiag-single", "fig2_nondiag-two-stage"],
+    )
+    def test_lattices_per_plan(self, built, moduli, grouping, count):
+        # each declared group pins its first member: k - 1 lattices; the
+        # final group picks its anchor: k(k-1)/2
+        build_plan(moduli, grouping)
+        assert len(built) == count
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_pinning_the_free_choice_changes_nothing(self, path):
+        cfg = load_config(str(path))
+        plans = [build_plan(cfg.moduli, ())]
+        if cfg.grouping is not None:
+            plans.append(build_plan(cfg.moduli, cfg.grouping))
+        for plan in plans:
+            for grp in itertools.chain(*plan.stages):
+                free = build_instance(grp.instance.moduli)
+                pinned = build_instance(grp.instance.moduli, anchor=free.anchor)
+                assert pinned.tau_bound_sq == free.tau_bound_sq
+                assert {j: lat.basis for j, lat in pinned.anchor_lattices.items()} == {
+                    j: lat.basis for j, lat in free.anchor_lattices.items()
+                }
 
 
 class TestOneModulus:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import math
 import time
@@ -370,7 +371,7 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(simkit, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = small_config(trials=4)
         serial = summary_csv_lines(run_sweep(cfg))
         assert summary_csv_lines(run_sweep(cfg, jobs=5000)) == serial
