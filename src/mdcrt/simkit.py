@@ -9,6 +9,11 @@ once per tau and each trial only mixes its index into that prefix. Within a
 trial the draw order is: the true vector f (when re-sampled per trial), then
 one error vector per modulus in modulus order.
 
+Error vectors come from ``ErrorBallSampler``, which lists no points: a
+draw decodes a uniform index into the ball's lexicographic order through
+per-level tables, two O(tau) lists per visited prefix of leading
+coordinates, so a ball of dimension 2 holds one pair of lists.
+
 Every sweep runs one pipeline: ``build_plan`` -> ``multistage_reconstruct``,
 with f drawn from and checked against ``final_region``. The "single"
 reconstructor is the zero-stage plan (``grouping = ()``) and "multistage"
@@ -28,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from operator import add
 
 from .errors import ConfigInvalid, Inconsistent
 from .exact_linalg import IntMatrix, IntVec, Scalar
@@ -108,12 +113,21 @@ class ErrorBallSampler:
     squared norm is an integer, so this exact test equals the rational one.
     Points are numbered ``0 .. count - 1`` in lexicographic order, the order
     of ``sorted`` on the tuples, and ``point(i)`` decodes an index without
-    any table of points: coordinate by coordinate, it bisects the running
-    totals of how many points each value of the leading coordinate leaves
-    for the rest of the ball, and the last coordinate is one ``isqrt``.
-    Counts are memoized per (dimension, remaining squared norm), which is
-    O(D·tau^2) integers; each such prefix that a decode visits adds one list
-    of its O(tau) running totals. The zero vector is always included.
+    any table of points, with one bisect per level.
+
+    A level is a prefix of fixed leading coordinates, named by the dimension
+    and the squared norm it leaves, ``(dim, budget)``. Its table is two lists
+    over the next coordinate x = -r .. r, r = isqrt(budget), built in one
+    pass: the running totals of the points that the values up to x leave for
+    the rest of the ball, and the offset that an index in x's block sheds at
+    that level. At dim 2 the offset includes the last coordinate's
+    ``isqrt(budget - x^2)``, so the last coordinate is the index minus the
+    offset. ``__init__`` builds the top level and reads ``count`` from its
+    last total, so a ball of dim 2 holds one table and its draws build
+    none; a ball of dim 1 needs no table. At dim >= 3 each lower level is built on the first decode that
+    visits it and kept: two O(tau) lists per visited prefix, beside the
+    sub-ball counts memoized per (dimension, squared norm), O(D·tau^2)
+    integers. The zero vector is always included.
     """
 
     def __init__(self, tau: Fraction | int, dim: int = 2):
@@ -124,10 +138,16 @@ class ErrorBallSampler:
             raise ValueError("dim must be positive")
         self.tau = tau
         self.dim = dim
-        self._budget = math.floor(tau * tau)
+        self._budget = budget = math.floor(tau * tau)
         self._counts: dict[tuple[int, int], int] = {}
-        self._totals: dict[tuple[int, int], list[int]] = {}
-        self.count = self._count(dim, self._budget)
+        self._levels: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        if dim == 1:
+            self._r = math.isqrt(budget)
+            self.count = 2 * self._r + 1
+        else:
+            self._totals, self._offsets = self._level(dim, budget)
+            self._r = len(self._totals) // 2
+            self.count = self._totals[-1]
 
     def _count(self, dim: int, budget: int) -> int:
         """Points of Z^dim with squared norm at most ``budget``."""
@@ -143,38 +163,64 @@ class ErrorBallSampler:
             self._counts[key] = n
         return n
 
-    def _running_totals(self, dim: int, budget: int) -> list[int]:
-        """Entry k: points of that ball whose first coordinate is at most
-        -r + k, for r = isqrt(budget)."""
-        key = (dim, budget)
-        totals = self._totals.get(key)
-        if totals is None:
-            r = math.isqrt(budget)
-            totals = list(accumulate(self._count(dim - 1, budget - x * x) for x in range(-r, r + 1)))
-            self._totals[key] = totals
-        return totals
+    def _level(self, dim: int, budget: int) -> tuple[list[int], list[int]]:
+        """Level ``(dim, budget)``, ``dim >= 2``: entry k of the totals counts
+        the points whose next coordinate is at most -r + k, and an index
+        below ``totals[k]`` (and not below ``totals[k - 1]``) has next
+        coordinate -r + k and sheds ``offsets[k]``."""
+        r = math.isqrt(budget)
+        totals: list[int] = []
+        offsets: list[int] = []
+        total = 0
+        if dim == 2:
+            for x in range(-r, r + 1):
+                s = math.isqrt(budget - x * x)
+                offsets.append(total + s)
+                total += 2 * s + 1
+                totals.append(total)
+        else:
+            for x in range(-r, r + 1):
+                offsets.append(total)
+                total += self._count(dim - 1, budget - x * x)
+                totals.append(total)
+        return totals, offsets
+
+    def _decode(self, index: int) -> IntVec:
+        """Point number ``index``, for ``0 <= index < count``."""
+        if self.dim == 2:
+            k = bisect_right(self._totals, index)
+            return (k - self._r, index - self._offsets[k])
+        if self.dim == 1:
+            return (index - self._r,)
+        budget = self._budget
+        totals, offsets = self._totals, self._offsets
+        coords = []
+        for dim in range(self.dim, 2, -1):
+            k = bisect_right(totals, index)
+            x = k - len(totals) // 2
+            coords.append(x)
+            index -= offsets[k]
+            budget -= x * x
+            key = (dim - 1, budget)
+            level = self._levels.get(key)
+            if level is None:
+                level = self._levels[key] = self._level(dim - 1, budget)
+            totals, offsets = level
+        k = bisect_right(totals, index)
+        coords += (k - len(totals) // 2, index - offsets[k])
+        return tuple(coords)
 
     def point(self, index: int) -> IntVec:
         """Point number ``index`` in lexicographic order."""
         if not 0 <= index < self.count:
             raise IndexError(f"point index {index} outside [0, {self.count})")
-        budget = self._budget
-        coords = []
-        for dim in range(self.dim, 1, -1):
-            totals = self._totals.get((dim, budget)) or self._running_totals(dim, budget)
-            k = bisect_right(totals, index)
-            if k:
-                index -= totals[k - 1]
-            x = k - len(totals) // 2
-            coords.append(x)
-            budget -= x * x
-        coords.append(index - math.isqrt(budget))
-        return tuple(coords)
+        return self._decode(index)
 
     def sample(self, rng: XorShift64Star) -> IntVec:
         """A uniform point: ``point(rng.randrange(count))``, one draw of
-        ``rng`` per call. Nothing is kept per draw."""
-        return self.point(rng.randrange(self.count))
+        ``rng`` per call, whose range needs no second check. Nothing is kept
+        per draw."""
+        return self._decode(rng.randrange(self.count))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +374,7 @@ def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow
             rems = tuple(reduce_mod(f, m)[1] for m in cfg.moduli)
         else:
             f, rems = mach.f, mach.rems
-        noisy = [[a + b for a, b in zip(r, ball.sample(rng))] for r in rems]
+        noisy = [tuple(map(add, r, ball.sample(rng))) for r in rems]
         try:
             out = multistage_reconstruct(mach.plan, noisy)
         except Inconsistent:

@@ -189,7 +189,35 @@ class TestBallDecode:
             with pytest.raises(IndexError):
                 s.point(i)
 
-    def test_dim4_tau85_count_and_speed(self):
+    def test_dim2_tau85_every_point_equals_table(self):
+        s = ErrorBallSampler(85)
+        assert s.count == 22_701
+        assert [s.point(i) for i in range(s.count)] == brute_ball(85, 2)
+
+    @staticmethod
+    def record_levels(monkeypatch) -> list[tuple[int, int]]:
+        """Every level table a sampler builds, as ``(dim, budget)`` in build order."""
+        built = []
+        build = ErrorBallSampler._level
+
+        def recording(self, dim, budget):
+            built.append((dim, budget))
+            return build(self, dim, budget)
+
+        monkeypatch.setattr(ErrorBallSampler, "_level", recording)
+        return built
+
+    @pytest.mark.parametrize("tau", [0, Fraction(27, 4), 85], ids=str)
+    def test_dim2_builds_one_table_at_construction_and_none_per_draw(self, monkeypatch, tau):
+        built = self.record_levels(monkeypatch)
+        s = ErrorBallSampler(tau)
+        assert built == [(2, math.floor(Fraction(tau) ** 2))]
+        gen = trial_rng(4, 0, 0)
+        for _ in range(2000):
+            s.sample(gen)
+        assert built == [(2, math.floor(Fraction(tau) ** 2))]
+
+    def test_dim4_tau85_count_and_speed(self, monkeypatch):
         n = 85 * 85
         # 4D count as a convolution of 2D disks: pairs with x^2 + y^2 == k
         # times pairs with x^2 + y^2 <= n - k
@@ -202,6 +230,7 @@ class TestBallDecode:
         expected = sum(exact[k] * disk[n - k] for k in range(n + 1))
         assert expected == 257608409
 
+        built = self.record_levels(monkeypatch)
         start = time.process_time()
         s = ErrorBallSampler(85, dim=4)
         gen = trial_rng(4, 0, 0)
@@ -210,6 +239,14 @@ class TestBallDecode:
         assert s.count == expected
         assert all(sum(x * x for x in p) <= n for p in draws)
         assert elapsed < 1.0
+        # one table per prefix the draws visit, built on its first visit
+        # and never again: the top level, then (3, n - a^2) and
+        # (2, n - a^2 - b^2) for each draw (a, b, c, d)
+        visited = dict.fromkeys(
+            level for a, b, _, _ in draws for level in ((3, n - a * a), (2, n - a * a - b * b))
+        )
+        assert built == [(4, n), *visited]
+        assert len(built) == 1903
 
 
 def fraction_score(estimate, f, tau):
