@@ -20,6 +20,13 @@ the lexicographic tie-break. That search is a recursive Schnorr-Euchner
 enumeration, one call per level; the cap is checked once, when a
 ``LatticeBasis`` is built. The nearest-region-point search is bounded by
 the distance of a region point computed in closed form.
+
+``reduce_mod`` and ``closest_vector`` run on every decode, once per CRT
+solve and once per snap, and every shipped config is two-dimensional. At
+D = 2 both take closed forms: the same exact steps as their row loops, on
+scalars unpacked from the cached rows, so every result is the same integer
+or Fraction. Any other D keeps the row loops, as ``det`` keeps its
+cofactor formulas for D <= 3 and ``adjugate`` its 2 x 2 formula.
 """
 
 from __future__ import annotations
@@ -59,14 +66,24 @@ def reduce_mod(f: Sequence[int], m: IntMatrix) -> tuple[IntVec, IntVec]:
     The quotient is the elementwise floor of the exact rational
     ``m^{-1} f = adj(m) f / det(m)``. Raises SingularMatrix for a singular
     modulus and DimensionMismatch unless ``len(f)`` equals the size of m.
+    D = 2 writes both products out on the unpacked rows of adj(m) and m,
+    the same exact steps; any other D keeps the row loops.
     """
     d = m.det
     if d == 0:
         raise SingularMatrix("modulus must be nonsingular")
     rows = m.rows
-    if len(f) != len(rows):
-        raise DimensionMismatch(f"{len(rows)}x{len(rows)} modulus applied to length-{len(f)} vector")
+    n = len(rows)
+    if len(f) != n:
+        raise DimensionMismatch(f"{n}x{n} modulus applied to length-{len(f)} vector")
     # Python floordiv floors for either sign of d
+    if n == 2:
+        f0, f1 = f
+        (a00, a01), (a10, a11) = m.adj.rows
+        (m00, m01), (m10, m11) = rows
+        q0 = (a00 * f0 + a01 * f1) // d
+        q1 = (a10 * f0 + a11 * f1) // d
+        return (q0, q1), (f0 - (m00 * q0 + m01 * q1), f1 - (m10 * q0 + m11 * q1))
     quotient = tuple([sum(map(mul, row, f)) // d for row in m.adj.rows])
     remainder = tuple([x - sum(map(mul, row, quotient)) for x, row in zip(f, rows)])
     return quotient, remainder
@@ -327,6 +344,11 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar], den: int = 1) -> I
     ``_enum_best``. The round-off reads B's rows, the rows of
     ``|det B| B^{-1}``, |det B| and lambda_1^2 (the basis's cached
     ``shortest_vector``) as plain tuples cached once per basis.
+
+    D = 2 takes the same exact steps on scalars unpacked from those rows:
+    the Z^D rounding, the round-off point, the strict test and, when the
+    test fails, the same search from the same ``B^{-1} t``, so ties break as
+    before. Any other D keeps the row loops.
     """
     n = l.dim
     if len(target) != n:
@@ -334,6 +356,24 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar], den: int = 1) -> I
     if den < 1:
         raise ValueError(f"closest_vector needs a denominator of at least 1, got {den}")
     b, inv, det, lambda_sq = l._round_off
+    if n == 2:
+        t0, t1 = target
+        if det == 1:
+            return -((den - 2 * t0) // (2 * den)), -((den - 2 * t1) // (2 * den))
+        (i00, i01), (i10, i11) = inv
+        (b00, b01), (b10, b11) = b
+        x0 = i00 * t0 + i01 * t1
+        x1 = i10 * t0 + i11 * t1
+        s = det * den
+        c0 = (2 * x0 + s) // (2 * s)
+        c1 = (2 * x1 + s) // (2 * s)
+        v0 = b00 * c0 + b01 * c1
+        v1 = b10 * c0 + b11 * c1
+        e0 = den * v0 - t0
+        e1 = den * v1 - t1
+        if 4 * (e0 * e0 + e1 * e1) < lambda_sq * den * den:
+            return v0, v1
+        return _enum_best(l._form, [x0, x1], s, skip_zero=False)
     if det == 1:
         # the lattice is Z^D: round each coordinate, a half down
         return tuple([-((den - 2 * t) // (2 * den)) for t in target])

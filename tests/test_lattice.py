@@ -556,6 +556,8 @@ class TestCertificate:
     BOUNDARY_LATTICE = gcld(M([[5632, -4352], [4352, 5632]]), M([[12672, 9792], [-9792, 12672]]))
     # shortest squared Gram-Schmidt length 6 < lambda^2 = 8
     SKEWED = M([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
+    # fig3's anchor modulus, lambda^2 = 773
+    ANCHOR = M([[22, -17], [17, 22]])
 
     @pytest.mark.parametrize(
         "basis, target, expected",
@@ -579,6 +581,11 @@ class TestCertificate:
         assert 4 * best == shortest_vector(l)[0]
         assert len(winners) >= 2
         assert got == min(winners) == expected
+        if basis.dim == 2:
+            # the D = 2 closed form scales its threshold by den^2; at
+            # equality only the search may answer
+            for den in (2, 3):
+                assert closest_vector(l, [den * x for x in target], den) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(certified_targets())
@@ -595,11 +602,17 @@ class TestCertificate:
 
     def test_round_off_inside_lambda_skips_the_search(self, monkeypatch):
         """An offset beyond half the shortest Gram-Schmidt length but within
-        lambda / 2, on which round-off lands: no search runs."""
+        lambda / 2, on which round-off lands: no search runs. At D = 2, on
+        fig3's anchor lattice, the same holds for an offset strictly inside
+        lambda / 2, given as integers and as integer numerators over
+        den = 3, as the final stage passes them."""
         l = LatticeBasis(self.SKEWED)
         offset = (-1, Fraction(1, 2), Fraction(1, 2))
         assert min(gram_schmidt_sq(l.reduced)) <= 4 * vec_norm_sq(offset) < shortest_vector(l)[0]
         v = self.SKEWED.apply((1, -2, 3))
+        anchor = LatticeBasis(self.ANCHOR)
+        assert shortest_vector(anchor)[0] == 773
+        w = self.ANCHOR.apply((1, -2))
         searches = []
         search = lattice._enum_best
 
@@ -609,6 +622,9 @@ class TestCertificate:
 
         monkeypatch.setattr(lattice, "_enum_best", counted)
         assert closest_vector(l, vec_add(v, offset)) == v
+        for numerators, den in (((9, 8), 1), ((28, -29), 3)):
+            assert 4 * vec_norm_sq(numerators) < 773 * den * den
+            assert closest_vector(anchor, [den * a + o for a, o in zip(w, numerators)], den) == w
         assert searches == []
 
     def test_skewed_basis_below_lambda(self, rng):
