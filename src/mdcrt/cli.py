@@ -14,8 +14,8 @@ output before it writes any of it, so a command that fails, even while
 formatting (under such an explicit limit), writes nothing to stdout.
 
 ``robust`` and ``multistage`` both run ``build_plan`` ->
-``multistage_reconstruct`` -> ``final_region``: ``robust`` on the zero-stage
-plan, ``multistage`` on the config's grouping.
+``multistage_reconstruct`` -> ``final_region`` on ``config.declared_stages``:
+``robust`` on the zero-stage plan, ``multistage`` on the config's grouping.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, declared_stages, load_config
 from .crt_core import crt_solve, gcld, lcrm
 from .drange import max_coprime_set, max_dynamic_range
 from .errors import ConfigInvalid, DimensionUnsupported, Inconsistent, MdcrtError
@@ -156,7 +156,7 @@ def _cmd_robust(args) -> int:
     cfg = load_config(args.config)
     if not args.remainders:
         return _emit_sweeps(_sweep_configs(cfg, args.trials, only="single"), args)
-    plan = build_plan(cfg.moduli, ())
+    plan = build_plan(cfg.moduli, declared_stages("single", cfg.grouping))
     inst = plan.final.instance
     bound = inst.tau_bound_sq  # finite: the plan has two or more moduli
     return _single_shot(plan, args.remainders, [
@@ -170,9 +170,7 @@ def _cmd_multistage(args) -> int:
     cfg = load_config(args.config)
     if not args.remainders:
         return _emit_sweeps(_sweep_configs(cfg, args.trials, only="multistage"), args)
-    if cfg.grouping is None:
-        raise ConfigInvalid("multistage needs a 'grouping' in the config")
-    plan = build_plan(cfg.moduli, cfg.grouping)
+    plan = build_plan(cfg.moduli, declared_stages("multistage", cfg.grouping))
     final = plan.final
     bounds = ",".join(_bound_str(b.tau_max_sq) for b in plan.per_group_bounds)
     return _single_shot(plan, args.remainders, [

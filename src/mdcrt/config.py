@@ -17,6 +17,9 @@ Example::
 
 ``f`` is either the word ``centroid``, the word ``per-trial``, or an explicit
 vector literal like ``[12,34]``. The output path is ``--out``, not a key.
+
+A reconstructor name maps to its declared stages through ``declared_stages``
+alone: "single" is the zero-stage plan, "multistage" the config's grouping.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import ConfigInvalid
 from .exact_linalg import IntMatrix, IntVec, parse_int_array
 
 _KNOWN_KEYS = ("moduli", "grouping", "reconstructors", "tau_grid", "trials", "seed", "f")
-_RECONSTRUCTORS = ("single", "multistage")
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,20 @@ class ExperimentConfig:
     seed: int
     f_mode: str  # "centroid", "per-trial", or "explicit"
     f_value: IntVec | None
+
+
+def declared_stages(reconstructor: str, grouping: tuple | None) -> tuple:
+    """The declared stages that ``reconstructor`` runs on: ``()`` for
+    "single", ``grouping`` for "multistage". Raises ConfigInvalid for any
+    other name, and for "multistage" when ``grouping`` is missing or
+    declares no stage."""
+    if reconstructor == "single":
+        return ()
+    if reconstructor != "multistage":
+        raise ConfigInvalid(f"unknown reconstructor {reconstructor!r}")
+    if not grouping:
+        raise ConfigInvalid("reconstructor 'multistage' requires a 'grouping'")
+    return grouping
 
 
 def _array(key: str, text: str, depth: int, shape: str):
@@ -95,12 +111,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if not reconstructors:
         raise ConfigInvalid(f"'reconstructors' must name at least one reconstructor, found {recon_text!r}")
     for i, r in enumerate(reconstructors):
-        if r not in _RECONSTRUCTORS:
-            raise ConfigInvalid(f"unknown reconstructor {r!r}")
+        declared_stages(r, grouping)
         if r in reconstructors[:i]:
             raise ConfigInvalid(f"'reconstructors' names {r!r} twice")
-    if "multistage" in reconstructors and grouping is None:
-        raise ConfigInvalid("reconstructor 'multistage' requires a 'grouping'")
 
     taus_obj = _array("tau_grid", raw.get("tau_grid", "[]"), 1, "a list of nonnegative integers")
     taus = tuple(Fraction(t) for t in taus_obj)

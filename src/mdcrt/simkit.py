@@ -15,9 +15,9 @@ per-level tables, two O(tau) lists per visited prefix of leading
 coordinates, so a ball of dimension 2 holds one pair of lists.
 
 Every sweep runs one pipeline: ``build_plan`` -> ``multistage_reconstruct``,
-with f drawn from and checked against ``final_region``. The "single"
-reconstructor is the zero-stage plan (``grouping = ()``) and "multistage"
-the config's declared grouping.
+with f drawn from and checked against ``final_region``. Per
+``config.declared_stages``, the "single" reconstructor is the zero-stage
+plan and "multistage" the config's declared grouping.
 
 Each tau is reduced to its summary row where it runs, so a sweep holds one
 trial at a time unless its per-trial records are asked for (``keep_raw``).
@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
+from .config import declared_stages
 from .errors import ConfigInvalid, Inconsistent
 from .exact_linalg import IntMatrix, IntVec, Scalar
 from .lattice import nearest_region_point, reduce_mod
@@ -296,13 +297,7 @@ class _Machinery:
     """
 
     def __init__(self, cfg: SweepConfig):
-        groupings = {"single": (), "multistage": cfg.grouping}
-        if cfg.reconstructor not in groupings:
-            raise ConfigInvalid(f"unknown reconstructor {cfg.reconstructor!r}")
-        grouping = groupings[cfg.reconstructor]
-        if grouping is None:
-            raise ConfigInvalid("multistage reconstructor requires a grouping")
-        self.plan = build_plan(cfg.moduli, grouping)
+        self.plan = build_plan(cfg.moduli, declared_stages(cfg.reconstructor, cfg.grouping))
         self.region = final_region(self.plan)
 
         if cfg.f_mode == "explicit":

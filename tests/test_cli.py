@@ -244,6 +244,12 @@ class TestSearchCommands:
 
 
 class TestConfigs:
+    # a grouping that declares no stage gives multistage nothing to run
+    EMPTY_GROUPING_CFG = (
+        "moduli = [[[6,0],[0,6]],[[10,0],[0,10]],[[15,0],[0,15]]]\ngrouping = []\n"
+        "reconstructors = single,multistage\ntau_grid = [1]\ntrials = 3\n"
+    )
+
     def test_unhashable_literal_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("moduli = {[1]}\n")
@@ -317,8 +323,9 @@ class TestConfigs:
             ("", "'reconstructors' must name at least one reconstructor, found ''"),
             ("single,single", "'reconstructors' names 'single' twice"),
             ("single, multistage ,single", "'reconstructors' names 'single' twice"),
+            ("double", "unknown reconstructor 'double'"),
         ],
-        ids=["comma-only", "blank", "repeat", "repeat-after-other"],
+        ids=["comma-only", "blank", "repeat", "repeat-after-other", "unknown"],
     )
     def test_reconstructor_list_errors_exit_2(self, tmp_path, capsys, value, message):
         """An empty list used to fail later as 'reconstructor None', and a
@@ -368,10 +375,27 @@ class TestConfigs:
             (
                 "moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\n",
                 ["multistage", "--remainders", "[1,1]", "[1,1]"],
-                "multistage needs a 'grouping' in the config",
+                "reconstructor 'multistage' requires a 'grouping'",
+            ),
+            (
+                EMPTY_GROUPING_CFG,
+                ["simulate"],
+                "reconstructor 'multistage' requires a 'grouping'",
+            ),
+            (
+                EMPTY_GROUPING_CFG,
+                ["multistage", "--remainders", "[1,1]", "[1,1]", "[1,1]"],
+                "reconstructor 'multistage' requires a 'grouping'",
             ),
         ],
-        ids=["mixed-dimension", "multistage-without-grouping", "multistage-not-enabled", "shot-without-grouping"],
+        ids=[
+            "mixed-dimension",
+            "multistage-without-grouping",
+            "multistage-not-enabled",
+            "shot-without-grouping",
+            "simulate-empty-grouping",
+            "shot-empty-grouping",
+        ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, text, argv, message):
         bad = tmp_path / "bad.cfg"

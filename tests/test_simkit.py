@@ -341,9 +341,10 @@ class TestSweep:
         "overrides, message",
         [
             (dict(reconstructor="double"), "unknown reconstructor 'double'"),
-            (dict(reconstructor="multistage"), "multistage reconstructor requires a grouping"),
+            (dict(reconstructor="multistage"), "reconstructor 'multistage' requires a 'grouping'"),
             (dict(f_mode="explicit"), "explicit f mode without a vector"),
             (dict(f_mode="origin"), "unknown f mode 'origin'"),
+            (dict(reconstructor="multistage", grouping=()), "reconstructor 'multistage' requires a 'grouping'"),
         ],
     )
     def test_machinery_rejects_config(self, overrides, message):
