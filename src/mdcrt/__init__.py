@@ -5,7 +5,7 @@ forms, matrix gcld/lcrm, exact lattice SVP/CVP, robust single-stage and
 multi-stage reconstruction, and seeded Monte-Carlo sweeps.
 """
 
-from .crt_core import Congruence, CrtSolution, crt_solve, gcld, is_coprime, lcrm
+from .crt_core import Congruence, crt_solve, gcld, is_coprime, lcrm
 from .exact_linalg import IntMatrix, adjugate, det, hnf, parse_matrix, snf
 from .lattice import FpdUnionRegion, LatticeBasis, closest_vector, reduce_mod, shortest_vector
 from .multistage import GroupingPlan, build_plan, check_group_condition, final_region, multistage_reconstruct
@@ -14,7 +14,6 @@ from .svp_search import SearchResult, best_diagonal_svp, search_max_svp
 
 __all__ = [
     "Congruence",
-    "CrtSolution",
     "FpdUnionRegion",
     "GroupingPlan",
     "IntMatrix",

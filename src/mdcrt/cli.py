@@ -81,8 +81,9 @@ def _cmd_lcrm(args) -> int:
 def _cmd_crt(args) -> int:
     if len(args.congruence) < 1:
         raise ConfigInvalid("need at least one --congruence MODULUS REMAINDER")
-    sol = crt_solve([(parse_matrix(m), parse_vector(r)) for m, r in args.congruence])
-    print(f"value = {format_vector(sol.value)}\nlcrm = {sol.lcrm}")
+    congruences = [(parse_matrix(m), parse_vector(r)) for m, r in args.congruence]
+    value = crt_solve(congruences)
+    print(f"value = {format_vector(value)}\nlcrm = {lcrm(*(m for m, _ in congruences))}")
     return 0
 
 

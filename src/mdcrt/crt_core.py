@@ -13,6 +13,8 @@ vectors, and a ``CrtPlan`` takes its SNF once per ordered tuple of moduli
 most recently used plans, so solving one more set of remainders costs a few
 divisibility checks, one integer matrix-vector product and one reduction
 into N(``into``), any basis of the lcrm lattice (the HNF lcrm R by default).
+``crt_solve`` and ``CrtPlan.solve`` return that vector alone, an int tuple:
+the basis it was reduced into is ``into``, or ``lcrm`` of the moduli.
 ``crt_solve`` reads each congruence as a ``(modulus, remainder)`` pair and
 accepts any representative of each class, so a caller that only solves
 passes its remainders unreduced. A ``Congruence`` is the normalized pair:
@@ -124,15 +126,6 @@ def congruence_of(f: Sequence[int], modulus: IntMatrix) -> Congruence:
     return Congruence(modulus, reduce_mod(f, modulus)[1])
 
 
-@dataclass(frozen=True)
-class CrtSolution:
-    """The common solution ``value``, reduced into N(``lcrm``); ``lcrm`` is
-    the basis of the lcrm lattice it was reduced into."""
-
-    value: IntVec
-    lcrm: IntMatrix
-
-
 class CrtPlan:
     """The congruence system of one ordered tuple of moduli, compiled.
 
@@ -186,12 +179,12 @@ class CrtPlan:
         columns = [reduce_mod(col, period)[1] for col in zip(*kernel.rows)]
         self.kernel = tuple(zip(*columns))
 
-    def solve(self, remainders: Sequence[IntVec], into: IntMatrix | None = None) -> CrtSolution:
-        """Representative in N(into) of the common solution of the
-        congruences ``f = M_k n_k + remainders[k]``; Inconsistent when there
-        is none. ``into`` must be a basis of L(R), any lcrm of the moduli
-        (it is not checked); it defaults to R. Reducing into it once is
-        exact: ``reduce_mod`` depends only on the class of f mod L(R)."""
+    def solve(self, remainders: Sequence[IntVec], into: IntMatrix | None = None) -> IntVec:
+        """The vector in N(into) that solves every congruence
+        ``f = M_k n_k + remainders[k]``; Inconsistent when there is none.
+        ``into`` must be a basis of L(R), any lcrm of the moduli (it is not
+        checked); it defaults to R. Reducing into it once is exact:
+        ``reduce_mod`` depends only on the class of f mod L(R)."""
         check_remainder_shape(remainders, self.count, self.dim)
         r0 = remainders[0]
         diff = [x - y for r in remainders[1:] for x, y in zip(r, r0)]
@@ -200,9 +193,7 @@ class CrtPlan:
                 raise Inconsistent("incompatible remainders: no common solution")
         big = self.scale
         f = tuple([x + sum(map(mul, row, diff)) // big for x, row in zip(r0, self.kernel)])
-        if into is None:
-            into = self.lcrm
-        return CrtSolution(value=reduce_mod(f, into)[1], lcrm=into)
+        return reduce_mod(f, self.lcrm if into is None else into)[1]
 
 
 _PLANS_KEPT = 32  # tuples of moduli whose compiled plans crt_solve keeps
@@ -215,11 +206,11 @@ def _plan(moduli: tuple[IntMatrix, ...]) -> CrtPlan:
 
 def crt_solve(
     congruences: Sequence[tuple[IntMatrix, Sequence[int]] | Congruence], into: IntMatrix | None = None
-) -> CrtSolution:
-    """Unique representative in N(R) congruent to every remainder, R the
+) -> IntVec:
+    """The unique vector in N(R) congruent to every remainder, R the
     HNF-normalized lcrm of all moduli; with ``into``, a basis of the same
     lattice (an lcrm representative such as a designated lcrm), the unique
-    representative in N(into) instead, from the same single reduction.
+    vector in N(into) instead, from the same single reduction.
 
     Each congruence is a ``(modulus, remainder)`` pair, a ``Congruence``
     included. The remainder may be any representative of its class: the

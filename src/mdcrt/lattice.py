@@ -457,16 +457,14 @@ def nearest_region_point(region: FpdUnionRegion, target: Sequence[Scalar]) -> In
     """Region point minimizing exact Euclidean distance to a rational target;
     ties broken lexicographically.
 
-    Expanding-ring search around the rounded target g. The search starts
-    from a region point found in closed form: with ``g = anchor k + r``,
-    r in N(anchor), the seed ``anchor k' + r`` with k' the reduction of k
-    into N(quotient) lies in the region. Ring r holds the points at
-    Chebyshev distance r from g; every point outside rings 0..r lies more
-    than r from the target, so the search stops after the first ring r with
-    best squared distance <= r^2. The seed's distance bounds that r; the
-    time grows with the square of the target's distance from the region
-    (D = 2, a 900-point region: 0.06 s at (60,60), 8.3 s at (400,400),
-    CPython 3.11 on a 2-core x86-64 host). Only centroid targets reach it.
+    Expanding-ring search around the rounded target g. Ring r holds the
+    points at Chebyshev distance r from g; every point outside rings 0..r
+    lies more than r from the target, so the search stops after the first
+    ring r with best squared distance <= r^2. The region is nonempty, so
+    some ring holds a region point and the search ends; the time grows with
+    the square of the target's distance from the region (D = 2, a 900-point
+    region: 0.06 s at (60,60), 8.3 s at (400,400), CPython 3.11 on a 2-core
+    x86-64 host). Only centroid targets reach it.
     """
     n = region.anchor.dim
     target = tuple(Fraction(t) for t in target)
@@ -474,9 +472,7 @@ def nearest_region_point(region: FpdUnionRegion, target: Sequence[Scalar]) -> In
     # squared distances in units of 1 / den^2, exact in integers
     den = math.lcm(*(t.denominator for t in target))
     scaled = tuple(int(t * den) for t in target)
-    k, r = reduce_mod(base, region.anchor)
-    best = vec_add(region.anchor.apply(reduce_mod(k, region.quotient)[1]), r)
-    best_sq = sum((den * x - y) ** 2 for x, y in zip(best, scaled))
+    best, best_sq = None, math.inf
     radius = 0
     while True:
         for offset in _ring_offsets(n, radius):

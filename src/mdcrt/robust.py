@@ -201,7 +201,7 @@ def robust_reconstruct(
             for j, r in enumerate(noisy_remainders)
         ]
     )
-    anchor_fold = crt_solve(list(zip(instance.moduli, snapped)), into=designated_lcrm).value
+    anchor_fold = crt_solve(list(zip(instance.moduli, snapped)), into=designated_lcrm)
     # the folds sum to n * anchor_fold - sum(snapped)
     numerators = tuple(
         [

@@ -56,7 +56,9 @@ class SearchResult:
 def search_max_svp(p: int) -> SearchResult:
     """Ascending-radius search: grow d until every residue index has produced
     a lattice vector of squared length <= d; the last batch of new indices
-    achieves the maximum."""
+    achieves the maximum. Index i's lattice holds (1, i), of squared length
+    1 + i^2 < p^2, so the search ends below d = p^2 and every x it tries
+    lies in 1..p-1, a unit mod p."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     seen: set[int] = set()
@@ -65,8 +67,6 @@ def search_max_svp(p: int) -> SearchResult:
     while True:
         new: set[int] = set()
         for x in range(1, math.isqrt(d) + 1):
-            if x % p == 0:
-                continue
             y_sq = d - x * x
             y = math.isqrt(y_sq)
             if y * y != y_sq:

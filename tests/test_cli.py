@@ -53,6 +53,22 @@ class TestNormalFormCommands:
         assert err.startswith("error: matrix must be a list of integer rows, found [1, 1, ")
         assert err.endswith("... (60003 characters)\n")
 
+    def test_hnf_of_a_tall_block_exits_2(self, capsys):
+        rc, out, err = run(capsys, "hnf", "[[1],[2]]")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: block has rank below its row count\n"
+
+    @pytest.mark.parametrize(
+        "literal, diagonal",
+        [("[[0,0],[0,0]]", "[[0,0],[0,0]]"), ("[[1,2],[2,4]]", "[[1,0],[0,0]]")],
+        ids=["zero", "rank-one"],
+    )
+    def test_snf_of_a_singular_matrix(self, capsys, literal, diagonal):
+        rc, out, _ = run(capsys, "snf", literal)
+        assert rc == 0
+        assert out.startswith(f"lambda = {diagonal}\n")
+
     def test_gcld(self, capsys):
         rc, out, _ = run(capsys, "gcld", "[[22,-17],[17,22]]", "[[22,17],[-17,22]]")
         assert rc == 0
@@ -80,7 +96,13 @@ class TestCrtCommand:
             "--congruence", "[[2,2],[1,3]]", "[2,1]",
         )
         assert rc == 0
-        assert "value = [2,1]" in out
+        assert out == "value = [2,1]\nlcrm = [[4,0],[0,4]]\n"
+
+    def test_no_congruence_exits_2(self, capsys):
+        rc, out, err = run(capsys, "crt")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: need at least one --congruence MODULUS REMAINDER\n"
 
     def test_inconsistent_exits_3(self, capsys):
         rc, _, err = run(
@@ -387,6 +409,43 @@ class TestConfigs:
                 ["multistage", "--remainders", "[1,1]", "[1,1]", "[1,1]"],
                 "reconstructor 'multistage' requires a 'grouping'",
             ),
+            (
+                "moduli = [[[2,0],[0,2]]]\ntau_grid\n",
+                ["simulate"],
+                "line 2: expected 'key = value', got 'tau_grid'",
+            ),
+            (
+                "moduli = [[[2,0],[0,2]]]\nmoduli = [[[3,0],[0,3]]]\n",
+                ["simulate"],
+                "line 2: duplicate key 'moduli'",
+            ),
+            (
+                "tau_grid = [1]\n",
+                ["simulate"],
+                "missing required key 'moduli'",
+            ),
+            (
+                "moduli = []\ntau_grid = [1]\n",
+                ["simulate"],
+                "'moduli' must be a non-empty list of matrices",
+            ),
+            (
+                "moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\ntau_grid = [1,-2]\n",
+                ["simulate"],
+                "'tau_grid' entries must be nonnegative",
+            ),
+            (
+                "moduli = [[[2,0],[0,2]],[[3,0],[0,3]],[[5,0],[0,5]]]\ngrouping = [[[0,1],[2,5]]]\n"
+                "reconstructors = multistage\ntau_grid = [1]\n",
+                ["simulate"],
+                "stage 1 group 1 references an unknown modulus",
+            ),
+            (
+                "moduli = [[[2,0],[0,2]],[[3,0],[0,3]],[[5,0],[0,5]]]\ngrouping = [[[0,1,1],[2]]]\n"
+                "reconstructors = multistage\ntau_grid = [1]\n",
+                ["simulate"],
+                "stage 1 group 0 repeats a member",
+            ),
         ],
         ids=[
             "mixed-dimension",
@@ -395,6 +454,13 @@ class TestConfigs:
             "shot-without-grouping",
             "simulate-empty-grouping",
             "shot-empty-grouping",
+            "line-without-equals",
+            "duplicate-key",
+            "missing-moduli",
+            "empty-moduli",
+            "negative-tau",
+            "grouping-index-past-inputs",
+            "repeated-member",
         ],
     )
     def test_config_errors_exit_2(self, tmp_path, capsys, text, argv, message):
@@ -647,6 +713,14 @@ class TestCountValidation:
             main(["simulate", self.write_cfg(tmp_path), flag, "0"])
         assert exc.value.code == 2
         assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+
+    def test_non_integer_flag_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", self.write_cfg(tmp_path), "--trials", "abc"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "argument --trials: not an integer: 'abc'" in out.err
 
 
 class TestBeyondFloatRange:

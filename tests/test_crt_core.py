@@ -198,16 +198,16 @@ class TestCrtSolve:
     def test_single_congruence(self):
         m = M([[1, 0], [1, 4]])  # already in HNF, so N(m) = N(hnf(m))
         r = reduce_mod((7, 3), m)[1]
-        sol = crt_solve([Congruence(m, r)])
-        assert sol.value == r
-        assert sol.lcrm == hnf(m)
+        v = crt_solve([Congruence(m, r)])
+        assert v == r
+        assert reduce_mod(v, hnf(m))[1] == v
 
     def test_worked_pair(self):
         m1, m2 = M([[3, 1], [2, 2]]), M([[2, 2], [1, 3]])
         f = (2, 1)
-        sol = crt_solve([congruence_of(f, m1), congruence_of(f, m2)])
-        assert sol.value == f
-        assert sol.lcrm == IntMatrix.diag(4, 4)
+        v = crt_solve([congruence_of(f, m1), congruence_of(f, m2)])
+        assert v == f
+        assert reduce_mod(v, IntMatrix.diag(4, 4))[1] == v
         # brute-force uniqueness over all 16 candidates
         hits = [
             g
@@ -233,8 +233,7 @@ class TestCrtSolve:
             done += 1
             seen = set()
             for f in enumerate_fpd(r):
-                sol = crt_solve([congruence_of(f, m1), congruence_of(f, m2)])
-                assert sol.value == f
+                assert crt_solve([congruence_of(f, m1), congruence_of(f, m2)]) == f
                 key = (reduce_mod(f, m1)[1], reduce_mod(f, m2)[1])
                 assert key not in seen
                 seen.add(key)
@@ -294,9 +293,9 @@ class TestCompiledFold:
         congruences = [congruence_of(f, m) for m in ms]
         order = data.draw(st.permutations(range(len(ms))))
         for cs in (congruences, [congruences[i] for i in order]):
-            sol = crt_solve(cs)
-            assert sol.value == expected
-            assert sol.lcrm == total
+            v = crt_solve(cs)
+            assert v == expected
+            assert reduce_mod(v, total)[1] == v
 
     @settings(max_examples=60, deadline=None)
     @given(moduli_sets(), st.data())
@@ -309,7 +308,7 @@ class TestCompiledFold:
             with pytest.raises(Inconsistent):
                 crt_solve(congruences)
         else:
-            assert common == [crt_solve(congruences).value]
+            assert common == [crt_solve(congruences)]
 
     @settings(max_examples=30, deadline=None)
     @given(moduli_sets(), moduli_sets(), st.data())
@@ -337,7 +336,7 @@ class TestCompiledFold:
 
         def outcome(solve, *args):
             try:
-                return solve(*args).value
+                return solve(*args)
             except Inconsistent:
                 return "inconsistent"
 
@@ -355,7 +354,8 @@ class TestCompiledFold:
         assert outcome(plan.solve, unreduced) == base
         assert outcome(plan.solve, unreduced, into) == expected
         if base != "inconsistent":
-            assert crt_solve(congruences, into).lcrm == into
+            v = crt_solve(congruences, into)
+            assert reduce_mod(v, into)[1] == v
 
     def test_4d_three_non_hnf_moduli(self, rng):
         g = M([[2, 1, 0, 1], [0, 3, 1, 0], [1, 0, 2, 1], [0, 1, 1, 3]])
@@ -366,7 +366,7 @@ class TestCompiledFold:
         for _ in range(20):
             f = tuple(rng.randint(-10**6, 10**6) for _ in range(4))
             congruences = [congruence_of(f, m) for m in ms]
-            assert crt_solve(congruences).value == reduce_mod(f, total)[1]
+            assert crt_solve(congruences) == reduce_mod(f, total)[1]
             # one remainder off by a vector outside L(g): no common solution
             shifted = reduce_mod(vec_sub(congruences[1].remainder, (1, 0, 0, 0)), ms[1])[1]
             with pytest.raises(Inconsistent):
@@ -393,16 +393,15 @@ class TestCompiledFold:
     @settings(max_examples=60, deadline=None)
     @given(moduli_sets(), st.data())
     def test_pairs_of_any_representatives_solve_as_congruences(self, ms, data):
-        """Plain ``(modulus, r + M k)`` pairs give the value and lcrm that
-        the normalized ``Congruence``s give, and Inconsistent on the same
+        """Plain ``(modulus, r + M k)`` pairs give the vector that the
+        normalized ``Congruence``s give, and Inconsistent on the same
         inputs."""
 
         def outcome(congruences):
             try:
-                sol = crt_solve(congruences)
+                return crt_solve(congruences)
             except Inconsistent:
                 return "inconsistent"
-            return sol.value, sol.lcrm
 
         rems = data.draw(remainder_tuples(ms))
         pairs = [

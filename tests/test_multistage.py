@@ -209,9 +209,9 @@ class TestReconstruct:
             f = region.sample(gen)
             rems = [reduce_mod(f, m)[1] for m in SIX]
             out = multistage_reconstruct(plan, rems)
-            sol = crt_solve([congruence_of(f, m) for m in SIX])
-            assert sol.value == f
-            assert tuple(out.estimate) == tuple(Fraction(x) for x in sol.value)
+            v = crt_solve([congruence_of(f, m) for m in SIX])
+            assert v == f
+            assert tuple(out.estimate) == tuple(Fraction(x) for x in v)
 
     def test_theorem_guarantee_and_intermediate_rationals(self):
         plan = build_plan(SIX, TWO_GROUPS)

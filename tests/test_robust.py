@@ -239,7 +239,7 @@ class TestOneModulus:
             r = tuple(gen.randint(-50, 50) for _ in range(dim))
             if den > 1:
                 r = tuple(Fraction(x, den) for x in r)
-            fold = crt_core.crt_solve([(m, zero)], into=designated).value
+            fold = crt_core.crt_solve([(m, zero)], into=designated)
             out = robust_reconstruct(inst, [r], designated, den)
             assert out.numerators == tuple(den * (a - v) + x for a, v, x in zip(fold, zero, r))
             assert list(map(type, out.numerators)) == list(map(type, r))
@@ -590,10 +590,14 @@ class TestRegion:
 
     def test_not_an_lcrm(self):
         inst = build_instance([M([[3, 1], [2, 2]]), M([[2, 2], [1, 3]])])
-        with pytest.raises(NotAnLcrm):
+        with pytest.raises(NotAnLcrm, match=r"^\|det\| = 64 but the intersection lattice has index 16$"):
             robustly_determinable_region(inst, IntMatrix.diag(8, 8))
-        with pytest.raises(NotAnLcrm):
+        with pytest.raises(NotAnLcrm, match=r"^\|det\| = 32 but the intersection lattice has index 16$"):
             robustly_determinable_region(inst, IntMatrix.diag(4, 8))
+        # |det| 36 is the lcrm's index, but the candidate is not a multiple of diag(2, 2)
+        coprime = build_instance([IntMatrix.diag(2, 2), IntMatrix.diag(3, 3)])
+        with pytest.raises(NotAnLcrm, match=r"^\[\[1,0\],\[0,36\]\] is not a right multiple of \[\[2,0\],\[0,2\]\]$"):
+            robustly_determinable_region(coprime, M([[1, 0], [0, 36]]))
 
 
 class TestGuaranteeBoundary:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdcrt import simkit
-from mdcrt.config import load_config
+from mdcrt.config import declared_stages, load_config
 from mdcrt.errors import ConfigInvalid, Inconsistent
 from mdcrt.exact_linalg import IntMatrix, vec_add, vec_norm_sq, vec_sub
 from mdcrt.lattice import reduce_mod
@@ -431,7 +431,7 @@ class TestSweep:
             moduli=exp.moduli, reconstructor=reconstructor, grouping=exp.grouping,
             taus=tuple(Fraction(t) for t in taus), trials=8,
         )
-        plan = build_plan(cfg.moduli, cfg.grouping if reconstructor == "multistage" else ())
+        plan = build_plan(cfg.moduli, declared_stages(reconstructor, cfg.grouping))
         summary = run_sweep(cfg, keep_raw=True)
         estimates = []
         for ti, (tau, records) in enumerate(zip(cfg.taus, summary.raw)):
