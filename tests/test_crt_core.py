@@ -206,7 +206,7 @@ class TestCrtSolve:
         m1, m2 = M([[3, 1], [2, 2]]), M([[2, 2], [1, 3]])
         f = (2, 1)
         v = crt_solve([congruence_of(f, m1), congruence_of(f, m2)])
-        assert v == f
+        assert v == f and type(v) is tuple and all(type(x) is int for x in v)
         assert reduce_mod(v, IntMatrix.diag(4, 4))[1] == v
         # brute-force uniqueness over all 16 candidates
         hits = [
