@@ -115,8 +115,10 @@ def _sweep_configs(
 def _emit_sweeps(sweeps: list[SweepConfig], args) -> int:
     lines: list[str] = []
     raw_lines: list[str] = []
-    for sweep in sweeps:
-        fixed = resolve_f(sweep)
+    # every sweep's plan, region and f before the first sweep runs, so a bad
+    # grouping is rejected before any output or work
+    resolved = [resolve_f(sweep) for sweep in sweeps]
+    for sweep, fixed in zip(sweeps, resolved):
         if fixed is not None:
             print(f"# {sweep.reconstructor}: f = {format_vector(fixed)}", file=sys.stderr)
         summary = run_sweep(sweep, jobs=args.jobs, keep_raw=args.raw)

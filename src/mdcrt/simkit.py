@@ -7,12 +7,16 @@ so serial and parallel runs produce identical output byte for byte. The
 mixing folds its indices left to right, so a sweep mixes (seed, tau index)
 once per tau and each trial only mixes its index into that prefix. Within a
 trial the draw order is: the true vector f (when re-sampled per trial), then
-one error vector per modulus in modulus order.
+one error vector per modulus in modulus order. The generator's step is
+written once, in ``XorShift64Star.draws``, which draws a trial's errors in
+one batch.
 
 Error vectors come from ``ErrorBallSampler``, which lists no points: a
 draw decodes a uniform index into the ball's lexicographic order through
 per-level tables, two O(tau) lists per visited prefix of leading
-coordinates, so a ball of dimension 2 holds one pair of lists.
+coordinates, so a ball of dimension 2 holds one pair of lists. The last two
+coordinates are decoded in one place, ``_disk_add``; ``perturb`` adds a
+trial's draws onto its remainders in one call.
 
 Every sweep runs one pipeline: ``build_plan`` -> ``multistage_reconstruct``,
 with f drawn from and checked against ``final_region``. Per
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
+from typing import Sequence
 
 from .config import declared_stages
 from .errors import ConfigInvalid, Inconsistent
@@ -62,41 +67,53 @@ def stream_seed(seed: int, *indices: int) -> int:
 
 
 class XorShift64Star:
-    """xorshift64* generator; uniform ints via rejection sampling."""
+    """xorshift64* generator (Vigna 2016); uniform ints via rejection
+    sampling. ``draws`` holds the one step loop: ``next_u64`` and
+    ``randrange`` are single draws of it."""
 
     def __init__(self, seed: int):
         self._s = (seed & _MASK) or _GOLDEN
 
-    def next_u64(self) -> int:
+    def draws(self, n: int, k: int) -> list[int]:
+        """The values of k calls of ``randrange(n)``, leaving the generator
+        where they would. For n <= 2^64 an attempt is one xorshift64* step,
+        kept as ``v mod n`` unless v falls in the top 2^64 mod n values; the
+        limit is computed once per call. A larger n joins
+        w = ceil(bitlen(n - 1) / 64) words per attempt, first word most
+        significant, into v < 2^(64w), and rejects the top 2^(64w) mod n."""
+        if n <= 0:
+            raise ValueError(f"draws need a range n >= 1, got {n}")
+        out: list[int] = []
+        if n > _SPAN:
+            words = -(-(n - 1).bit_length() // 64)
+            span = 1 << (64 * words)
+            limit = span - span % n
+            while len(out) < k:
+                v = 0
+                for _ in range(words):
+                    v = (v << 64) | self.next_u64()
+                if v < limit:
+                    out.append(v % n)
+            return out
+        limit = _SPAN - _SPAN % n
+        mask = _MASK
         s = self._s
-        s ^= s >> 12
-        s ^= (s << 25) & _MASK
-        s ^= s >> 27
+        while len(out) < k:
+            s ^= s >> 12
+            s ^= (s << 25) & mask
+            s ^= s >> 27
+            v = (s * 0x2545F4914F6CDD1D) & mask
+            if v < limit:
+                out.append(v % n)
         self._s = s
-        return (s * 0x2545F4914F6CDD1D) & _MASK
+        return out
+
+    def next_u64(self) -> int:
+        return self.draws(_SPAN, 1)[0]
 
     def randrange(self, n: int) -> int:
-        """Uniform in [0, n). Each attempt joins w = max(1, ceil(bitlen(n - 1) / 64))
-        draws, first draw most significant, into v < 2^(64w) and keeps v mod n
-        unless v falls in the top 2^(64w) mod n values. For n <= 2^64 that is
-        one draw per attempt, taken without the general word count."""
-        if n <= 0:
-            raise ValueError("randrange needs n >= 1")
-        if n <= _SPAN:
-            limit = _SPAN - _SPAN % n
-            while True:
-                v = self.next_u64()
-                if v < limit:
-                    return v % n
-        words = -(-(n - 1).bit_length() // 64)
-        span = 1 << (64 * words)
-        limit = span - span % n
-        while True:
-            v = self.next_u64()
-            for _ in range(words - 1):
-                v = (v << 64) | self.next_u64()
-            if v < limit:
-                return v % n
+        """Uniform in [0, n): one value of ``draws``."""
+        return self.draws(n, 1)[0]
 
 
 def trial_rng(seed: int, tau_index: int, trial_index: int) -> XorShift64Star:
@@ -123,12 +140,13 @@ class ErrorBallSampler:
     the rest of the ball, and the offset that an index in x's block sheds at
     that level. At dim 2 the offset includes the last coordinate's
     ``isqrt(budget - x^2)``, so the last coordinate is the index minus the
-    offset. ``__init__`` builds the top level and reads ``count`` from its
-    last total, so a ball of dim 2 holds one table and its draws build
-    none; a ball of dim 1 needs no table. At dim >= 3 each lower level is built on the first decode that
-    visits it and kept: two O(tau) lists per visited prefix, beside the
-    sub-ball counts memoized per (dimension, squared norm), O(D·tau^2)
-    integers. The zero vector is always included.
+    offset, and ``_disk_add`` decodes it for ``point``, ``sample`` and
+    ``perturb`` alike. ``__init__`` builds the top level and reads ``count``
+    from its last total, so a ball of dim 2 holds one table and its draws
+    build none; a ball of dim 1 needs no table. At dim >= 3 each lower level
+    is built on the first decode that visits it and kept: two O(tau) lists
+    per visited prefix, beside the sub-ball counts memoized per (dimension,
+    squared norm), O(D·tau^2) integers. The zero vector is always included.
     """
 
     def __init__(self, tau: Fraction | int, dim: int = 2):
@@ -147,7 +165,6 @@ class ErrorBallSampler:
             self.count = 2 * self._r + 1
         else:
             self._totals, self._offsets = self._level(dim, budget)
-            self._r = len(self._totals) // 2
             self.count = self._totals[-1]
 
     def _count(self, dim: int, budget: int) -> int:
@@ -187,10 +204,8 @@ class ErrorBallSampler:
         return totals, offsets
 
     def _decode(self, index: int) -> IntVec:
-        """Point number ``index``, for ``0 <= index < count``."""
-        if self.dim == 2:
-            k = bisect_right(self._totals, index)
-            return (k - self._r, index - self._offsets[k])
+        """Point number ``index``, for ``0 <= index < count``: one bisect per
+        level above the last two coordinates, then ``_disk_add``."""
         if self.dim == 1:
             return (index - self._r,)
         budget = self._budget
@@ -207,9 +222,7 @@ class ErrorBallSampler:
             if level is None:
                 level = self._levels[key] = self._level(dim - 1, budget)
             totals, offsets = level
-        k = bisect_right(totals, index)
-        coords += (k - len(totals) // 2, index - offsets[k])
-        return tuple(coords)
+        return (*coords, *_disk_add(totals, offsets, [(0, 0)], [index])[0])
 
     def point(self, index: int) -> IntVec:
         """Point number ``index`` in lexicographic order."""
@@ -217,11 +230,33 @@ class ErrorBallSampler:
             raise IndexError(f"point index {index} outside [0, {self.count})")
         return self._decode(index)
 
+    def perturb(self, rng: XorShift64Star, remainders: Sequence[IntVec]) -> list[IntVec]:
+        """Each remainder plus one uniform point, in order:
+        ``[r + point(i) for r, i in zip(remainders, rng.draws(count, k))]``,
+        one batch of draws per call. At dim 2 each point is added straight
+        onto its remainder's two coordinates, and nothing is kept per draw."""
+        indices = rng.draws(self.count, len(remainders))
+        if self.dim == 2:
+            return _disk_add(self._totals, self._offsets, remainders, indices)
+        decode = self._decode
+        return [tuple(map(add, r, decode(i))) for r, i in zip(remainders, indices)]
+
     def sample(self, rng: XorShift64Star) -> IntVec:
-        """A uniform point: ``point(rng.randrange(count))``, one draw of
-        ``rng`` per call, whose range needs no second check. Nothing is kept
-        per draw."""
-        return self._decode(rng.randrange(self.count))
+        """A uniform point: ``perturb`` of the zero vector, one draw of ``rng``."""
+        return self.perturb(rng, [(0,) * self.dim])[0]
+
+
+def _disk_add(
+    totals: list[int], offsets: list[int], vectors: Sequence[IntVec], indices: list[int]
+) -> list[IntVec]:
+    """Each 2-vector ``(a, b)`` plus the point that its index names at the
+    dim-2 level ``(totals, offsets)``: one bisect gives the first coordinate
+    ``k - r`` and one subtraction the second, ``index - offsets[k]``."""
+    r = len(totals) // 2
+    return [
+        (a + (k := bisect_right(totals, i)) - r, b + i - offsets[k])
+        for (a, b), i in zip(vectors, indices)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +404,8 @@ def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow
             rems = tuple(reduce_mod(f, m)[1] for m in cfg.moduli)
         else:
             f, rems = mach.f, mach.rems
-        noisy = [tuple(map(add, r, ball.sample(rng))) for r in rems]
         try:
-            out = multistage_reconstruct(mach.plan, noisy)
+            out = multistage_reconstruct(mach.plan, ball.perturb(rng, rems))
         except Inconsistent:
             nums, den, norm, success = None, 1, float("nan"), False
         else:

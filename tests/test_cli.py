@@ -441,6 +441,13 @@ class TestConfigs:
                 "stage 1 group 1 references an unknown modulus",
             ),
             (
+                # the single-stage sweep does not run (or print its f) before the grouping is read
+                "moduli = [[[2,0],[0,2]],[[3,0],[0,3]]]\ngrouping = [[[0,1],[1,5]]]\n"
+                "reconstructors = single,multistage\ntau_grid = [1]\ntrials = 1\n",
+                ["simulate"],
+                "stage 1 group 1 references an unknown modulus",
+            ),
+            (
                 "moduli = [[[2,0],[0,2]],[[3,0],[0,3]],[[5,0],[0,5]]]\ngrouping = [[[0,1,1],[2]]]\n"
                 "reconstructors = multistage\ntau_grid = [1]\n",
                 ["simulate"],
@@ -460,6 +467,7 @@ class TestConfigs:
             "empty-moduli",
             "negative-tau",
             "grouping-index-past-inputs",
+            "grouping-past-inputs-after-single",
             "repeated-member",
         ],
     )

@@ -2,15 +2,17 @@
 
 The digests pin the exact bytes that ``run_sweep`` produces for every shipped
 config, and for one ``f = per-trial`` sweep (the only mode that samples f
-from the robustly determinable region on every trial). A change that is
-meant to leave results alone must leave these digests alone.
+from the robustly determinable region on every trial). The shipped configs
+are all D = 2, so two more sweeps, one D = 1 and one D = 3, pin the error
+draws off the D = 2 decode. A change that is meant to leave results alone
+must leave these digests alone.
 """
 
 import hashlib
 
 import pytest
 
-from mdcrt.config import load_config
+from mdcrt.config import ExperimentConfig, load_config, parse_config
 from mdcrt.simkit import SweepConfig, raw_csv_lines, run_sweep, summary_csv_lines
 
 TRIALS = 3
@@ -31,6 +33,10 @@ def sweep_digests(path: str, reconstructor: str, per_trial: bool = False) -> tup
     if per_trial:
         taus = tuple(t for t in taus if t in PER_TRIAL_TAUS)
         trials, f_mode, f_value = PER_TRIAL_TRIALS, "per-trial", None
+    return _digests(cfg, reconstructor, taus, trials, f_mode, f_value)
+
+
+def _digests(cfg: ExperimentConfig, reconstructor, taus, trials, f_mode, f_value) -> tuple[str, str, str]:
     sweep = SweepConfig(
         moduli=cfg.moduli,
         reconstructor=reconstructor,
@@ -94,3 +100,40 @@ GOLDEN = {
 def test_sweep_output_is_pinned(key):
     path, reconstructor, per_trial = key
     assert sweep_digests(path, reconstructor, per_trial) == GOLDEN[key]
+
+
+# Off the shipped dimension: the fig2_diag moduli in one dimension, and the
+# D = 3 moduli 6B, 10B, 15B (B with rows (1,0,0), (0,1,0), (1,1,7)) that CI
+# runs through the console script; f per trial, so the region draws are
+# pinned too.
+OFF_D2 = {
+    "d1": (
+        "moduli = [[[6]],[[10]],[[15]]]\n"
+        "tau_grid = [0,1,2,3]\ntrials = 6\nseed = 20250809\nf = per-trial\n"
+    ),
+    "d3": (
+        "moduli = [[[6,0,0],[0,6,0],[6,6,42]],[[10,0,0],[0,10,0],[10,10,70]],"
+        "[[15,0,0],[0,15,0],[15,15,105]]]\n"
+        "tau_grid = [0,1,2,3]\ntrials = 6\nseed = 20250809\nf = per-trial\n"
+    ),
+}
+
+# name -> (summary, raw, f_true) digests
+GOLDEN_OFF_D2 = {
+    "d1": (
+        "93fa4442c1bce80417a28363506ae9492170ea30abf14c4ad1b3ab7f999e0ae2",
+        "6145018687431422738c0219ce7862721c5bf77a5882fb614a125af8d3255a0c",
+        "d409201bbe26b1146ef42c3f7eb04863c1e602012ab3a8e65cbb71b29fad01e9",
+    ),
+    "d3": (
+        "95a110c316b47bd9c99a960a157d0c3fd25d3484f92a4e7895dc723258784830",
+        "cda3eaf3537e8f43e083a08b1c96a10f9c4bceecebe8f87e9c16a863bd926eaf",
+        "b75602e77bccfa82287d95b06358fc6f9e870b62b6ca9572f1ae792447424dc1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OFF_D2))
+def test_sweep_output_off_dim_2_is_pinned(name):
+    cfg = parse_config(OFF_D2[name])
+    assert _digests(cfg, "single", cfg.taus, cfg.trials, cfg.f_mode, cfg.f_value) == GOLDEN_OFF_D2[name]

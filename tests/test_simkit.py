@@ -66,6 +66,32 @@ class TestRng:
         for _ in range(1000):
             assert 0 <= gen.randrange(13) < 13
 
+    def test_next_u64_is_xorshift64star(self):
+        # reference step: Vigna's xorshift64* (shifts 12, 25, 27; multiplier 0x2545F4914F6CDD1D)
+        mask = 2**64 - 1
+        s = 0x0123456789ABCDEF
+        gen = XorShift64Star(s)
+        for _ in range(100):
+            s ^= s >> 12
+            s ^= (s << 25) & mask
+            s ^= s >> 27
+            assert gen.next_u64() == (s * 0x2545F4914F6CDD1D) & mask
+
+    @pytest.mark.parametrize("k", [0, 1, 6])
+    @pytest.mark.parametrize(
+        "n", [1, 13, 2**63, 2**64, 2**64 + 1], ids=["1", "13", "2^63", "2^64", "2^64+1"]
+    )
+    def test_draws_equal_successive_randrange(self, n, k):
+        for seed in range(40):
+            a, b = trial_rng(seed, 3, 1), trial_rng(seed, 3, 1)
+            assert a.draws(n, k) == [b.randrange(n) for _ in range(k)]
+            assert a.next_u64() == b.next_u64()  # both generators left in the same state
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_draws_need_a_positive_range(self, n):
+        with pytest.raises(ValueError):
+            XorShift64Star(1).draws(n, 3)
+
     @pytest.mark.parametrize("n", [1, 13, 2**63, 2**64 - 1, 2**64], ids=["1", "13", "2^63", "2^64-1", "2^64"])
     def test_randrange_one_word_draw(self, n):
         # up to 2^64 an attempt is one next_u64, rejected in its top 2^64 mod n values
@@ -183,6 +209,30 @@ class TestBallDecode:
         a, b = trial_rng(5, 1, 2), trial_rng(5, 1, 2)
         assert [s.sample(a) for _ in range(500)] == [table[b.randrange(len(table))] for _ in range(500)]
 
+    @pytest.mark.parametrize(
+        "dim, tau",
+        [(1, Fraction(7, 3)), (1, 2**64), (2, Fraction(27, 4)), (2, 85), (3, Fraction(5, 2)), (4, 10)],
+        ids=str,
+    )
+    def test_perturb_adds_one_sample_per_remainder(self, dim, tau):
+        # tau = 2^64 in dim 1: 2^65 + 1 points, so every draw joins two words
+        s = ErrorBallSampler(tau, dim=dim)
+        rems = [tuple(range(j, j + dim)) for j in (0, 5, -40, 2**70, -3, 11)]
+        for t in range(30):
+            a, b = trial_rng(8, 2, t), trial_rng(8, 2, t)
+            assert s.perturb(a, rems) == [vec_add(r, s.sample(b)) for r in rems]
+            assert a.next_u64() == b.next_u64()
+
+    @pytest.mark.parametrize("dim, tau", [(1, 3), (2, Fraction(27, 4)), (3, Fraction(5, 2))], ids=str)
+    def test_perturb_equals_table_draws(self, dim, tau):
+        table = brute_ball(tau, dim)
+        s = ErrorBallSampler(tau, dim=dim)
+        rems = [tuple(range(j, j + dim)) for j in range(6)]
+        a, b = trial_rng(6, 0, 1), trial_rng(6, 0, 1)
+        for _ in range(50):
+            expected = [vec_add(r, table[b.randrange(len(table))]) for r in rems]
+            assert s.perturb(a, rems) == expected
+
     def test_index_out_of_range(self):
         s = ErrorBallSampler(2)
         for i in (-1, s.count):
@@ -215,6 +265,9 @@ class TestBallDecode:
         gen = trial_rng(4, 0, 0)
         for _ in range(2000):
             s.sample(gen)
+        rems = [(i, -i) for i in range(6)]
+        for _ in range(400):
+            s.perturb(gen, rems)
         assert built == [(2, math.floor(Fraction(tau) ** 2))]
 
     def test_dim4_tau85_count_and_speed(self, monkeypatch):
