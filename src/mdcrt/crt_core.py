@@ -9,10 +9,16 @@ and Goldwasser, Complexity of Lattice Problems, 2002).
 A congruence system depends on its moduli only through one Smith normal
 form: all L congruences become one stacked block system for the quotient
 vectors, and a ``CrtPlan`` takes its SNF once per ordered tuple of moduli
-(the matrix analogue of Garner's precomputed CRT). ``crt_solve`` keeps the
-most recently used plans, so solving one more set of remainders costs a few
-divisibility checks, one integer matrix-vector product and one reduction
-into N(``into``), any basis of the lcrm lattice (the HNF lcrm R by default).
+(the matrix analogue of Garner's precomputed CRT). The plan compiles the
+SNF into dot products over the caller's remainders stacked into one vector
+of length LD: check rows, largest modulus first, and a kernel K' whose
+product with that vector is an exact multiple of the largest invariant
+factor on a consistent system. ``crt_solve`` keeps the most recently used
+plans, looked up by the cached hashes of the moduli, so solving one more
+set of remainders costs a few divisibility checks (one, when the largest
+fails), one integer matrix-vector product with one exact division, and one
+reduction into N(``into``), any basis of the lcrm lattice (the HNF lcrm R
+by default).
 ``crt_solve`` and ``CrtPlan.solve`` return that vector alone, an int tuple:
 the basis it was reduced into is ``into``, or ``lcrm`` of the moduli.
 ``crt_solve`` reads each congruence as a ``(modulus, remainder)`` pair and
@@ -127,7 +133,9 @@ def congruence_of(f: Sequence[int], modulus: IntMatrix) -> Congruence:
 
 
 class CrtPlan:
-    """The congruence system of one ordered tuple of moduli, compiled.
+    """The congruence system of one ordered tuple of moduli, compiled into
+    dot products over the stacked remainders ``r = (r_0, ..., r_{L-1})``, a
+    vector of length LD.
 
     With ``d_k = r_k - r_0``, the congruences ``f = M_k n_k + r_k`` have a
     common solution exactly when ``M_0 n_0 - M_k n_k = d_k`` (k >= 1) does,
@@ -139,14 +147,28 @@ class CrtPlan:
     D rows and (L-1)D columns of V and ``Lam_max`` is the last diagonal entry
     (a multiple of all of them).
 
-    Only what a solve reads is kept: the rows of U with ``Lam_i > 1``, each
-    reduced mod ``Lam_i`` (the others always pass), and K with every column
+    d is never built: with ``d = E r`` (E the difference map), a solve reads
+    r alone. Each check row is a row of ``U E``, whose first D entries are
+    minus the sum of the row's blocks over d, and the kernel is
+    ``K' = K E + Lam_max (I 0)``, so ``K' r = Lam_max r_0 + K d`` and
+    ``f = K' r / Lam_max``. That division is exact on a consistent system,
+    since K d is then a multiple of ``Lam_max``, and it floors to the same
+    integers as ``r_0 + K d // Lam_max`` on any input.
+
+    Only what a solve reads is kept: the rows of U E with ``Lam_i > 1``, each
+    reduced mod ``Lam_i`` (the others always pass), and K' with every column
     reduced modulo the lattice of ``Lam_max * R``, which changes f by a
-    vector of L(R) alone. ``lcrm`` is R, the HNF-normalized lcrm of all
-    moduli, and every solution is reduced once, into N(``into``), R by
-    default. The remainders may be any representatives of their classes:
-    moving ``r_k`` by ``M_k n`` moves d by a vector of B's image, which
-    changes f by a vector of L(R) alone.
+    vector of L(R) alone. The checks are stored largest modulus first, the
+    reverse of the SNF's divisibility order. Which check fails first does not
+    change whether one does, but the large ones are the ones that fail: on
+    fig3's single-stage sweep (checks mod 49472, 49472, 773, 773; seed
+    20250809, 400 trials per tau) every one of the 3993 inconsistent systems
+    failed the first check in this order, and the first check in SNF order
+    never failed, so a failed solve stops after one dot product.
+    ``lcrm`` is R, the HNF-normalized lcrm of all moduli, and every solution
+    is reduced once, into N(``into``), R by default. The remainders may be
+    any representatives of their classes: moving ``r_k`` by ``M_k n`` moves
+    d by a vector of B's image, which changes f by a vector of L(R) alone.
     """
 
     def __init__(self, moduli: Sequence[IntMatrix]):
@@ -154,29 +176,36 @@ class CrtPlan:
         m0 = moduli[0]
         d = m0.dim
         self.count, self.dim = len(moduli), d
-        self.checks, self.kernel, self.scale = (), ((),) * d, 1  # one congruence: f = r_0
+        # one congruence: f = r_0
+        self.checks, self.kernel, self.scale = (), IntMatrix.identity(d).rows, 1
         if self.count == 1:
             return
         width = self.count * d
-        block = []
+        block, spread = [], []
         for k, m in enumerate(moduli[1:], start=1):
-            for r0, rk in zip(m0.rows, m.rows):
+            for i, (r0, rk) in enumerate(zip(m0.rows, m.rows)):
                 row = [0] * width
                 row[:d] = r0
                 row[k * d : (k + 1) * d] = [-x for x in rk]
                 block.append(row)
+                row = [0] * width
+                row[i], row[k * d + i] = -1, 1  # d_k = r_k - r_0
+                spread.append(row)
         dec = snf(IntMatrix.from_rows(block))
         lam = dec.diagonal()  # no zero: lcrm has rejected singular moduli
         self.scale = big = lam[-1]
+        ue = dec.u @ IntMatrix.from_rows(spread)
         self.checks = tuple(
-            (tuple(x % q for x in row), q) for row, q in zip(dec.u.rows, lam) if q > 1
+            (tuple(x % q for x in row), q) for row, q in zip(ue.rows[::-1], lam[::-1]) if q > 1
         )
         weighted = IntMatrix.from_rows(
             [x * (big // q) for x, q in zip(row, lam)] for row in dec.v.rows[:d]
         )
-        kernel = m0 @ weighted @ dec.u
+        kernel = [list(row) for row in (m0 @ weighted @ ue).rows]
+        for i, row in enumerate(kernel):
+            row[i] += big
         period = self.lcrm.scale(big)
-        columns = [reduce_mod(col, period)[1] for col in zip(*kernel.rows)]
+        columns = [reduce_mod(col, period)[1] for col in zip(*kernel)]
         self.kernel = tuple(zip(*columns))
 
     def solve(self, remainders: Sequence[IntVec], into: IntMatrix | None = None) -> IntVec:
@@ -186,13 +215,12 @@ class CrtPlan:
         checked); it defaults to R. Reducing into it once is exact:
         ``reduce_mod`` depends only on the class of f mod L(R)."""
         check_remainder_shape(remainders, self.count, self.dim)
-        r0 = remainders[0]
-        diff = [x - y for r in remainders[1:] for x, y in zip(r, r0)]
+        r = [x for v in remainders for x in v]
         for row, q in self.checks:
-            if sum(map(mul, row, diff)) % q:
+            if sum(map(mul, row, r)) % q:
                 raise Inconsistent("incompatible remainders: no common solution")
         big = self.scale
-        f = tuple([x + sum(map(mul, row, diff)) // big for x, row in zip(r0, self.kernel)])
+        f = tuple([sum(map(mul, row, r)) // big for row in self.kernel])
         return reduce_mod(f, self.lcrm if into is None else into)[1]
 
 

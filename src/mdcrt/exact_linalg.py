@@ -91,6 +91,13 @@ class IntMatrix:
 
     Square matrices are the common case (moduli, normal forms); rectangular
     ones appear only as stacked blocks fed to the SNF/HNF routines.
+
+    The hash is the hash of ``rows``, computed on first use and cached on the
+    instance: ``crt_solve`` hashes its tuple of moduli on every call to look
+    up the compiled plan, and a tuple of row tuples caches no hash of its
+    own. It is lazy because setup builds many matrices that are never
+    hashed. Equal rows give equal hashes, and the cached value travels with
+    a pickled matrix.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -138,6 +145,13 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.rows)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def dim(self) -> int:

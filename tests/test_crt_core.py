@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mdcrt import crt_core
 from mdcrt.crt_core import (
     Congruence,
     CrtPlan,
@@ -389,6 +390,43 @@ class TestCompiledFold:
     def test_no_congruences_rejected(self):
         with pytest.raises(ValueError, match="at least one congruence"):
             crt_solve([])
+
+    @settings(max_examples=60, deadline=None)
+    @given(moduli_sets())
+    def test_check_moduli_are_non_increasing(self, ms):
+        moduli = [q for _, q in CrtPlan(ms).checks]
+        assert all(q > 1 for q in moduli)
+        assert moduli == sorted(moduli, reverse=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda dim: square_matrices(dim, 4)), st.data())
+    def test_one_congruence_solves_to_its_reduced_remainder(self, m, data):
+        assume(m.det != 0)
+        r0 = tuple(data.draw(st.integers(-10**6, 10**6)) for _ in range(m.dim))
+        into = hnf(m) @ random_unimodular(data.draw(st.randoms(use_true_random=False)), m.dim)
+        plan = CrtPlan([m])
+        assert plan.checks == ()
+        assert plan.solve([r0]) == crt_solve([(m, r0)]) == reduce_mod(r0, hnf(m))[1]
+        assert plan.solve([r0], into) == crt_solve([(m, r0)], into) == reduce_mod(r0, into)[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda dim: st.tuples(*[square_matrices(dim, 9)] * 2)), st.data())
+    def test_difference_in_the_gcld_lattice_is_consistent(self, pair, data):
+        """The two-member robust group: the anchor's remainder is 0 and the
+        other's is a point of L(gcld(A, B)), so the system always solves."""
+        a, b = pair
+        assume(a.det != 0 and b.det != 0)
+        g = gcld(a, b)
+        v = g.apply([data.draw(st.integers(-50, 50)) for _ in range(g.dim)])
+        f = crt_solve([(a, (0,) * a.dim), (b, v)])
+        assert in_lattice(a, f) and in_lattice(b, vec_sub(f, v))
+
+    def test_equal_new_moduli_hit_the_compiled_plan(self):
+        rows = ([[7, 2], [-3, 11]], [[13, 0], [5, 17]])
+        first = crt_solve([(M(r), (1, 2)) for r in rows])
+        hits = crt_core._plan.cache_info().hits
+        assert crt_solve([(M(r), (1, 2)) for r in rows]) == first
+        assert crt_core._plan.cache_info().hits == hits + 1
 
     @settings(max_examples=60, deadline=None)
     @given(moduli_sets(), st.data())

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import re
 
@@ -84,6 +85,24 @@ class TestDet:
     def test_bareiss_singular(self, rows):
         assert bareiss([row[:] for row in rows]) == 0
         assert det(M(rows)) == 0
+
+
+class TestHash:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4).flatmap(small_square))
+    def test_equal_rows_hash_equal(self, m):
+        copy = M([list(r) for r in m.rows])
+        assert copy is not m and copy == m
+        assert hash(copy) == hash(m) == hash(m.rows)
+
+    def test_hash_is_stable_and_survives_pickle(self):
+        m = M([[22, -17], [17, 22]])
+        first = hash(m)
+        assert hash(m) == first and m._hash == first
+        for pickled in (pickle.dumps(m), pickle.dumps(M([[22, -17], [17, 22]]))):
+            back = pickle.loads(pickled)
+            assert back == m and hash(back) == first
+        assert {m: 1}[pickle.loads(pickle.dumps(m))] == 1
 
 
 class TestLeftQuotient:
