@@ -29,7 +29,7 @@ from .crt_core import crt_solve, gcld, lcrm
 from .drange import max_coprime_set, max_dynamic_range
 from .errors import ConfigInvalid, DimensionUnsupported, Inconsistent, MdcrtError
 from .exact_linalg import format_vector, hnf, parse_matrix, parse_vector, snf
-from .multistage import GroupingPlan, build_plan, final_region, multistage_reconstruct
+from .multistage import build_plan, final_region, multistage_reconstruct
 from .simkit import (
     SweepConfig,
     raw_csv_lines,
@@ -87,10 +87,9 @@ def _cmd_crt(args) -> int:
     return 0
 
 
-def _sweep_configs(
-    cfg: ExperimentConfig, trials: int | None, only: str | None = None
-) -> list[SweepConfig]:
-    """One sweep per enabled reconstructor; ``trials``, when given, overrides the config's."""
+def _sweep_configs(cfg: ExperimentConfig, trials: int | None, only: str | None) -> list[SweepConfig]:
+    """One sweep per enabled reconstructor, or for ``only`` when given;
+    ``trials``, when given, overrides the config's."""
     out = []
     for recon in cfg.reconstructors:
         if only is not None and recon != only:
@@ -143,49 +142,37 @@ def _bound_str(sq: Fraction | None) -> str:
     return "inf" if sq is None else str(sq)
 
 
-def _single_shot(plan: GroupingPlan, remainders: list[str], header: list[str]) -> int:
-    """Reconstruct one set of remainders through ``plan``; print ``header``,
-    the estimate and the final region's size, or nothing if a step fails."""
-    est = multistage_reconstruct(plan, [parse_vector(r) for r in remainders]).estimate
+def _cmd_reconstruct(args) -> int:
+    """``robust``, ``multistage`` and ``simulate``: sweep the config's
+    reconstructors (only ``args.recon``, when set), or, given remainders,
+    reconstruct them through ``args.recon``'s plan and print its header, the
+    estimate and the final region's size, or nothing if a step fails."""
+    cfg = load_config(args.config)
+    if not args.remainders:
+        return _emit_sweeps(_sweep_configs(cfg, args.trials, args.recon), args)
+    plan = build_plan(cfg.moduli, declared_stages(args.recon, cfg.grouping))
+    final = plan.final.instance
+    if args.recon == "single":
+        bound = final.tau_bound_sq  # finite: the plan has two or more moduli
+        header = [
+            f"anchor = {final.anchor}",
+            f"tau_bound_sq = {bound}",
+            f"tau_bound_f = {sqrt_float(bound.numerator, bound.denominator):.6g}",
+        ]
+    else:
+        bounds = ",".join(_bound_str(b.tau_max_sq) for b in plan.per_group_bounds)
+        header = [
+            f"final_anchor = {final.anchor}",
+            f"per_group_bounds_sq = [{bounds}]",
+            f"delta_final_sq = {_bound_str(final.tau_bound_sq)}",
+        ]
+    est = multistage_reconstruct(plan, [parse_vector(r) for r in args.remainders]).estimate
     print("\n".join(header + [
         f"estimate = ({','.join(str(x) for x in est)})",
         f"estimate_f = ({','.join(_float_str(x) for x in est)})",
         f"region_size = {final_region(plan).size}",
     ]))
     return 0
-
-
-def _cmd_robust(args) -> int:
-    cfg = load_config(args.config)
-    if not args.remainders:
-        return _emit_sweeps(_sweep_configs(cfg, args.trials, only="single"), args)
-    plan = build_plan(cfg.moduli, declared_stages("single", cfg.grouping))
-    inst = plan.final.instance
-    bound = inst.tau_bound_sq  # finite: the plan has two or more moduli
-    return _single_shot(plan, args.remainders, [
-        f"anchor = {inst.anchor}",
-        f"tau_bound_sq = {bound}",
-        f"tau_bound_f = {sqrt_float(bound.numerator, bound.denominator):.6g}",
-    ])
-
-
-def _cmd_multistage(args) -> int:
-    cfg = load_config(args.config)
-    if not args.remainders:
-        return _emit_sweeps(_sweep_configs(cfg, args.trials, only="multistage"), args)
-    plan = build_plan(cfg.moduli, declared_stages("multistage", cfg.grouping))
-    final = plan.final
-    bounds = ",".join(_bound_str(b.tau_max_sq) for b in plan.per_group_bounds)
-    return _single_shot(plan, args.remainders, [
-        f"final_anchor = {final.instance.anchor}",
-        f"per_group_bounds_sq = [{bounds}]",
-        f"delta_final_sq = {_bound_str(final.instance.tau_bound_sq)}",
-    ])
-
-
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    return _emit_sweeps(_sweep_configs(cfg, args.trials), args)
 
 
 def _cmd_svp_search(args) -> int:
@@ -252,20 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_crt)
 
-    for name, fn, help_text in (
-        ("robust", _cmd_robust, "robust reconstruction or sweep"),
-        ("multistage", _cmd_multistage, "multistage reconstruction or sweep"),
-        ("simulate", _cmd_simulate, "run every reconstructor in a config"),
+    for name, recon, help_text in (
+        ("robust", "single", "robust reconstruction or sweep"),
+        ("multistage", "multistage", "multistage reconstruction or sweep"),
+        ("simulate", None, "run every reconstructor in a config"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config")
-        if fn is not _cmd_simulate:
+        if recon is not None:
             p.add_argument("--remainders", nargs="+", help="single-shot mode: one vector per modulus")
         p.add_argument("--trials", type=_positive_int, default=None)
         p.add_argument("--jobs", type=_positive_int, default=1)
         p.add_argument("--raw", action="store_true")
         p.add_argument("--out", default=None)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_reconstruct, recon=recon, remainders=None)
 
     p = sub.add_parser("svp-search", help="max shortest-vector search over prime HNF lattices")
     which = p.add_mutually_exclusive_group(required=True)

@@ -11,14 +11,15 @@ form: all L congruences become one stacked block system for the quotient
 vectors, and a ``CrtPlan`` takes its SNF once per ordered tuple of moduli
 (the matrix analogue of Garner's precomputed CRT). The plan compiles the
 SNF into dot products over the caller's remainders stacked into one vector
-of length LD: check rows, largest modulus first, and a kernel K' whose
-product with that vector is an exact multiple of the largest invariant
-factor on a consistent system. ``crt_solve`` keeps the most recently used
-plans, looked up by the cached hashes of the moduli, so solving one more
-set of remainders costs a few divisibility checks (one, when the largest
-fails), one integer matrix-vector product with one exact division, and one
-reduction into N(``into``), any basis of the lcrm lattice (the HNF lcrm R
-by default).
+of length LD, with the differences ``r_k - r_0`` folded into the SNF's rows,
+so no difference vector or matrix is built: check rows, largest modulus
+first, and a kernel K' whose product with that vector is an exact multiple
+of the largest invariant factor on a consistent system. ``crt_solve``
+keeps the most recently used plans, looked up by the cached hashes of the
+moduli, so solving one more set of remainders costs a few divisibility
+checks (one, when the largest fails), one integer matrix-vector product
+with one exact division, and one reduction into N(``into``), any basis of
+the lcrm lattice (the HNF lcrm R by default).
 ``crt_solve`` and ``CrtPlan.solve`` return that vector alone, an int tuple:
 the basis it was reduced into is ``into``, or ``lcrm`` of the moduli.
 ``crt_solve`` reads each congruence as a ``(modulus, remainder)`` pair and
@@ -147,13 +148,15 @@ class CrtPlan:
     D rows and (L-1)D columns of V and ``Lam_max`` is the last diagonal entry
     (a multiple of all of them).
 
-    d is never built: with ``d = E r`` (E the difference map), a solve reads
-    r alone. Each check row is a row of ``U E``, whose first D entries are
-    minus the sum of the row's blocks over d, and the kernel is
-    ``K' = K E + Lam_max (I 0)``, so ``K' r = Lam_max r_0 + K d`` and
-    ``f = K' r / Lam_max``. That division is exact on a consistent system,
-    since K d is then a multiple of ``Lam_max``, and it floors to the same
-    integers as ``r_0 + K d // Lam_max`` on any input.
+    Neither d nor the difference map E (``d = E r``) is built. A solve reads
+    r alone, and the compile writes each row u of U over r directly: its
+    D-blocks ``u_1, ..., u_{L-1}`` act on ``d_1, ..., d_{L-1}``, so
+    ``u E = (-(u_1 + ... + u_{L-1}), u_1, ..., u_{L-1})``. Each check row is
+    a row of ``U E``, and the kernel is ``K' = K E + Lam_max (I 0)``, so
+    ``K' r = Lam_max r_0 + K d`` and ``f = K' r / Lam_max``. That division is
+    exact on a consistent system, since K d is then a multiple of
+    ``Lam_max``, and it floors to the same integers as
+    ``r_0 + K d // Lam_max`` on any input.
 
     Only what a solve reads is kept: the rows of U E with ``Lam_i > 1``, each
     reduced mod ``Lam_i`` (the others always pass), and K' with every column
@@ -181,20 +184,18 @@ class CrtPlan:
         if self.count == 1:
             return
         width = self.count * d
-        block, spread = [], []
+        block = []
         for k, m in enumerate(moduli[1:], start=1):
-            for i, (r0, rk) in enumerate(zip(m0.rows, m.rows)):
+            for r0, rk in zip(m0.rows, m.rows):
                 row = [0] * width
                 row[:d] = r0
                 row[k * d : (k + 1) * d] = [-x for x in rk]
                 block.append(row)
-                row = [0] * width
-                row[i], row[k * d + i] = -1, 1  # d_k = r_k - r_0
-                spread.append(row)
         dec = snf(IntMatrix.from_rows(block))
         lam = dec.diagonal()  # no zero: lcrm has rejected singular moduli
         self.scale = big = lam[-1]
-        ue = dec.u @ IntMatrix.from_rows(spread)
+        # each row u of U read on r: u E = (-(sum of u's D-blocks), u)
+        ue = IntMatrix.from_rows([-sum(u[i::d]) for i in range(d)] + list(u) for u in dec.u.rows)
         self.checks = tuple(
             (tuple(x % q for x in row), q) for row, q in zip(ue.rows[::-1], lam[::-1]) if q > 1
         )

@@ -6,7 +6,9 @@ mathematical inconsistency exits 3, and a dimension above the SVP/CVP cap
 ``NotPrime`` from ``svp-search``, exits 2, as does a ``MemoryError`` from an
 input too large to allocate for (``drange --q 10000000000``'s prime sieve).
 No search has a size cap to exceed: regions are never enumerated, and
-``lattice.nearest_region_point`` stops within a closed-form radius.
+``lattice.nearest_region_point``'s ring search ends because the region is
+nonempty, in time that grows with the square of the target's distance from
+the region.
 """
 
 

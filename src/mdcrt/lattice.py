@@ -18,8 +18,10 @@ it is then the unique closest vector. The test is strict because at exactly
 lambda_1 / 2 two lattice vectors can tie, and only the full search applies
 the lexicographic tie-break. That search is a recursive Schnorr-Euchner
 enumeration, one call per level; the cap is checked once, when a
-``LatticeBasis`` is built. The nearest-region-point search is bounded by
-the distance of a region point computed in closed form.
+``LatticeBasis`` is built. The nearest-region-point search scans rings
+around the target until it can stop; it ends because the region is
+nonempty, and its time grows with the square of the target's distance from
+the region.
 
 ``reduce_mod`` and ``closest_vector`` run on every decode, once per CRT
 solve and once per snap, and every shipped config is two-dimensional. At

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from mdcrt.cli import main
+from mdcrt.simkit import RAW_HEADER
 
 try:
     import resource
@@ -569,6 +570,35 @@ class TestReconstructionCommands:
         rc, _, _ = run(capsys, "simulate", path, "--out", str(out_path))
         assert rc == 0
         assert out_path.read_text().startswith("tau,mean_error")
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["summary", "raw"])
+    @pytest.mark.parametrize("command, recon", [("robust", "single"), ("multistage", "multistage")])
+    def test_sweep_prints_its_reconstructors_share_of_simulate(self, capsys, command, recon, raw):
+        """A ``robust`` or ``multistage`` sweep prints each CSV header and
+        exactly its reconstructor's rows of the ``simulate`` output; on
+        fig2_nondiag ``simulate`` sweeps single first, then multistage, over
+        the same taus and trials, so each holds half of the raw records."""
+        flags = ["--trials", "2", *(["--raw"] if raw else [])]
+        rc, everything, _ = run(capsys, "simulate", "configs/fig2_nondiag.cfg", *flags)
+        assert rc == 0
+        lines = everything.splitlines()
+        raw_at = lines.index(RAW_HEADER) if raw else len(lines)
+        summary, records = lines[:raw_at], lines[raw_at:]
+        expected = [summary[0]] + [line for line in summary[1:] if line.split(",")[4] == recon]
+        if raw:
+            half = (len(records) - 1) // 2
+            expected += [records[0]] + (records[1 : 1 + half] if recon == "single" else records[1 + half :])
+        rc, out, _ = run(capsys, command, "configs/fig2_nondiag.cfg", *flags)
+        assert rc == 0
+        assert out == "\n".join(expected) + "\n"
+
+    def test_simulate_takes_no_remainders(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "configs/fig3.cfg", "--remainders", "[1,1]"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --remainders [1,1]" in err
 
     def test_dimension_cap_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"

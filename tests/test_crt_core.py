@@ -421,6 +421,42 @@ class TestCompiledFold:
         f = crt_solve([(a, (0,) * a.dim), (b, v)])
         assert in_lattice(a, f) and in_lattice(b, vec_sub(f, v))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(square_matrices(dim, 4).filter(lambda m: m.det != 0), min_size=1, max_size=4)
+        ),
+        st.data(),
+    )
+    def test_plan_reads_only_remainder_differences(self, ms, data):
+        """The compile reads each row of the SNF's U on the stacked
+        remainders as (-(sum of its D-blocks), row), so every check row's
+        D-blocks sum to 0 mod its modulus, and moving every remainder by one
+        vector v moves the solution by v and never changes consistency."""
+
+        def outcome(rems):
+            try:
+                return plan.solve(rems)
+            except Inconsistent:
+                return "inconsistent"
+
+        def vector(bound):
+            return tuple(data.draw(st.integers(-bound, bound)) for _ in range(dim))
+
+        dim = ms[0].dim
+        plan = CrtPlan(ms)
+        for row, q in plan.checks:
+            assert all(sum(row[i::dim]) % q == 0 for i in range(dim))
+        if data.draw(st.booleans()):  # a common solution f, unreduced
+            f = vector(50)
+            rems = [vec_add(f, m.apply(vector(5))) for m in ms]
+        else:
+            rems = [vector(50) for _ in ms]
+        v = vector(10**6)
+        base = outcome(rems)
+        expected = base if base == "inconsistent" else reduce_mod(vec_add(base, v), plan.lcrm)[1]
+        assert outcome([vec_add(r, v) for r in rems]) == expected
+
     def test_equal_new_moduli_hit_the_compiled_plan(self):
         rows = ([[7, 2], [-3, 11]], [[13, 0], [5, 17]])
         first = crt_solve([(M(r), (1, 2)) for r in rows])
