@@ -105,9 +105,9 @@ def check_remainder_shape(remainders: Sequence[Sequence[Scalar]], count: int, di
     DimensionMismatch unless each has length ``dim``."""
     if len(remainders) != count:
         raise ValueError("one remainder per modulus required")
-    if set(map(len, remainders)) - {dim}:
-        lengths = [len(r) for r in remainders]
-        raise DimensionMismatch(f"remainders must have length {dim}, got lengths {lengths}")
+    for r in remainders:
+        if len(r) != dim:
+            raise DimensionMismatch(f"remainders must have length {dim}, got lengths {[*map(len, remainders)]}")
 
 
 @dataclass(frozen=True)

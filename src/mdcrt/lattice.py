@@ -352,12 +352,12 @@ def closest_vector(l: LatticeBasis, target: Sequence[Scalar], den: int = 1) -> I
     test fails, the same search from the same ``B^{-1} t``, so ties break as
     before. Any other D keeps the row loops.
     """
-    n = l.dim
+    b, inv, det, lambda_sq = l._round_off
+    n = len(b)
     if len(target) != n:
         raise DimensionMismatch(f"target has length {len(target)}, the lattice is {n}-dimensional")
     if den < 1:
         raise ValueError(f"closest_vector needs a denominator of at least 1, got {den}")
-    b, inv, det, lambda_sq = l._round_off
     if n == 2:
         t0, t1 = target
         if det == 1:

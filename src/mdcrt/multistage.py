@@ -205,10 +205,7 @@ def multistage_reconstruct(
         ]
         # the next stage's remainders: every estimate over one denominator
         den = math.lcm(*[out.den for out in outputs])
-        current = [
-            out.numerators if out.den == den else [x * (den // out.den) for x in out.numerators]
-            for out in outputs
-        ]
+        current = [nums if d == den else [x * (den // d) for x in nums] for nums, d, _, _ in outputs]
     return outputs[0]
 
 

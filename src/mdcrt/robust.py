@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from operator import sub
+from typing import NamedTuple, Sequence
 
 from .crt_core import check_remainder_shape, crt_solve, gcld, lcrm
 from .errors import DimensionMismatch, DimensionUnsupported, DuplicateModuli, NotAnLcrm, SingularMatrix
@@ -114,16 +115,16 @@ def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> Ro
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RobustOutput:
+class RobustOutput(NamedTuple):
     """Averaged estimate ``numerators / den`` (integers for integer
     remainders, rationals for rational ones; ``den`` not reduced) and the
     recovered fold terms M_i n_i, which are ``anchor_fold - snapped[i]``
-    (the anchor's snapped difference is zero).
+    (the anchor's snapped difference is zero), as an immutable named tuple.
 
     ``estimate``, the exact rationals, and ``folds`` are built on each
     read; a later stage reads ``numerators`` and ``den`` instead. Two
-    outputs are equal when their estimates and folds are.
+    outputs are equal, and hash alike, when their estimates and folds are
+    ((1, 2) over 3 equals (2, 4) over 6), and never equal a plain tuple.
     """
 
     numerators: tuple[Scalar, ...]
@@ -142,9 +143,10 @@ class RobustOutput:
         return tuple([tuple([x - y for x, y in zip(a, v)]) for v in self.snapped])
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RobustOutput):
-            return NotImplemented
-        return self.estimate == other.estimate and self.folds == other.folds
+        return isinstance(other, RobustOutput) and self.estimate == other.estimate and self.folds == other.folds
+
+    def __ne__(self, other: object) -> bool:  # tuple's own would compare fields
+        return not self == other
 
     def __hash__(self) -> int:
         return hash((self.estimate, self.folds))
@@ -183,8 +185,9 @@ def robust_reconstruct(
     if den < 1:
         raise ValueError(f"robust_reconstruct needs a denominator of at least 1, got {den}")
     l0 = instance.anchor
-    n = instance.count
-    check_remainder_shape(noisy_remainders, n, instance.dim)
+    moduli = instance.moduli
+    n = len(moduli)
+    check_remainder_shape(noisy_remainders, n, moduli[0].dim)
     base = noisy_remainders[l0]
     zero = (0,) * len(base)
     if n == 1:
@@ -197,11 +200,11 @@ def robust_reconstruct(
     lattices = instance.anchor_lattices
     snapped = tuple(
         [
-            zero if j == l0 else closest_vector(lattices[j], [x - y for x, y in zip(r, base)], den)
+            zero if j == l0 else closest_vector(lattices[j], [*map(sub, r, base)], den)
             for j, r in enumerate(noisy_remainders)
         ]
     )
-    anchor_fold = crt_solve(list(zip(instance.moduli, snapped)), into=designated_lcrm)
+    anchor_fold = crt_solve([*zip(moduli, snapped)], into=designated_lcrm)
     # the folds sum to n * anchor_fold - sum(snapped)
     numerators = tuple(
         [

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import declared_stages
 from .errors import ConfigInvalid, Inconsistent
@@ -284,12 +284,12 @@ class SweepConfig:
             raise ConfigInvalid("'tau_grid' must list at least one tau for a sweep")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial as the raw CSV and the checks on it read it. The error
-    vectors are not kept: they follow from the seed and the indices. The
-    estimate is kept as the decoder returned it, ``numerators / den``, and
-    ``estimate`` builds its ``Fraction``s on each read."""
+class TrialRecord(NamedTuple):
+    """One trial as the raw CSV and the checks on it read it, as an
+    immutable named tuple. The error vectors are not kept: they follow from
+    the seed and the indices. The estimate is kept as the decoder returned
+    it, ``numerators / den``, and ``estimate`` builds its ``Fraction``s on
+    each read."""
 
     trial_index: int
     f_true: IntVec

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from mdcrt.crt_core import gcld
 from mdcrt.lattice import FpdSampler, LatticeBasis, reduce_mod, shortest_vector
 from mdcrt.multistage import build_plan, final_region, multistage_reconstruct
 from mdcrt.robust import (
+    RobustOutput,
     build_instance,
     robust_reconstruct,
     robustly_determinable_region,
@@ -563,6 +565,113 @@ class TestReductionCount:
         out = multistage_reconstruct(plan, noisy)
         assert out.estimate == tuple(Fraction(x) for x in f)
         assert len(calls) == 1 + 0 + 1
+
+
+class TestOutputRecord:
+    """``RobustOutput`` is an immutable named tuple whose equality and hash
+    are those of its estimate and folds, not of its fields."""
+
+    FIELDS = ((1, 2), 3, (5, 5), ((0, 0), (1, 2)))
+
+    def test_equal_estimates_and_folds_are_equal(self):
+        a = RobustOutput(*self.FIELDS)
+        b = RobustOutput((2, 4), 6, (5, 5), ((0, 0), (1, 2)))
+        assert a.estimate == b.estimate == (Fraction(1, 3), Fraction(2, 3))
+        assert a == b and not a != b and hash(a) == hash(b)
+        other_folds = RobustOutput((1, 2), 3, (5, 6), ((0, 0), (1, 2)))
+        assert a != other_folds and not a == other_folds
+
+    def test_immutable(self):
+        out = RobustOutput(*self.FIELDS)
+        with pytest.raises(AttributeError):
+            out.den = 6
+        with pytest.raises(TypeError):
+            out[1] = 6
+
+    def test_not_equal_to_a_plain_tuple(self):
+        out = RobustOutput(*self.FIELDS)
+        assert out != self.FIELDS and self.FIELDS != out
+        assert not out == self.FIELDS and not self.FIELDS == out
+
+
+class TestRemainderShapeErrors:
+    """The remainder-shape errors, word for word, from the public entries
+    that read remainders (``CrtPlan.solve`` is pinned in test_crt_core.py).
+    A wrong length after right ones shows that the message lists every
+    length. ``crt_solve`` pairs each remainder with its modulus, so the
+    count error cannot reach it."""
+
+    COUNT = "^one remainder per modulus required$"
+
+    @staticmethod
+    def lengths(*n):
+        return rf"^remainders must have length 2, got lengths \[{', '.join(map(str, n))}\]$"
+
+    def test_crt_solve(self):
+        with pytest.raises(DimensionMismatch, match=self.lengths(2, 3)):
+            crt_core.crt_solve([(G1, (0, 0)), (G2, (0, 0, 0))])
+
+    @pytest.mark.parametrize("moduli", [(G1, G1 @ A1, G1 @ A2), (G1,)], ids=["three", "one"])
+    def test_robust_reconstruct(self, moduli):
+        inst = build_instance(moduli)
+        n = len(moduli)
+        with pytest.raises(ValueError, match=self.COUNT):
+            robust_reconstruct(inst, [(0, 0)] * (n + 1))
+        with pytest.raises(DimensionMismatch, match=self.lengths(*[2] * (n - 1), 3)):
+            robust_reconstruct(inst, [(0, 0)] * (n - 1) + [(0, 0, 0)])
+
+    @pytest.mark.parametrize("grouping", [FIG3_GROUPING, ()], ids=["two-stage", "single-stage"])
+    def test_multistage_reconstruct(self, grouping):
+        plan = build_plan(FIG3_MODULI, grouping)
+        with pytest.raises(ValueError, match=self.COUNT):
+            multistage_reconstruct(plan, [(0, 0)] * 5)
+        with pytest.raises(DimensionMismatch, match=self.lengths(2, 2, 2, 2, 2, 3)):
+            multistage_reconstruct(plan, [(0, 0)] * 5 + [(0, 0, 0)])
+
+
+# (module, name) of each decode layer that CI's bench-trace job requires a
+# traced fig3 run to reach
+PROBED = [
+    (multistage, "multistage_reconstruct"),
+    (robust, "robust_reconstruct"),
+    (crt_core, "crt_solve"),
+    (lattice, "closest_vector"),
+    (lattice, "reduce_mod"),
+]
+
+
+class TestProbesOnTheDecodePath:
+    """The benchmark's tracer counts a function's calls by rebinding it in
+    every ``mdcrt`` module that holds it. A decode that reached a layer some
+    other way, or inlined it, would read zero calls there; this finds that
+    without a traced benchmark run."""
+
+    @staticmethod
+    def rebind(monkeypatch):
+        reached = set()
+        modules = [m for name, m in sys.modules.items() if name == "mdcrt" or name.startswith("mdcrt.")]
+        for home, name in PROBED:
+            original = getattr(home, name)
+
+            def probe(*args, _name=name, _original=original, **kwargs):
+                reached.add(_name)
+                return _original(*args, **kwargs)
+
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, probe)
+        return reached
+
+    @pytest.mark.parametrize("grouping", [FIG3_GROUPING, ()], ids=["two-stage", "single-stage"])
+    def test_fig3_decode_reaches_every_probe(self, monkeypatch, grouping):
+        plan = build_plan(FIG3_MODULI, grouping)
+        f = final_region(plan).sample(trial_rng(3, 0, 0))
+        noisy = [reduce_mod(f, m)[1] for m in FIG3_MODULI]  # consistent, so the solve reduces
+        reached = self.rebind(monkeypatch)
+        out = multistage.multistage_reconstruct(plan, noisy)
+        assert out.estimate == tuple(Fraction(x) for x in f)
+        assert reached == {name for _, name in PROBED}
 
 
 class TestRegion:

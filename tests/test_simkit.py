@@ -1,6 +1,7 @@
 import concurrent.futures
 import gc
 import math
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +20,7 @@ from mdcrt.simkit import (
     ErrorBallSampler,
     _score,
     SweepConfig,
+    TrialRecord,
     XorShift64Star,
     raw_csv_lines,
     resolve_f,
@@ -535,3 +537,30 @@ class TestSweep:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 384 * 1024
+
+
+class TestTrialRecord:
+    """A record is an immutable named tuple that keeps the decoder's
+    numerators over one denominator, or None for an Inconsistent trial."""
+
+    HIT = TrialRecord(3, (1, 2), (4, 7), 3, 0.5, True)
+    MISS = TrialRecord(4, (1, 2), None, 1, float("nan"), False)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.HIT.den = 6
+        with pytest.raises(TypeError):
+            self.HIT[3] = 6
+
+    def test_estimate(self):
+        assert self.HIT.estimate == (Fraction(4, 3), Fraction(7, 3))
+        assert self.MISS.estimate is None
+
+    def test_pickle_round_trip(self):
+        # the --jobs path: pool workers send their records back pickled
+        back = pickle.loads(pickle.dumps(self.HIT))
+        assert type(back) is TrialRecord and back == self.HIT
+        # nan equals nothing, itself included, so the miss is compared field by field
+        back = pickle.loads(pickle.dumps(self.MISS))
+        assert type(back) is TrialRecord and repr(back) == repr(self.MISS)
+        assert back.estimate is None and math.isnan(back.error_norm)
