@@ -17,8 +17,9 @@ Conventions, fixed once and used everywhere:
   blocks).
 
 Both forms eliminate with one 2 x 2 unimodular extended-gcd (Bezout) step
-after Kannan and Bachem (SIAM J. Comput. 8(4), 1979). It sends a pivot entry
-x and an entry y to ``(g, 0)`` with ``g = gcd(x, y)``, so a nonzero pivot
+after Kannan and Bachem (SIAM J. Comput. 8(4), 1979): ``_bezout`` gives its
+coefficients and ``_mix`` applies them. It sends a pivot entry x and an
+entry y to ``(g, 0)`` with ``|g| = gcd(x, y)``, so a nonzero pivot
 never grows, and its coefficients are at most ``max(1, |x|/g)`` and
 ``max(1, |y|/g)``, so a step scales the other entries by no more than the
 two it combines. HNF also reduces each finished row modulo its pivot, which
@@ -358,6 +359,36 @@ def adjugate(m: IntMatrix) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
+# the 2 x 2 Bezout step
+
+
+def _bezout(pivot: int, x: int) -> tuple[int, int, int, int]:
+    """Coefficients ``(s, c, p, q)`` of the unimodular step (``s q - c p`` is
+    +-1) that sends ``(pivot, x)`` to ``(s pivot + c x, 0)``: the quotient
+    step ``(1, 0, -x/pivot, 1)`` when a nonzero pivot divides x, else the
+    extended-gcd step, whose new pivot is ``gcd(pivot, x)``."""
+    if pivot and x % pivot == 0:
+        return 1, 0, -(x // pivot), 1
+    g, y = pivot, x
+    s, s1, c, c1 = 1, 0, 0, 1
+    while y:
+        k, r = divmod(g, y)
+        g, y, s, s1, c, c1 = y, r, s1, s - k * s1, c1, c - k * c1
+    if g < 0:
+        g, s, c = -g, -s, -c
+    return s, c, -(x // g), pivot // g
+
+
+def _mix(rows: list[list[int]], i: int, k: int, s: int, c: int, p: int, q: int) -> None:
+    """``(rows_i, rows_k) <- (s rows_i + c rows_k, p rows_i + q rows_k)``, the
+    step ``_bezout`` gives; ``c == 0`` means ``s == 1``, the quotient step."""
+    ri, rk = rows[i], rows[k]
+    if c:
+        rows[i] = [s * y + c * z for y, z in zip(ri, rk)]
+    rows[k] = [p * y + q * z for y, z in zip(ri, rk)]
+
+
+# ---------------------------------------------------------------------------
 # Hermite normal form
 
 
@@ -365,9 +396,10 @@ def hnf(block: IntMatrix) -> IntMatrix:
     """Column HNF basis of a nonsingular square matrix or a full-row-rank
     D x K block: column-reduces ``block`` to ``(H 0)`` and returns the D x D ``H``.
 
-    Each nonzero entry y right of the pivot x is cleared by one extended-gcd
-    step, the one ``snf`` uses, with ``g = s x + t y = gcd(x, y)``:
-    ``(col_p, col_j) <- (s col_p + t col_j, (x/g) col_j - (y/g) col_p)``.
+    Each nonzero entry y right of the pivot x is cleared by the step ``snf``
+    uses: ``_bezout(x, y)`` gives its coefficients and ``_mix`` applies them
+    to the two columns, a quotient step when a nonzero x divides y and an
+    extended-gcd step otherwise (a zero x swaps the columns, up to sign).
 
     Raises SingularMatrix for a singular square matrix and RankDeficient for
     a block whose rank is below its row count.
@@ -381,10 +413,7 @@ def hnf(block: IntMatrix) -> IntMatrix:
             break
         for j in range(p + 1, nc):
             if a[j][i]:
-                x, y, cp, cj = a[p][i], a[j][i], a[p], a[j]
-                g, s, t = _xgcd(x, y)
-                a[p] = [s * u + t * v for u, v in zip(cp, cj)]
-                a[j] = [(x // g) * v - (y // g) * u for u, v in zip(cp, cj)]
+                _mix(a, p, j, *_bezout(a[p][i], a[j][i]))
         x = a[p][i]
         if x == 0:
             continue  # zero row beyond the rank; no pivot consumed
@@ -421,15 +450,6 @@ class SnfDecomposition:
         return tuple(self.lam.rows[i][i] for i in range(k))
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """``(g, s, t)`` with ``s * a + t * b == g == gcd(a, b) >= 0``."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
-    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
-
-
 def snf(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form ``u @ m @ v = lam``; rectangular input allowed.
 
@@ -445,26 +465,11 @@ def snf(m: IntMatrix) -> SnfDecomposition:
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     vt = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]  # v, one list per column
 
-    def rows_mix(x: list[list[int]], i: int, k: int, s: int, c: int, p: int, q: int) -> None:
-        """``(x_i, x_k) <- (s x_i + c x_k, p x_i + q x_k)``, unimodular when
-        ``s q - c p == +-1``; ``c == 0`` means ``s == 1``, the quotient step."""
-        xi, xk = x[i], x[k]
-        if c:
-            x[i] = [s * y + c * z for y, z in zip(xi, xk)]
-        x[k] = [p * y + q * z for y, z in zip(xi, xk)]
-
     def cols_mix(t: int, j: int, s: int, c: int, p: int, q: int) -> None:
         for row in a:
             y, z = row[t], row[j]
             row[t], row[j] = s * y + c * z, p * y + q * z
-        rows_mix(vt, t, j, s, c, p, q)
-
-    def clear(pivot: int, x: int) -> tuple[int, int, int, int]:
-        """Coefficients that send (pivot, x) to (new pivot, 0)."""
-        if x % pivot == 0:
-            return 1, 0, -(x // pivot), 1
-        g, s, c = _xgcd(pivot, x)
-        return s, c, -(x // g), pivot // g
+        _mix(vt, t, j, s, c, p, q)
 
     t = 0
     while t < min(nr, nc):
@@ -479,13 +484,13 @@ def snf(m: IntMatrix) -> SnfDecomposition:
         while True:
             for i in range(t + 1, nr):
                 if a[i][t]:
-                    s, c, p, q = clear(a[t][t], a[i][t])
-                    rows_mix(a, t, i, s, c, p, q)
-                    rows_mix(u, t, i, s, c, p, q)
+                    s, c, p, q = _bezout(a[t][t], a[i][t])
+                    _mix(a, t, i, s, c, p, q)
+                    _mix(u, t, i, s, c, p, q)
             pivot = a[t][t]
             for j in range(t + 1, nc):
                 if a[t][j]:
-                    cols_mix(t, j, *clear(a[t][t], a[t][j]))
+                    cols_mix(t, j, *_bezout(a[t][t], a[t][j]))
             if a[t][t] != pivot:
                 continue  # a gcd step refilled the column below the pivot
             # the divisibility chain: fold in a row the pivot does not divide
@@ -494,8 +499,8 @@ def snf(m: IntMatrix) -> SnfDecomposition:
             )
             if culprit is None:
                 break
-            rows_mix(a, t, culprit, 1, 1, 0, 1)
-            rows_mix(u, t, culprit, 1, 1, 0, 1)
+            _mix(a, t, culprit, 1, 1, 0, 1)
+            _mix(u, t, culprit, 1, 1, 0, 1)
         t += 1
 
     for i in range(min(nr, nc)):

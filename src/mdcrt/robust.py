@@ -60,10 +60,6 @@ class RobustInstance:
     def count(self) -> int:
         return len(self.moduli)
 
-    @property
-    def dim(self) -> int:
-        return self.moduli[0].dim
-
 
 def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> RobustInstance:
     """Select the anchor, build its gcld lattices, and fix the error bound.
@@ -215,22 +211,18 @@ def robust_reconstruct(
     return RobustOutput(numerators, n * den, anchor_fold, snapped)
 
 
-def verify_lcrm(instance: RobustInstance, candidate: IntMatrix) -> None:
-    """Raise NotAnLcrm unless ``candidate`` is an lcrm of the instance moduli."""
-    for m in instance.moduli:
-        if not m.divides_left(candidate):
-            raise NotAnLcrm(f"{candidate} is not a right multiple of {m}")
-    if abs(candidate.det) != abs(instance.lcrm.det):
-        raise NotAnLcrm(
-            f"|det| = {abs(candidate.det)} but the intersection lattice has index {abs(instance.lcrm.det)}"
-        )
-
-
 def robustly_determinable_region(
     instance: RobustInstance, designated_lcrm: IntMatrix
 ) -> FpdUnionRegion:
     """Union of shifted anchor FPDs covering every robustly reconstructible f
-    for the chosen lcrm representative."""
-    verify_lcrm(instance, designated_lcrm)
+    for the chosen lcrm representative. Raises NotAnLcrm unless
+    ``designated_lcrm`` is an lcrm of the instance moduli."""
+    for m in instance.moduli:
+        if not m.divides_left(designated_lcrm):
+            raise NotAnLcrm(f"{designated_lcrm} is not a right multiple of {m}")
+    if abs(designated_lcrm.det) != abs(instance.lcrm.det):
+        raise NotAnLcrm(
+            f"|det| = {abs(designated_lcrm.det)} but the intersection lattice has index {abs(instance.lcrm.det)}"
+        )
     anchor = instance.moduli[instance.anchor]
     return FpdUnionRegion(anchor, anchor.left_quotient(designated_lcrm))

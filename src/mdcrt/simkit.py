@@ -155,7 +155,6 @@ class ErrorBallSampler:
             raise ValueError("tau must be nonnegative")
         if dim < 1:
             raise ValueError("dim must be positive")
-        self.tau = tau
         self.dim = dim
         self._budget = budget = math.floor(tau * tau)
         self._counts: dict[tuple[int, int], int] = {}

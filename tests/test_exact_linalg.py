@@ -1,15 +1,19 @@
+import hashlib
 import itertools
+import math
 import pickle
 import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdcrt.crt_core import gcld, is_coprime, lcrm
 from mdcrt.errors import DimensionMismatch, RankDeficient, SingularMatrix
 from mdcrt.exact_linalg import (
     IntMatrix,
+    _bezout,
+    _mix,
     adjugate,
     bareiss,
     det,
@@ -291,6 +295,74 @@ class TestHnf:
     def test_rank_deficient_block_rejected(self):
         with pytest.raises(RankDeficient):
             hnf(M([[1, 2, 3], [2, 4, 6]]))
+
+
+class TestBezoutStep:
+    """The one 2 x 2 step that ``hnf`` and ``snf`` eliminate with. Only
+    ``hnf`` reaches a zero pivot (``snf`` pivots on a nonzero minimum), and
+    neither calls it with x = 0."""
+
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool))
+    @example(0, 7)
+    @example(0, -7)
+    @example(-4, 6)
+    @example(-3, 9)
+    @example(5, -10)
+    @example(-6, -4)
+    def test_step_is_unimodular_and_clears_x(self, pivot, x):
+        s, c, p, q = _bezout(pivot, x)
+        assert s * q - c * p in (1, -1)
+        assert c or s == 1  # _mix leaves the pivot row as it is only then
+        rows = [[pivot, 1, 0], [x, 0, 1]]
+        _mix(rows, 0, 1, s, c, p, q)
+        assert rows == [[s * pivot + c * x, s, c], [0, p, q]]
+        assert abs(rows[0][0]) == math.gcd(pivot, x)
+
+
+# sha256 of repr(_pinned_forms()), taken while hnf ran its own extended-gcd
+# update and snf its own copy of the step; never recompute it from the code
+# under test
+PINNED_FORMS_SHA256 = "007c637fe4cc5c47a701a1518afeb09db7935285e643e257c91d25ae4ce022f3"
+
+
+def _pinned_forms() -> list:
+    """``hnf``'s H (or its error) and ``snf``'s (u, v, lam) on 400 seeded
+    D x K blocks, D 1-4, K D to 4D, entries +-50; some have a row twice
+    another (singular or rank-deficient) and some are mostly zeros, so that
+    ``hnf`` meets zero pivots."""
+    rng = random.Random(20250809)
+    out = []
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        w = rng.randint(d, 4 * d)
+        kind = rng.random()
+        if kind < 0.2:
+            rows = [[rng.choice((0, 0, 0, rng.randint(-50, 50))) for _ in range(w)] for _ in range(d)]
+        else:
+            rows = [[rng.randint(-50, 50) for _ in range(w)] for _ in range(d)]
+        if d > 1 and kind > 0.85:
+            rows[-1] = [2 * x for x in rows[0]]
+        m = M(rows)
+        try:
+            h = hnf(m).rows
+        except (SingularMatrix, RankDeficient) as e:
+            h = type(e).__name__
+        dec = snf(m)
+        out.append((m.rows, h, dec.u.rows, dec.v.rows, dec.lam.rows))
+    return out
+
+
+class TestPinnedForms:
+    """Output pins, beside the invariant tests above: H is canonical, but
+    SNF's u and v are not. They are what ``mdcrt snf`` prints, and they set
+    ``FpdSampler``'s point order, on which the per-trial goldens rest, so
+    any change to the elimination's step sequence shows here."""
+
+    def test_hnf_and_snf_outputs_are_pinned(self):
+        out = _pinned_forms()
+        assert sum(isinstance(h, str) for _, h, *_ in out) > 20
+        digest = hashlib.sha256(repr(out).encode()).hexdigest()
+        assert digest == PINNED_FORMS_SHA256
 
 
 BLOCK = M([[3, 1, -2, -2], [2, 2, -1, -3]])

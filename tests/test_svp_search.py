@@ -50,6 +50,15 @@ class TestSearch:
         for i in gen.sample(others, 20):
             assert shortest_vector(LatticeBasis(hnf_lattice_matrix(i, 211)))[0] < res.d
 
+    def test_matches_generic_svp_below_100(self):
+        # every lattice the search scans, for every prime p < 100, through
+        # the generic SVP path: the maximum and the indices reaching it
+        for p in primes_below(100):
+            lengths = [shortest_vector(LatticeBasis(hnf_lattice_matrix(i, p)))[0] for i in range(p)]
+            d = max(lengths)
+            res = search_max_svp(p)
+            assert (res.d, res.achievers) == (d, frozenset(i for i, x in enumerate(lengths) if x == d))
+
     def test_membership_rule(self):
         # [x, y] lies in the lattice of [[1,0],[i,p]] iff x*i = y (mod p)
         gen = random.Random(2)
