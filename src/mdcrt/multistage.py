@@ -186,17 +186,20 @@ def multistage_reconstruct(
     """Run every stage and return the final group's output.
 
     Group estimates stay exact rationals between stages, as integers over
-    one denominator: each stage's outputs are brought to the lcm of their
-    ``den`` and passed to the next stage with that ``den``, so no
-    ``Fraction`` is built before the final estimate is read. A singleton
-    group's estimate is its remainder, with one zero fold. Raises
-    DimensionMismatch for a remainder of the wrong length; Inconsistent
-    propagates from the congruence solver and marks a failed trial.
+    one denominator: each declared stage's outputs are brought to the lcm
+    of their ``den`` and passed to the next stage with that ``den``, so no
+    ``Fraction`` is built before the final estimate is read. The final
+    group's output is returned as ``robust_reconstruct`` gives it, with no
+    hand-off. A singleton group's estimate is its remainder, with one zero
+    fold. Raises DimensionMismatch for a remainder of the wrong length;
+    Inconsistent propagates from the congruence solver and marks a failed
+    trial.
     """
     check_remainder_shape(noisy_remainders, len(plan.moduli), plan.moduli[0].dim)
     current: Sequence[Sequence[Scalar]] = noisy_remainders
     den = 1
-    for stage in plan.stages:
+    *declared, (final,) = plan.stages
+    for stage in declared:
         outputs = [
             robust_reconstruct(
                 grp.instance, [current[i] for i in grp.member_indices], grp.designated_lcrm, den
@@ -206,7 +209,8 @@ def multistage_reconstruct(
         # the next stage's remainders: every estimate over one denominator
         den = math.lcm(*[out.den for out in outputs])
         current = [nums if d == den else [x * (den // d) for x in nums] for nums, d, _, _ in outputs]
-    return outputs[0]
+    # the final group's members are every input, in order
+    return robust_reconstruct(final.instance, current, final.designated_lcrm, den)
 
 
 def final_region(plan: GroupingPlan) -> FpdUnionRegion:

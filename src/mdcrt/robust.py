@@ -13,6 +13,9 @@ so is the output: the estimate is held as integer numerators over one
 denominator ``n T``. Its ``Fraction`` coordinates, and the folds, are built
 only when read. Rational remainders take the same steps, each exact on
 rationals, and give rational numerators over ``n T``, read the same way.
+At D = 2, the dimension of every shipped config, the differences and the
+average are written in closed form on the two coordinates; every other D
+takes the same steps through generic per-coordinate expressions.
 """
 
 from __future__ import annotations
@@ -169,10 +172,15 @@ def robust_reconstruct(
     lcrm, once. Each difference is snapped over T (``closest_vector``'s
     ``den``), with no ``Fraction`` per coordinate for integer remainders,
     and the output holds the estimate as numerators over ``n T``: integers
-    for integer remainders, rationals for rational ones. A one-modulus
-    instance solves nothing: its estimate is its remainder over ``den``,
-    and its one fold is zero, the reduction of zero into any lcrm basis;
-    ``designated_lcrm`` is still checked as that reduction would check it.
+    for integer remainders, rationals for rational ones. At D = 2 each
+    difference is the pair ``(x - b0, y - b1)`` off the anchor's remainder
+    ``(b0, b1)``, and the numerators come from running sums of the snapped
+    differences and of the remainders; any other D builds both coordinate
+    by coordinate over ``zip``. Both give the same exact values. A
+    one-modulus instance solves nothing: its estimate is its remainder
+    over ``den``, and its one fold is zero, the reduction of zero into any
+    lcrm basis; ``designated_lcrm`` is still checked as that reduction
+    would check it.
     Raises ValueError for ``den`` below 1, SingularMatrix or
     DimensionMismatch for a singular or wrong-size ``designated_lcrm``, and
     Inconsistent when the snapped values are incompatible, which callers
@@ -194,20 +202,38 @@ def robust_reconstruct(
                 raise DimensionMismatch(f"{designated_lcrm.nrows}-row lcrm for length-{len(base)} remainders")
         return RobustOutput(tuple(base), den, zero, (zero,))
     lattices = instance.anchor_lattices
-    snapped = tuple(
-        [
-            zero if j == l0 else closest_vector(lattices[j], [*map(sub, r, base)], den)
-            for j, r in enumerate(noisy_remainders)
-        ]
-    )
-    anchor_fold = crt_solve([*zip(moduli, snapped)], into=designated_lcrm)
     # the folds sum to n * anchor_fold - sum(snapped)
-    numerators = tuple(
-        [
-            den * (n * a - sum(vs)) + sum(rs)
-            for a, vs, rs in zip(anchor_fold, zip(*snapped), zip(*noisy_remainders))
-        ]
-    )
+    if len(base) == 2:
+        b0, b1 = base
+        snapped = tuple(
+            [
+                zero if j == l0 else closest_vector(lattices[j], (x - b0, y - b1), den)
+                for j, (x, y) in enumerate(noisy_remainders)
+            ]
+        )
+        a0, a1 = anchor_fold = crt_solve([*zip(moduli, snapped)], into=designated_lcrm)
+        s0 = s1 = r0 = r1 = 0
+        for u, v in snapped:
+            s0 += u
+            s1 += v
+        for x, y in noisy_remainders:
+            r0 += x
+            r1 += y
+        numerators = (den * (n * a0 - s0) + r0, den * (n * a1 - s1) + r1)
+    else:
+        snapped = tuple(
+            [
+                zero if j == l0 else closest_vector(lattices[j], [*map(sub, r, base)], den)
+                for j, r in enumerate(noisy_remainders)
+            ]
+        )
+        anchor_fold = crt_solve([*zip(moduli, snapped)], into=designated_lcrm)
+        numerators = tuple(
+            [
+                den * (n * a - sum(vs)) + sum(rs)
+                for a, vs, rs in zip(anchor_fold, zip(*snapped), zip(*noisy_remainders))
+            ]
+        )
     return RobustOutput(numerators, n * den, anchor_fold, snapped)
 
 

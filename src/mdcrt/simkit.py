@@ -377,14 +377,22 @@ def sqrt_float(num: int, den: int) -> float:
         return math.inf
 
 
-def _score(numerators: IntVec, den: int, f: IntVec, tau_sq: Fraction) -> tuple[float, bool]:
-    """``(sqrt of ||estimate - f||^2, ||estimate - f||^2 <= tau_sq)`` in
-    integers for a ``RobustOutput``'s estimate ``numerators / den``, ``den``
-    reduced or not: the squared error is ``num / den^2``, its root is
-    ``sqrt_float(num, den^2)``, and the comparison is cross-multiplied exactly."""
-    num = sum([(x - den * y) ** 2 for x, y in zip(numerators, f)])
+def _score(numerators: IntVec, den: int, f: IntVec, tau_num: int, tau_den: int) -> tuple[float, bool]:
+    """``(sqrt of ||estimate - f||^2, ||estimate - f||^2 <= tau_num / tau_den)``
+    in integers for a ``RobustOutput``'s estimate ``numerators / den``,
+    ``den`` reduced or not: the squared error is ``num / den^2``, its root
+    is ``sqrt_float(num, den^2)``, and the comparison is cross-multiplied
+    exactly. D = 2 sums the two squares in closed form."""
+    if len(f) == 2:
+        x, y = numerators
+        f0, f1 = f
+        e0 = x - den * f0
+        e1 = y - den * f1
+        num = e0 * e0 + e1 * e1
+    else:
+        num = sum([(x - den * y) ** 2 for x, y in zip(numerators, f)])
     den_sq = den * den
-    return sqrt_float(num, den_sq), num * tau_sq.denominator <= tau_sq.numerator * den_sq
+    return sqrt_float(num, den_sq), num * tau_den <= tau_num * den_sq
 
 
 def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow, tuple | None]:
@@ -392,7 +400,7 @@ def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow
     mach = _machinery(cfg)
     tau = cfg.taus[tau_index]
     ball = ErrorBallSampler(tau, dim=cfg.moduli[0].dim)
-    tau_sq = tau * tau
+    tau_num, tau_den = (tau * tau).as_integer_ratio()
     prefix = stream_seed(cfg.seed, tau_index)  # trial t's stream is stream_seed(prefix, t)
     total, estimates, successes = 0.0, 0, 0
     records = []
@@ -409,7 +417,7 @@ def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow
             nums, den, norm, success = None, 1, float("nan"), False
         else:
             nums, den = out.numerators, out.den
-            norm, success = _score(nums, den, f, tau_sq)
+            norm, success = _score(nums, den, f, tau_num, tau_den)
             total += norm
             estimates += 1
             successes += success

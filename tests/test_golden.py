@@ -3,8 +3,9 @@
 The digests pin the exact bytes that ``run_sweep`` produces for every shipped
 config, and for one ``f = per-trial`` sweep (the only mode that samples f
 from the robustly determinable region on every trial). The shipped configs
-are all D = 2, so two more sweeps, one D = 1 and one D = 3, pin the error
-draws off the D = 2 decode. A change that is meant to leave results alone
+are all D = 2, so three more sweeps, one D = 1 and two D = 3 (one of them
+two-stage), pin the error draws and the stage hand-off off the D = 2
+decode. A change that is meant to leave results alone
 must leave these digests alone.
 """
 
@@ -104,18 +105,21 @@ def test_sweep_output_is_pinned(key):
 
 # Off the shipped dimension: the fig2_diag moduli in one dimension, and the
 # D = 3 moduli 6B, 10B, 15B (B with rows (1,0,0), (0,1,0), (1,1,7)) that CI
-# runs through the console script; f per trial, so the region draws are
-# pinned too.
+# runs through the console script, single-stage and with the two-stage
+# grouping [[[0,1],[2]]] (per-group bounds 1/2 and 225/8; its final group
+# decodes over denominator 2); f per trial, so the region draws are pinned
+# too.
+D3_MODULI = (
+    "moduli = [[[6,0,0],[0,6,0],[6,6,42]],[[10,0,0],[0,10,0],[10,10,70]],"
+    "[[15,0,0],[0,15,0],[15,15,105]]]\n"
+)
+OFF_D2_SWEEP = "tau_grid = [0,1,2,3]\ntrials = 6\nseed = 20250809\nf = per-trial\n"
+
+# name -> (reconstructor, config)
 OFF_D2 = {
-    "d1": (
-        "moduli = [[[6]],[[10]],[[15]]]\n"
-        "tau_grid = [0,1,2,3]\ntrials = 6\nseed = 20250809\nf = per-trial\n"
-    ),
-    "d3": (
-        "moduli = [[[6,0,0],[0,6,0],[6,6,42]],[[10,0,0],[0,10,0],[10,10,70]],"
-        "[[15,0,0],[0,15,0],[15,15,105]]]\n"
-        "tau_grid = [0,1,2,3]\ntrials = 6\nseed = 20250809\nf = per-trial\n"
-    ),
+    "d1": ("single", "moduli = [[[6]],[[10]],[[15]]]\n" + OFF_D2_SWEEP),
+    "d3": ("single", D3_MODULI + OFF_D2_SWEEP),
+    "d3-multistage": ("multistage", D3_MODULI + "grouping = [[[0,1],[2]]]\n" + OFF_D2_SWEEP),
 }
 
 # name -> (summary, raw, f_true) digests
@@ -130,10 +134,16 @@ GOLDEN_OFF_D2 = {
         "cda3eaf3537e8f43e083a08b1c96a10f9c4bceecebe8f87e9c16a863bd926eaf",
         "b75602e77bccfa82287d95b06358fc6f9e870b62b6ca9572f1ae792447424dc1",
     ),
+    "d3-multistage": (
+        "32f32c1b46ab6ee47b9391c6a09b675facf3f78efb51b5120a2039433eb9dfc8",
+        "accb619854b16b4e06aff6b5cbc02efa9cf1aedf8d08c836042f38b891466125",
+        "5dfd64e1f471c609c13875f777f995e7f1d1b8bbbaab6d230901ac00162ae7d1",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_OFF_D2))
 def test_sweep_output_off_dim_2_is_pinned(name):
-    cfg = parse_config(OFF_D2[name])
-    assert _digests(cfg, "single", cfg.taus, cfg.trials, cfg.f_mode, cfg.f_value) == GOLDEN_OFF_D2[name]
+    reconstructor, text = OFF_D2[name]
+    cfg = parse_config(text)
+    assert _digests(cfg, reconstructor, cfg.taus, cfg.trials, cfg.f_mode, cfg.f_value) == GOLDEN_OFF_D2[name]

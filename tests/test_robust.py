@@ -2,9 +2,12 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from functools import cache
+from operator import sub
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdcrt import crt_core, lattice, multistage, robust
 from mdcrt.config import load_config
@@ -17,8 +20,8 @@ from mdcrt.errors import (
     SingularMatrix,
 )
 from mdcrt.exact_linalg import IntMatrix, hnf, vec_add, vec_norm_sq, vec_sub
-from mdcrt.crt_core import gcld
-from mdcrt.lattice import FpdSampler, LatticeBasis, reduce_mod, shortest_vector
+from mdcrt.crt_core import crt_solve, gcld
+from mdcrt.lattice import FpdSampler, LatticeBasis, closest_vector, reduce_mod, shortest_vector
 from mdcrt.multistage import build_plan, final_region, multistage_reconstruct
 from mdcrt.robust import (
     RobustOutput,
@@ -413,6 +416,78 @@ class TestAveraging:
         inst = build_instance([G1, G1 @ A1, G1 @ A2])
         with pytest.raises(DimensionMismatch, match="length 2"):
             robust_reconstruct(inst, [(1, 2), (1,), (1, 2)])
+
+
+def generic_reconstruct(instance, remainders, den):
+    """The steps ``robust_reconstruct`` takes at every D, written without
+    its D = 2 closed forms: ``map(sub)`` differences and the average over
+    the ``zip``-transposed folds and remainders."""
+    l0, n = instance.anchor, instance.count
+    base = remainders[l0]
+    zero = (0,) * len(base)
+    snapped = tuple(
+        zero if j == l0 else closest_vector(instance.anchor_lattices[j], [*map(sub, r, base)], den)
+        for j, r in enumerate(remainders)
+    )
+    anchor_fold = crt_solve([*zip(instance.moduli, snapped)])
+    numerators = tuple(
+        den * (n * a - sum(vs)) + sum(rs)
+        for a, vs, rs in zip(anchor_fold, zip(*snapped), zip(*remainders))
+    )
+    return RobustOutput(numerators, n * den, anchor_fold, snapped)
+
+
+# D = 3: 6B, 10B and 15B with B of rows (1,0,0), (0,1,0), (1,1,7)
+D3_BASE = M([[1, 0, 0], [0, 1, 0], [1, 1, 7]])
+# name -> (moduli, examples)
+CLOSED_FORM_SETS = {
+    "d2-fig3": (FIG3_MODULI, 150),
+    "d2-shared": ((G1, G1 @ A1, G1 @ A2), 100),
+    "d1": (tuple(M([[m]]) for m in (6, 10, 15)), 40),
+    "d3": (tuple(D3_BASE.scale(m) for m in (6, 10, 15)), 40),
+}
+
+
+@cache
+def pinned_instance(name, anchor):
+    return build_instance(CLOSED_FORM_SETS[name][0], anchor=anchor)
+
+
+class TestClosedForms:
+    """At D = 2 ``robust_reconstruct`` builds the differences and the
+    average in closed form; every other D takes the generic expressions.
+    Both give what ``generic_reconstruct`` gives, field for field, or both
+    raise Inconsistent: integer and rational remainders over ``den`` 1 to
+    6, the anchor pinned at any index."""
+
+    @pytest.mark.parametrize("name", list(CLOSED_FORM_SETS))
+    def test_matches_generic_expressions(self, name):
+        moduli, examples = CLOSED_FORM_SETS[name]
+
+        @settings(max_examples=examples, deadline=None)
+        @given(st.data())
+        def check(data):
+            inst = pinned_instance(name, data.draw(st.integers(0, len(moduli) - 1), label="anchor"))
+            den = data.draw(st.integers(1, 6), label="den")
+            f = [data.draw(st.integers(-10**4, 10**4)) for _ in range(moduli[0].dim)]
+            rational = data.draw(st.booleans(), label="rational")
+            spread = data.draw(st.integers(0, den), label="spread")
+            error = st.fractions(-spread, spread, max_denominator=4) if rational else st.integers(-spread, spread)
+            rems = [
+                tuple(den * x + data.draw(error) for x in reduce_mod(f, m)[1]) for m in moduli
+            ]
+            try:
+                want = generic_reconstruct(inst, rems, den)
+            except Inconsistent:
+                with pytest.raises(Inconsistent):
+                    robust_reconstruct(inst, rems, den=den)
+                return
+            got = robust_reconstruct(inst, rems, den=den)
+            assert got == want
+            assert tuple(got) == tuple(want)
+            assert [type(x) for x in got.numerators] == [type(x) for x in want.numerators]
+
+        check()
 
 
 PLANS = [(FIG3_MODULI, FIG3_GROUPING), (FIG2_NONDIAG_MODULI, FIG2_NONDIAG_GROUPING)]

@@ -317,6 +317,11 @@ def over_one_den(estimate, scale=1):
     return tuple(int(x * den) for x in estimate), den
 
 
+def score(numerators, den, f, tau_sq):
+    """``_score`` against the Fraction ``tau_sq``, as ``_run_tau`` splits it."""
+    return _score(numerators, den, f, *tau_sq.as_integer_ratio())
+
+
 class TestScore:
     """Trials are scored in integers from a ``RobustOutput``'s numerators
     over its denominator, reduced or not; the norm and the success flag
@@ -332,7 +337,7 @@ class TestScore:
         estimate = tuple(Fraction(x) + data.draw(error) for x in f)
         numerators, den = over_one_den(estimate, data.draw(st.sampled_from((1, 2, 6, 35))))
         tau = data.draw(st.fractions(0, 2 * big, max_denominator=1000))
-        assert _score(numerators, den, f, tau * tau) == fraction_score(estimate, f, tau)
+        assert score(numerators, den, f, tau * tau) == fraction_score(estimate, f, tau)
 
     @pytest.mark.parametrize(
         "error, tau",
@@ -348,23 +353,23 @@ class TestScore:
         assert vec_norm_sq(vec_sub(estimate, f)) == Fraction(tau) ** 2
         for scale in (1, 4):
             numerators, den = over_one_den(estimate, scale)
-            norm, success = _score(numerators, den, f, Fraction(tau) ** 2)
+            norm, success = score(numerators, den, f, Fraction(tau) ** 2)
             assert success and norm == float(tau)
             assert (norm, success) == fraction_score(estimate, f, Fraction(tau))
             below = Fraction(tau) ** 2 - Fraction(1, 10**12)
-            assert _score(numerators, den, f, below)[1] is False
+            assert score(numerators, den, f, below)[1] is False
 
     @pytest.mark.parametrize("den", [1, 3, 12])
     def test_square_beyond_float_range(self, den):
         # ||error||^2 ~ 10^400 overflows a float, its root ~ 10^200 does not
         f = (5, -7)
         numerators = (den * 5 + 10**200, den * -7 - 3 * 10**199)
-        norm, success = _score(numerators, den, f, Fraction(10**400))
+        norm, success = score(numerators, den, f, Fraction(10**400))
         assert math.isclose(norm, math.sqrt(1.09) * 1e200 / den, rel_tol=1e-15)
         assert success is (den > 1)  # 1.09 * 10^400 / den^2 <= 10^400
 
     def test_norm_beyond_float_range(self):
-        norm, success = _score((10**400, 1), 1, (0, 0), Fraction(1))
+        norm, success = score((10**400, 1), 1, (0, 0), Fraction(1))
         assert norm == math.inf and success is False
 
 
