@@ -146,13 +146,15 @@ def _cmd_reconstruct(args) -> int:
     """``robust``, ``multistage`` and ``simulate``: sweep the config's
     reconstructors (only ``args.recon``, when set), or, given remainders,
     reconstruct them through ``args.recon``'s plan and print its header, the
-    estimate and the final region's size, or nothing if a step fails."""
+    estimate and the final region's size, or nothing if a step fails. The
+    header follows the plan's shape: the zero-stage plan, whose one stage is
+    the final group, prints the single-stage header."""
     cfg = load_config(args.config)
     if not args.remainders:
         return _emit_sweeps(_sweep_configs(cfg, args.trials, args.recon), args)
     plan = build_plan(cfg.moduli, declared_stages(args.recon, cfg.grouping))
     final = plan.final.instance
-    if args.recon == "single":
+    if len(plan.stages) == 1:
         bound = final.tau_bound_sq  # finite: the plan has two or more moduli
         header = [
             f"anchor = {final.anchor}",

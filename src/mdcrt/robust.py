@@ -59,10 +59,6 @@ class RobustInstance:
     lcrm: IntMatrix
     anchor_lattices: dict[int, LatticeBasis]
 
-    @property
-    def count(self) -> int:
-        return len(self.moduli)
-
 
 def build_instance(moduli: Sequence[IntMatrix], anchor: int | None = None) -> RobustInstance:
     """Select the anchor, build its gcld lattices, and fix the error bound.

@@ -130,8 +130,9 @@ class ErrorBallSampler:
     A point is inside when its squared norm is at most ``floor(tau^2)``: the
     squared norm is an integer, so this exact test equals the rational one.
     Points are numbered ``0 .. count - 1`` in lexicographic order, the order
-    of ``sorted`` on the tuples, and ``point(i)`` decodes an index without
-    any table of points, with one bisect per level.
+    of ``sorted`` on the tuples, and ``point(i)``, the one decoder, turns an
+    index into its point without any table of points, with one bisect per
+    level; ``perturb`` calls it off dim 2.
 
     A level is a prefix of fixed leading coordinates, named by the dimension
     and the squared norm it leaves, ``(dim, budget)``. Its table is two lists
@@ -202,9 +203,11 @@ class ErrorBallSampler:
                 totals.append(total)
         return totals, offsets
 
-    def _decode(self, index: int) -> IntVec:
-        """Point number ``index``, for ``0 <= index < count``: one bisect per
+    def point(self, index: int) -> IntVec:
+        """Point number ``index`` in lexicographic order: one bisect per
         level above the last two coordinates, then ``_disk_add``."""
+        if not 0 <= index < self.count:
+            raise IndexError(f"point index {index} outside [0, {self.count})")
         if self.dim == 1:
             return (index - self._r,)
         budget = self._budget
@@ -223,12 +226,6 @@ class ErrorBallSampler:
             totals, offsets = level
         return (*coords, *_disk_add(totals, offsets, [(0, 0)], [index])[0])
 
-    def point(self, index: int) -> IntVec:
-        """Point number ``index`` in lexicographic order."""
-        if not 0 <= index < self.count:
-            raise IndexError(f"point index {index} outside [0, {self.count})")
-        return self._decode(index)
-
     def perturb(self, rng: XorShift64Star, remainders: Sequence[IntVec]) -> list[IntVec]:
         """Each remainder plus one uniform point, in order:
         ``[r + point(i) for r, i in zip(remainders, rng.draws(count, k))]``,
@@ -237,8 +234,8 @@ class ErrorBallSampler:
         indices = rng.draws(self.count, len(remainders))
         if self.dim == 2:
             return _disk_add(self._totals, self._offsets, remainders, indices)
-        decode = self._decode
-        return [tuple(map(add, r, decode(i))) for r, i in zip(remainders, indices)]
+        point = self.point
+        return [tuple(map(add, r, point(i))) for r, i in zip(remainders, indices)]
 
     def sample(self, rng: XorShift64Star) -> IntVec:
         """A uniform point: ``perturb`` of the zero vector, one draw of ``rng``."""
@@ -285,12 +282,12 @@ class SweepConfig:
 
 class TrialRecord(NamedTuple):
     """One trial as the raw CSV and the checks on it read it, as an
-    immutable named tuple. The error vectors are not kept: they follow from
+    immutable named tuple. Its trial index is its position in its tau's
+    tuple of records, and the error vectors are not kept: they follow from
     the seed and the indices. The estimate is kept as the decoder returned
     it, ``numerators / den``, and ``estimate`` builds its ``Fraction``s on
     each read."""
 
-    trial_index: int
     f_true: IntVec
     numerators: tuple[Scalar, ...] | None  # None when the solver reported Inconsistent
     den: int
@@ -422,7 +419,7 @@ def _run_tau(cfg: SweepConfig, tau_index: int, keep_raw: bool) -> tuple[SweepRow
             estimates += 1
             successes += success
         if keep_raw:
-            records.append(TrialRecord(t, f, nums, den, norm, success))
+            records.append(TrialRecord(f, nums, den, norm, success))
     row = SweepRow(
         tau=tau,
         mean_error=total / estimates if estimates else float("nan"),
@@ -480,8 +477,6 @@ def raw_csv_lines(summary: SweepSummary) -> list[str]:
         raise ValueError("sweep was run without keep_raw")
     lines = [RAW_HEADER]
     for tau, records in zip((r.tau for r in summary.rows), summary.raw):
-        for rec in records:
-            lines.append(
-                f"{tau},{rec.trial_index},{rec.error_norm!r},{int(rec.exact_success)}"
-            )
+        for t, rec in enumerate(records):
+            lines.append(f"{tau},{t},{rec.error_norm!r},{int(rec.exact_success)}")
     return lines

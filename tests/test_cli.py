@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -630,7 +631,7 @@ class TestReconstructionCommands:
 
     def test_fig3_single_centroid_exits_0(self, tmp_path, capsys):
         # the single-stage region has 4.1e9 points; it is never enumerated
-        text = open("configs/fig3.cfg").read()
+        text = Path("configs/fig3.cfg").read_text()
         keep = [l for l in text.splitlines() if l.startswith(("moduli", "seed"))]
         cfg = tmp_path / "fig3_single.cfg"
         cfg.write_text("\n".join(keep) + "\nreconstructors = single\ntau_grid = [1]\ntrials = 2\nf = centroid\n")

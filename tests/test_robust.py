@@ -389,7 +389,7 @@ class TestAveraging:
         checked = 0
         for grp in plan.stages[0]:
             inst = grp.instance
-            n = inst.count
+            n = len(inst.moduli)
             for _ in range(40):
                 f = tuple(gen.randint(-10**6, 10**6) for _ in range(2))
                 rems = [
@@ -422,7 +422,7 @@ def generic_reconstruct(instance, remainders, den):
     """The steps ``robust_reconstruct`` takes at every D, written without
     its D = 2 closed forms: ``map(sub)`` differences and the average over
     the ``zip``-transposed folds and remainders."""
-    l0, n = instance.anchor, instance.count
+    l0, n = instance.anchor, len(instance.moduli)
     base = remainders[l0]
     zero = (0,) * len(base)
     snapped = tuple(
@@ -592,7 +592,7 @@ class TestReductionCount:
     def test_fig3_groups(self, calls):
         plan = build_plan(FIG3_MODULI, FIG3_GROUPING)
         groups = [*plan.stages[0], plan.final]
-        assert [grp.instance.count for grp in groups] == [3, 3, 2]
+        assert [len(grp.instance.moduli) for grp in groups] == [3, 3, 2]
         assert plan.final.designated_lcrm == plan.final.instance.lcrm
         gen = random.Random(11)
         for grp in groups:
@@ -632,7 +632,7 @@ class TestReductionCount:
         # the singleton stage-1 group {3} (a one-modulus instance) returns
         # its remainder and reduces nothing
         plan = build_plan(FIG2_NONDIAG_MODULI, FIG2_NONDIAG_GROUPING)
-        assert [grp.instance.count for grp in [*plan.stages[0], plan.final]] == [3, 1, 2]
+        assert [len(grp.instance.moduli) for grp in [*plan.stages[0], plan.final]] == [3, 1, 2]
         f = final_region(plan).sample(trial_rng(3, 0, 0))
         noisy = [reduce_mod(f, m)[1] for m in FIG2_NONDIAG_MODULI]
         multistage_reconstruct(plan, noisy)

@@ -496,8 +496,8 @@ class TestSweep:
         estimates = []
         for ti, (tau, records) in enumerate(zip(cfg.taus, summary.raw)):
             ball = ErrorBallSampler(tau, dim=2)
-            for rec in records:
-                rng = trial_rng(cfg.seed, ti, rec.trial_index)
+            for t, rec in enumerate(records):
+                rng = trial_rng(cfg.seed, ti, t)
                 noisy = [vec_add(reduce_mod(rec.f_true, m)[1], ball.sample(rng)) for m in cfg.moduli]
                 try:
                     want = multistage_reconstruct(plan, noisy).estimate
@@ -548,14 +548,14 @@ class TestTrialRecord:
     """A record is an immutable named tuple that keeps the decoder's
     numerators over one denominator, or None for an Inconsistent trial."""
 
-    HIT = TrialRecord(3, (1, 2), (4, 7), 3, 0.5, True)
-    MISS = TrialRecord(4, (1, 2), None, 1, float("nan"), False)
+    HIT = TrialRecord((1, 2), (4, 7), 3, 0.5, True)
+    MISS = TrialRecord((1, 2), None, 1, float("nan"), False)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
             self.HIT.den = 6
         with pytest.raises(TypeError):
-            self.HIT[3] = 6
+            self.HIT[2] = 6
 
     def test_estimate(self):
         assert self.HIT.estimate == (Fraction(4, 3), Fraction(7, 3))
